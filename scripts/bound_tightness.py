@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from chisearch.bounds import cp_bounds
-from chisearch.chi import ChiConfig, build_chi
+from chisearch.chi import ChiBlock, ChiConfig, build_chi
 from chisearch.corpus import generate_corpus
 from chisearch.store import MaskStore, ValueRange, cp_exact, load_roi_table
 
@@ -62,9 +62,12 @@ def main() -> None:
             rows = []
             for mid in ids:
                 rec = store.get_mask(mid)
-                idx = build_chi(rec, config)
-                b = cp_bounds(idx, rois[mid], vr)
-                rows.append((b.lower, b.upper, cp_exact(rec, rois[mid], vr), mid))
+                r = rois[mid]
+                lo, hi = cp_bounds(
+                    ChiBlock.of(build_chi(rec, config)), np.zeros(1, dtype=np.intp),
+                    np.array([[r.x1, r.y1, r.x2, r.y2]]), vr,
+                )
+                rows.append((int(lo[0]), int(hi[0]), cp_exact(rec, r, vr), mid))
             rows.sort(key=lambda r: (r[0], r[3]))
             for rank, (lo, hi, exact, mid) in enumerate(rows):
                 fh.write(f"{tag}\t{rank}\t{mid}\t{lo}\t{hi}\t{exact}\n")

@@ -15,16 +15,15 @@ from .store import (
     cp_exact,
 )
 from .chi import (
+    ChiBlock,
     ChiConfig,
     ChiIndex,
     IndexStore,
     build_chi,
     grid_boundaries,
-    is_available_region,
     load_index,
     merge_index,
     persist_index,
-    region_histogram,
 )
 from .bounds import (
     AreaTerm,
@@ -32,14 +31,10 @@ from .bounds import (
     Bounds,
     Const,
     CpTerm,
-    SnappedRegions,
     bound_scalar_agg,
     cp_bounds,
     expr_bounds,
     expr_exact,
-    lower_bound,
-    snap_regions,
-    upper_bound,
 )
 from .executor import (
     AggSpec,
@@ -56,7 +51,6 @@ from .executor import (
     QueryResult,
     ScalarAggSpec,
     TopKSpec,
-    execute_incremental,
     register_mask_agg,
 )
 from .sql import ParseError, parse, pretty
@@ -66,14 +60,13 @@ from .corpus import generate_corpus
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggSpec", "AreaTerm", "BinOp", "BoolOp", "Bounds", "ChiConfig", "ChiIndex",
-    "Const", "CpComparison", "CpTerm", "Engine", "ExecStats", "FilterSpec",
-    "IndexStore", "MaskAggSpec", "MaskAggregate", "MaskMeta", "MaskRecord",
-    "MaskStore", "MetaComparison", "ParseError", "PlanError", "Predicate",
-    "QueryPlan", "QueryResult", "Roi", "RoiBinding", "ScalarAggSpec",
-    "SnappedRegions", "TopKSpec", "ValueRange", "bound_scalar_agg", "build_chi",
-    "cp_bounds", "cp_exact", "execute_incremental", "expr_bounds", "expr_exact",
-    "generate_corpus", "grid_boundaries", "is_available_region", "load_index",
-    "lower_bound", "merge_index", "parse", "persist_index", "plan", "pretty",
-    "region_histogram", "register_mask_agg", "snap_regions", "upper_bound",
+    "AggSpec", "AreaTerm", "BinOp", "BoolOp", "Bounds", "ChiBlock", "ChiConfig",
+    "ChiIndex", "Const", "CpComparison", "CpTerm", "Engine", "ExecStats",
+    "FilterSpec", "IndexStore", "MaskAggSpec", "MaskAggregate", "MaskMeta",
+    "MaskRecord", "MaskStore", "MetaComparison", "ParseError", "PlanError",
+    "Predicate", "QueryPlan", "QueryResult", "Roi", "RoiBinding", "ScalarAggSpec",
+    "TopKSpec", "ValueRange", "bound_scalar_agg", "build_chi", "cp_bounds",
+    "cp_exact", "expr_bounds", "expr_exact", "generate_corpus", "grid_boundaries",
+    "load_index", "merge_index", "parse", "persist_index", "plan", "pretty",
+    "register_mask_agg",
 ]

@@ -8,20 +8,21 @@ Combining an enclosing region with a widened range can only overcount;
 combining an enclosed region with a narrowed range can only undercount.
 The slack of the other region is charged at one pixel per cell of area,
 which yields a second bound of each kind; we always take the better one.
+``cp_bounds`` is the one bound kernel: it brackets many masks of one size
+at once, reading the padded rows of their ``ChiBlock``.
 
-All functions here are pure over immutable inputs.
+All functions here are pure: they only read their inputs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .chi import ChiIndex, GridBoundaries, region_histogram
-from .store import Roi, RoiBinding, RoiOutOfBounds, ValueRange
+from .chi import ChiBlock, ChiConfig
+from .store import RoiBinding, ValueRange
 
 
 class NonMonotoneOperator(ValueError):
@@ -48,74 +49,67 @@ class Bounds:
         return self.lower == self.upper
 
 
-@dataclass(frozen=True)
-class SnappedRegions:
-    """Grid-aligned rectangles bracketing a query rectangle.
+def snap_rois(rois: np.ndarray, width: int, height: int, config: ChiConfig):
+    """Grid-aligned rectangles (outer, inner) bracketing each roi of a mask.
 
-    ``outer`` is the smallest aligned rectangle covering it; ``inner`` is the
-    largest aligned rectangle it covers, or None when none exists.
+    ``rois`` is an int array (n, 4) of x1, y1, x2, y2 inside a width x height
+    mask. ``outer`` is the smallest aligned rectangle covering each roi;
+    ``inner`` the largest it covers, of zero area when none exists. Both come
+    back as (4, n) arrays of boundary ranks, rows x1, y1, x2, y2: along each
+    axis rank i is the boundary i * cell, and the last rank is the mask edge.
     """
-
-    outer: Roi
-    inner: Roi | None
-
-
-def snap_regions(roi: Roi, grid: GridBoundaries) -> SnappedRegions:
-    if roi.x2 > grid.width or roi.y2 > grid.height:
-        raise RoiOutOfBounds(f"{roi!r} exceeds grid {grid.width}x{grid.height}")
-    xs, ys = grid.xs, grid.ys
-
-    def down(v: int, bs: Sequence[int]) -> int:
-        i = bisect_right(bs, v) - 1
-        return bs[i] if i >= 0 else 0
-
-    def up(v: int, bs: Sequence[int]) -> int:
-        return bs[bisect_left(bs, v)]
-
-    outer = Roi(down(roi.x1, xs), down(roi.y1, ys), up(roi.x2, xs), up(roi.y2, ys))
-
-    ix1 = roi.x1 if roi.x1 == 0 else up(roi.x1, xs)
-    iy1 = roi.y1 if roi.y1 == 0 else up(roi.y1, ys)
-    # The inner right/bottom edge must land on a real boundary, never zero.
-    jx = bisect_right(xs, roi.x2) - 1
-    jy = bisect_right(ys, roi.y2) - 1
-    inner = None
-    if jx >= 0 and jy >= 0 and ix1 < xs[jx] and iy1 < ys[jy]:
-        inner = Roi(ix1, iy1, xs[jx], ys[jy])
-    return SnappedRegions(outer, inner)
+    lo, hi = np.ascontiguousarray(rois.T).reshape(2, 2, -1)  # (x1, y1), (x2, y2)
+    cell = np.array([[config.cell_width], [config.cell_height]])
+    extent = np.array([[width], [height]])
+    last = -(-extent // cell)
+    up_lo, up_hi = (np.minimum(-(-v // cell), last) for v in (lo, hi))
+    down_hi = np.maximum(np.where(hi == extent, last, hi // cell), up_lo)
+    return np.concatenate([lo // cell, up_hi]), np.concatenate([up_lo, down_hi])
 
 
-def upper_bound(index: ChiIndex, roi: Roi, rng: ValueRange) -> int:
-    return cp_bounds(index, roi, rng).upper
+def _area(rects: np.ndarray) -> np.ndarray:
+    return (rects[2] - rects[0]) * (rects[3] - rects[1])
 
 
-def lower_bound(index: ChiIndex, roi: Roi, rng: ValueRange) -> int:
-    return cp_bounds(index, roi, rng).lower
+def _region_counts(block: ChiBlock, rows, ranks: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Pixels of each aligned rect at or above each bin edge, shape (len(bins), n):
+    four corner lookups, widened to int64 before subtracting so nothing wraps."""
+    _, nx, ny, nb = block.counts.shape
+    # Corners (x1, y1), (x1, y2), (x2, y1), (x2, y2) of each rect.
+    at = ((rows * nx + ranks[[0, 0, 2, 2]]) * ny + ranks[[1, 3, 1, 3]]) * nb
+    c = block.counts.reshape(-1).take(at[:, None, :] + bins[:, None]).astype(np.int64)
+    return c[3] - c[1] - c[2] + c[0]
 
 
-def cp_bounds(index: ChiIndex, roi: Roi, rng: ValueRange) -> Bounds:
-    """Bracket the count of roi pixels with values in [rng.lo, rng.hi)."""
-    snapped = snap_regions(roi, index.grid)
-    c_outer = region_histogram(index, snapped.outer)
-    c_inner = region_histogram(index, snapped.inner) if snapped.inner else None
-    inner_area = snapped.inner.area if snapped.inner else 0
+def cp_bounds(block: ChiBlock, rows: np.ndarray, rois: np.ndarray, rng: ValueRange):
+    """Bracket the count of pixels with values in [rng.lo, rng.hi) inside
+    ``rois[i]`` of the mask at row ``rows[i]`` of ``block``, for every i.
 
-    lo, hi = index.config.outer_bin_span(rng)
-    ub1 = int(c_outer[lo] - c_outer[hi])
-    if c_inner is None:
-        ub2 = roi.area
-    else:
-        ub2 = int(c_inner[lo] - c_inner[hi]) + roi.area - inner_area
-    upper = min(ub1, ub2, roi.area)
+    ``rows`` is an int array (n,) and ``rois`` an int array (n, 4) of x1,
+    y1, x2, y2. Returns int64 arrays (lower, upper). One mask is a one-row
+    call.
+    """
+    config, n = block.config, len(rows)
+    rects = np.concatenate(snap_rois(rois, block.width, block.height, config), axis=1)
+    cell = np.array([[config.cell_width], [config.cell_height]] * 2)
+    edge = np.array([[block.width], [block.height]] * 2)
+    area = _area(rois.T)
+    snapped_area = _area(np.minimum(rects * cell, edge))
+    outer_area, inner_area = snapped_area[:n], snapped_area[n:]
 
-    a, z = index.config.inner_bin_span(rng)
+    lo, hi = config.outer_bin_span(rng)
+    a, z = config.inner_bin_span(rng)
+    c = _region_counts(block, np.concatenate([rows, rows]), rects, np.array([lo, hi, a, z]))
+    # Rows: the count over the widened range, then over the narrowed one;
+    # columns: the outer rectangles, then the inner ones.
+    spans = c[0::2] - c[1::2]
+    outer_n, inner_n = spans[:, :n], spans[:, n:]
+
+    upper = np.minimum(np.minimum(outer_n[0], inner_n[0] + area - inner_area), area)
     if a >= z:
-        lower = 0
-    else:
-        lb1 = int(c_inner[a] - c_inner[z]) if c_inner is not None else 0
-        lb2 = int(c_outer[a] - c_outer[z]) - (snapped.outer.area - roi.area)
-        lower = max(lb1, lb2, 0)
-    return Bounds(lower, upper)
+        return np.zeros(n, dtype=np.int64), upper
+    lower = np.maximum(np.maximum(inner_n[1], outer_n[1] - (outer_area - area)), 0)
+    return lower, upper
 
 
 # -- expressions over counts ------------------------------------------------

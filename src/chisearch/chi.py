@@ -10,6 +10,9 @@ whose corners sit on grid boundaries falls out of four lookups.
 Grid boundaries always include the mask's right/bottom edge, so masks whose
 dimensions are not multiples of the cell size simply get narrower edge
 cells; every formula below holds unchanged on the extended boundary set.
+
+An ``IndexStore`` keeps, per mask size, one zero-padded block holding every
+such mask's counts as one row; bounds are computed from the blocks.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .store import MaskRecord, Roi, ValueRange
+from .store import PIXEL_MAX, PIXEL_MIN, MaskRecord, ValueRange
 
 CHI_MAGIC = b"MCHI1\n"
 CHI_VERSION = 1
 
-_HEADER = struct.Struct("<IIIIffQ")  # version, bins, cell_w, cell_h, p_min, p_max, count
+_HEADER = struct.Struct("<IIIIffQ")  # version, bins, cell_w, cell_h, domain lo, hi, count
 _RECORD = struct.Struct("<QIIII")  # mask_id, width, height, n_cx, n_cy
 
 
@@ -47,37 +50,24 @@ class OverflowDetected(ChiError):
     pass
 
 
-class NotAvailableRegion(ChiError):
-    pass
-
-
 @dataclass(frozen=True)
 class ChiConfig:
-    """Index granularity: spatial cell size and number of equi-width value bins."""
+    """Index granularity: spatial cell size and number of equi-width value
+    bins over the pixel domain [0, 1)."""
 
     cell_width: int
     cell_height: int
     bins: int
-    p_min: float = 0.0
-    p_max: float = 1.0
 
     def __post_init__(self):
         if self.cell_width < 1 or self.cell_height < 1 or self.bins < 1:
             raise ValueError(f"invalid index config {self!r}")
-        if not self.p_min < self.p_max:
-            raise ValueError("p_min must be below p_max")
-
-    @property
-    def bin_width(self) -> float:
-        return (self.p_max - self.p_min) / self.bins
 
     @cached_property
     def bin_edges(self) -> np.ndarray:
         """The bins+1 value thresholds; binning and bound lookups must share these."""
-        edges = self.p_min + self.bin_width * np.arange(self.bins + 1, dtype=np.float64)
-        edges[-1] = self.p_max
-        if not np.all(np.diff(edges) > 0):
-            raise ValueError(f"bin edges collapse for {self!r}")
+        edges = (PIXEL_MAX / self.bins) * np.arange(self.bins + 1, dtype=np.float64)
+        edges[-1] = PIXEL_MAX
         return edges
 
     def outer_bin_span(self, rng: ValueRange) -> tuple[int, int]:
@@ -109,32 +99,6 @@ class GridBoundaries:
     xs: tuple[int, ...]
     ys: tuple[int, ...]
 
-    @property
-    def width(self) -> int:
-        return self.xs[-1]
-
-    @property
-    def height(self) -> int:
-        return self.ys[-1]
-
-    @cached_property
-    def _x_rank(self) -> dict[int, int]:
-        rank = {x: i + 1 for i, x in enumerate(self.xs)}
-        rank[0] = 0
-        return rank
-
-    @cached_property
-    def _y_rank(self) -> dict[int, int]:
-        rank = {y: i + 1 for i, y in enumerate(self.ys)}
-        rank[0] = 0
-        return rank
-
-    def x_rank(self, x: int) -> int:
-        return self._x_rank[x]
-
-    def y_rank(self, y: int) -> int:
-        return self._y_rank[y]
-
 
 @lru_cache(maxsize=4096)
 def grid_boundaries(width: int, height: int, config: ChiConfig) -> GridBoundaries:
@@ -152,10 +116,6 @@ class ChiIndex:
     height: int
     config: ChiConfig
     counts: np.ndarray  # uint32, shape (n_cx, n_cy, bins), bin innermost
-
-    @property
-    def grid(self) -> GridBoundaries:
-        return grid_boundaries(self.width, self.height, self.config)
 
     @property
     def n_cx(self) -> int:
@@ -192,69 +152,80 @@ def build_chi(mask: MaskRecord, config: ChiConfig) -> ChiIndex:
     return ChiIndex(mask.mask_id, mask.width, mask.height, config, prefix.astype(np.uint32))
 
 
-def is_available_region(roi: Roi, grid: GridBoundaries) -> bool:
-    """True when all four corners of ``roi`` sit on grid boundaries (or zero)."""
-    return (
-        roi.x2 in grid._x_rank
-        and roi.y2 in grid._y_rank
-        and roi.x2 != 0
-        and roi.y2 != 0
-        and roi.x1 in grid._x_rank
-        and roi.y1 in grid._y_rank
-    )
+class ChiBlock:
+    """Corner counts of every indexed mask of one size, one row per mask.
 
-
-def _corner(index: ChiIndex, bx: int, by: int) -> np.ndarray:
-    # Boundary rank 0 (the mask origin) contributes the all-zero histogram.
-    if bx == 0 or by == 0:
-        return np.zeros(index.config.bins, dtype=np.int64)
-    return index.counts[bx - 1, by - 1].astype(np.int64)
-
-
-def region_histogram(index: ChiIndex, roi: Roi) -> np.ndarray:
-    """Reverse-cumulative counts of ``roi`` per bin threshold, length bins+1.
-
-    Entry ``i`` counts pixels in the region with value at or above edge ``i``;
-    the final entry is always zero. Exactly four corner lookups.
+    ``counts[row]`` is a mask's ``ChiIndex.counts`` shifted by one along
+    every axis: boundary rank 0 (the mask origin) and bin ``bins`` (above
+    every value) stay zero, so any aligned rectangle's histogram is four
+    lookups with no special case. Rows are appended and capacity doubles
+    when full, so rows only move when the block grows.
     """
-    grid = index.grid
-    if not is_available_region(roi, grid):
-        raise NotAvailableRegion(f"{roi!r} is not on the index grid")
-    bx1, bx2 = grid.x_rank(roi.x1), grid.x_rank(roi.x2)
-    by1, by2 = grid.y_rank(roi.y1), grid.y_rank(roi.y2)
-    hist = (
-        _corner(index, bx2, by2)
-        - _corner(index, bx1, by2)
-        - _corner(index, bx2, by1)
-        + _corner(index, bx1, by1)
-    )
-    return np.concatenate([hist, [0]])
+
+    def __init__(self, width: int, height: int, config: ChiConfig):
+        grid = grid_boundaries(width, height, config)
+        self.width, self.height, self.config = width, height, config
+        self.n_cx, self.n_cy = len(grid.xs), len(grid.ys)
+        self.counts = np.zeros((1, self.n_cx + 1, self.n_cy + 1, config.bins + 1), np.uint32)
+        self.row_of: dict[int, int] = {}
+
+    @classmethod
+    def of(cls, index: ChiIndex) -> "ChiBlock":
+        """A one-row block holding ``index`` alone."""
+        block = cls(index.width, index.height, index.config)
+        block.put(index)
+        return block
+
+    def put(self, index: ChiIndex) -> None:
+        """Write ``index`` into its mask's row, appending a row for a new id.
+
+        Callers serialize puts. Readers need no lock: a row is written, and
+        a grown array swapped in, before the row is published in ``row_of``.
+        """
+        row = self.row_of.get(index.mask_id, len(self.row_of))
+        counts = self.counts
+        if row == len(counts):
+            counts = np.zeros((2 * row,) + counts.shape[1:], np.uint32)
+            counts[:row] = self.counts
+        counts[row, 1:, 1:, :-1] = index.counts
+        self.counts = counts
+        self.row_of[index.mask_id] = row
 
 
 class IndexStore:
     """In-memory collection of per-mask indexes sharing one config.
 
-    Reads are lock-free; insertion takes a lock so parallel workers indexing
-    distinct masks stay linearizable. Re-inserting the same mask id is
-    harmless (both builds are identical), last write wins.
+    Each inserted index also lands in the ``ChiBlock`` of its mask size,
+    which is what bounds read. Reads are lock-free; insertion takes a lock
+    so parallel workers indexing distinct masks stay linearizable.
+    Re-inserting the same mask id is harmless (both builds are identical,
+    and the id keeps its row), last write wins.
     """
 
     def __init__(self, config: ChiConfig):
         self.config = config
         self._entries: dict[int, ChiIndex] = {}
+        self._blocks: dict[tuple[int, int], ChiBlock] = {}
         self._lock = threading.Lock()
-        self.generation = 0
 
     def get_or_absent(self, mask_id: int) -> ChiIndex | None:
         """The mask's index, or None when it has not been built yet."""
         return self._entries.get(mask_id)
 
+    def block(self, width: int, height: int) -> ChiBlock:
+        """The block of every indexed width x height mask."""
+        return self._blocks[(width, height)]
+
     def insert(self, index: ChiIndex) -> None:
         if index.config != self.config:
             raise ConfigMismatch("index built with a different config")
+        dims = (index.width, index.height)
         with self._lock:
+            block = self._blocks.get(dims)
+            if block is None:
+                block = self._blocks[dims] = ChiBlock(index.width, index.height, self.config)
+            block.put(index)
             self._entries[index.mask_id] = index
-            self.generation += 1
 
     def mask_ids(self) -> list[int]:
         return sorted(self._entries)
@@ -280,8 +251,8 @@ def persist_index(store: IndexStore, path: str | Path) -> None:
                 cfg.bins,
                 cfg.cell_width,
                 cfg.cell_height,
-                cfg.p_min,
-                cfg.p_max,
+                PIXEL_MIN,
+                PIXEL_MAX,
                 len(store),
             )
         )
@@ -297,13 +268,15 @@ def load_index(path: str | Path) -> IndexStore:
         raise CorruptIndex(f"{path}: bad magic")
     off = len(CHI_MAGIC)
     try:
-        version, bins, cw, ch, p_min, p_max, count = _HEADER.unpack_from(raw, off)
+        version, bins, cw, ch, lo, hi, count = _HEADER.unpack_from(raw, off)
     except struct.error as e:
         raise CorruptIndex(f"{path}: truncated header") from e
     if version != CHI_VERSION:
         raise CorruptIndex(f"{path}: unsupported version {version}")
+    if (lo, hi) != (PIXEL_MIN, PIXEL_MAX):
+        raise CorruptIndex(f"{path}: value domain [{lo}, {hi}) is not [0, 1)")
     off += _HEADER.size
-    config = ChiConfig(cw, ch, bins, float(p_min), float(p_max))
+    config = ChiConfig(cw, ch, bins)
     store = IndexStore(config)
     for _ in range(count):
         try:

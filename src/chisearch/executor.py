@@ -37,7 +37,7 @@ from .bounds import (
     expr_bounds,
     expr_exact,
 )
-from .chi import ChiIndex, IndexStore, build_chi, grid_boundaries
+from .chi import ChiBlock, ChiIndex, IndexStore, build_chi
 from .store import (
     MAX_PIXEL,
     DimensionMismatch,
@@ -46,7 +46,6 @@ from .store import (
     MaskRecord,
     MaskStore,
     RoiBinding,
-    ValueRange,
     cp_exact,
 )
 
@@ -298,106 +297,6 @@ class QueryResult:
     stats: ExecStats
 
 
-# -- batched bound computation ----------------------------------------------
-#
-# For corpora of uniformly sized masks the per-mask bound arithmetic
-# vectorizes: all index arrays share a grid shape, so they stack into one
-# zero-padded block and the four-corner lookups become fancy indexing.
-
-
-class _StackedIndexes:
-    def __init__(self, index_store: IndexStore, width: int, height: int):
-        config = index_store.config
-        grid = grid_boundaries(width, height, config)
-        self.width, self.height = width, height
-        self.config = config
-        self.n_cx, self.n_cy = len(grid.xs), len(grid.ys)
-        ids = [
-            mid
-            for mid in index_store.mask_ids()
-            if (index_store.get_or_absent(mid).width, index_store.get_or_absent(mid).height)
-            == (width, height)
-        ]
-        self.row_of = {mid: i for i, mid in enumerate(ids)}
-        b = config.bins
-        padded = np.zeros(
-            (len(ids), self.n_cx + 1, self.n_cy + 1, b + 1), dtype=np.int64
-        )
-        for i, mid in enumerate(ids):
-            padded[i, 1:, 1:, :b] = index_store.get_or_absent(mid).counts
-        self.padded = padded
-
-    def _rank_x(self, v: np.ndarray) -> np.ndarray:
-        return np.where(v == self.width, self.n_cx, v // self.config.cell_width)
-
-    def _rank_y(self, v: np.ndarray) -> np.ndarray:
-        return np.where(v == self.height, self.n_cy, v // self.config.cell_height)
-
-    def _hist_at(self, rows, bx1, bx2, by1, by2, bin_idx) -> np.ndarray:
-        p = self.padded
-        return (
-            p[rows, bx2, by2, bin_idx]
-            - p[rows, bx1, by2, bin_idx]
-            - p[rows, bx2, by1, bin_idx]
-            + p[rows, bx1, by1, bin_idx]
-        )
-
-    def cp_bounds(self, rows: np.ndarray, rois: np.ndarray, rng: ValueRange):
-        """Vectorized counterpart of bounds.cp_bounds over many masks.
-
-        ``rois`` is an int array (n, 4) of x1, y1, x2, y2. Returns int64
-        arrays (lower, upper).
-        """
-        cw, chh = self.config.cell_width, self.config.cell_height
-        w, h = self.width, self.height
-        x1, y1, x2, y2 = rois[:, 0], rois[:, 1], rois[:, 2], rois[:, 3]
-        area = (x2 - x1) * (y2 - y1)
-
-        ox1 = (x1 // cw) * cw
-        oy1 = (y1 // chh) * chh
-        ox2 = np.minimum(-(-x2 // cw) * cw, w)
-        oy2 = np.minimum(-(-y2 // chh) * chh, h)
-        ix1 = np.where(x1 == 0, 0, np.minimum(-(-x1 // cw) * cw, w))
-        iy1 = np.where(y1 == 0, 0, np.minimum(-(-y1 // chh) * chh, h))
-        ix2 = np.where(x2 == w, w, (x2 // cw) * cw)
-        iy2 = np.where(y2 == h, h, (y2 // chh) * chh)
-        empty = (ix1 >= ix2) | (iy1 >= iy2)
-        inner_area = np.where(empty, 0, (ix2 - ix1) * (iy2 - iy1))
-
-        obx1, obx2 = self._rank_x(ox1), self._rank_x(ox2)
-        oby1, oby2 = self._rank_y(oy1), self._rank_y(oy2)
-        # Empty inner regions contribute zero via the padded zero corner.
-        ibx1 = np.where(empty, 0, self._rank_x(ix1))
-        ibx2 = np.where(empty, 0, self._rank_x(ix2))
-        iby1 = np.where(empty, 0, self._rank_y(iy1))
-        iby2 = np.where(empty, 0, self._rank_y(iy2))
-
-        lo, hi = self.config.outer_bin_span(rng)
-        outer_wide = self._hist_at(rows, obx1, obx2, oby1, oby2, lo) - self._hist_at(
-            rows, obx1, obx2, oby1, oby2, hi
-        )
-        inner_wide = self._hist_at(rows, ibx1, ibx2, iby1, iby2, lo) - self._hist_at(
-            rows, ibx1, ibx2, iby1, iby2, hi
-        )
-        upper = np.minimum(np.minimum(outer_wide, inner_wide + area - inner_area), area)
-
-        a, z = self.config.inner_bin_span(rng)
-        if a >= z:
-            lower = np.zeros(len(rows), dtype=np.int64)
-        else:
-            outer_area = (ox2 - ox1) * (oy2 - oy1)
-            inner_narrow = self._hist_at(rows, ibx1, ibx2, iby1, iby2, a) - self._hist_at(
-                rows, ibx1, ibx2, iby1, iby2, z
-            )
-            outer_narrow = self._hist_at(rows, obx1, obx2, oby1, oby2, a) - self._hist_at(
-                rows, obx1, obx2, oby1, oby2, z
-            )
-            lower = np.maximum(
-                np.maximum(inner_narrow, outer_narrow - (outer_area - area)), 0
-            )
-        return lower, upper
-
-
 # -- the engine ---------------------------------------------------------------
 
 
@@ -422,8 +321,7 @@ class Engine:
         self.mode = mode
         self.threads = max(1, threads)
         self.topk_by_upper_bound = topk_by_upper_bound
-        self._agg_chi_cache: dict[tuple, ChiIndex] = {}
-        self._stack_cache: dict[tuple[int, int], tuple[int, _StackedIndexes]] = {}
+        self._agg_chi_cache: dict[tuple, ChiBlock] = {}
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -444,15 +342,6 @@ class Engine:
         if idx is None and self.mode == "indexed":
             raise MissingIndex(f"mask {mask_id} has no index and mode is 'indexed'")
         return idx
-
-    def _stacked(self, width: int, height: int) -> _StackedIndexes:
-        gen = self.index_store.generation
-        cached = self._stack_cache.get((width, height))
-        if cached is None or cached[0] != gen:
-            stacked = _StackedIndexes(self.index_store, width, height)
-            self._stack_cache[(width, height)] = (gen, stacked)
-            return stacked
-        return cached[1]
 
     def _prefetch(self, ctx: "_QueryCtx", mask_ids: Sequence[int]) -> None:
         todo = [m for m in dict.fromkeys(mask_ids) if m not in ctx.records]
@@ -568,34 +457,34 @@ class Engine:
         return out
 
     def _expr_bounds_many(self, ctx: "_QueryCtx", expr: Expr, ids: list[int]):
-        """(lower, upper) float arrays of ``expr`` for masks with indexes."""
-        dims = {(self._meta(m).width, self._meta(m).height) for m in ids}
-        if len(dims) == 1:
-            width, height = next(iter(dims))
-            stacked = self._stacked(width, height)
-            if all(m in stacked.row_of for m in ids):
-                rows = np.array([stacked.row_of[m] for m in ids])
-
-                def term_bounds(term: CpTerm):
-                    rois = self._resolve_rois(ids, term.roi)
-                    lo, hi = stacked.cp_bounds(rows, rois, term.rng)
-                    return lo.astype(np.float64), hi.astype(np.float64)
-
-                def area_value(binding: RoiBinding):
-                    rois = self._resolve_rois(ids, binding)
-                    return ((rois[:, 2] - rois[:, 0]) * (rois[:, 3] - rois[:, 1])).astype(
-                        np.float64
-                    )
-
-                lo, hi = expr_bounds(expr, term_bounds, area_value)
-                return np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
-
-        lowers = np.empty(len(ids))
-        uppers = np.empty(len(ids))
+        """(lower, upper) float arrays of ``expr`` for masks with indexes;
+        one kernel call per count term and mask size."""
+        by_dims: dict[tuple[int, int], list[int]] = {}
         for i, mid in enumerate(ids):
-            b = self._expr_bounds_one(mid, expr)
-            lowers[i], uppers[i] = b.lower, b.upper
+            e = self._meta(mid)
+            by_dims.setdefault((e.width, e.height), []).append(i)
+        lowers, uppers = np.empty(len(ids)), np.empty(len(ids))
+        for (width, height), pos in by_dims.items():
+            group = [ids[i] for i in pos]
+            block = self.index_store.block(width, height)
+            rows = np.array([block.row_of[m] for m in group])
+            lowers[pos], uppers[pos] = self._block_bounds(block, rows, group, expr)
         return lowers, uppers
+
+    def _block_bounds(self, block: ChiBlock, rows: np.ndarray, ids: list[int], expr: Expr):
+        """(lower, upper) float arrays of ``expr`` for masks ``ids`` at ``rows``."""
+
+        def term_bounds(term: CpTerm):
+            rois = self._resolve_rois(ids, term.roi)
+            lo, hi = bnd.cp_bounds(block, rows, rois, term.rng)
+            return lo.astype(np.float64), hi.astype(np.float64)
+
+        def area_value(binding: RoiBinding):
+            rois = self._resolve_rois(ids, binding)
+            return ((rois[:, 2] - rois[:, 0]) * (rois[:, 3] - rois[:, 1])).astype(np.float64)
+
+        lo, hi = expr_bounds(expr, term_bounds, area_value)
+        return np.full(len(ids), lo, dtype=np.float64), np.full(len(ids), hi, dtype=np.float64)
 
     def _resolve_rois(self, ids: Sequence[int], binding: RoiBinding) -> np.ndarray:
         if binding.kind in ("constant", "full") and ids:
@@ -612,22 +501,6 @@ class Engine:
             r.check_within(e.width, e.height)
             out[i] = (r.x1, r.y1, r.x2, r.y2)
         return out
-
-    def _expr_bounds_one(self, mask_id: int, expr: Expr) -> Bounds:
-        idx = self._index_of(mask_id)
-        e = self._meta(mask_id)
-
-        def term_bounds(term: CpTerm):
-            roi = term.roi.resolve(mask_id, e.width, e.height)
-            roi.check_within(e.width, e.height)
-            b = bnd.cp_bounds(idx, roi, term.rng)
-            return (float(b.lower), float(b.upper))
-
-        def area_value(binding: RoiBinding):
-            return float(binding.resolve(mask_id, e.width, e.height).area)
-
-        lo, hi = expr_bounds(expr, term_bounds, area_value)
-        return Bounds(float(lo), float(hi))
 
     def _expr_exact_for(self, ctx: "_QueryCtx", mask_id: int, expr: Expr) -> float:
         rec = ctx.record(mask_id)
@@ -919,7 +792,7 @@ class Engine:
             if fp in self._agg_chi_cache:
                 continue
             pseudo = self._materialize_group(ctx, spec.value, key, members)
-            self._agg_chi_cache[fp] = build_chi(pseudo, self.index_store.config)
+            self._agg_chi_cache[fp] = ChiBlock.of(build_chi(pseudo, self.index_store.config))
             built += 1
         return built
 
@@ -953,10 +826,13 @@ class Engine:
                     )
         else:
             for key in keys:
-                fp = self._agg_fingerprint(spec.value, groups[key])
-                idx = self._agg_chi_cache.get(fp)
-                if idx is not None:
-                    out[key] = self._pseudo_bounds(idx, spec.value.expr, groups[key])
+                block = self._agg_chi_cache.get(self._agg_fingerprint(spec.value, groups[key]))
+                if block is not None:
+                    # A one-row call; the pseudo-mask's rois resolve as its lowest member's.
+                    rep = [min(groups[key])]
+                    row = np.zeros(1, dtype=np.intp)
+                    lo, hi = self._block_bounds(block, row, rep, spec.value.expr)
+                    out[key] = Bounds(float(lo[0]), float(hi[0]))
         return out
 
     def _agg_fingerprint(self, spec: MaskAggSpec, members: list[int]) -> tuple:
@@ -975,22 +851,6 @@ class Engine:
             MaskMeta(rep.mask_id, key, 0, 0), rep.width, rep.height, agg_pixels
         )
 
-    def _pseudo_bounds(self, idx: ChiIndex, expr: Expr, members: list[int]) -> Bounds:
-        rep = min(members)
-        e = self._meta(rep)
-
-        def term_bounds(term: CpTerm):
-            roi = term.roi.resolve(rep, e.width, e.height)
-            roi.check_within(e.width, e.height)
-            b = bnd.cp_bounds(idx, roi, term.rng)
-            return (float(b.lower), float(b.upper))
-
-        def area_value(binding: RoiBinding):
-            return float(binding.resolve(rep, e.width, e.height).area)
-
-        lo, hi = expr_bounds(expr, term_bounds, area_value)
-        return Bounds(float(lo), float(hi))
-
     def _group_exact(self, ctx, spec: AggSpec, key, members: list[int]) -> float:
         cached = ctx.group_values.get(key)
         if cached is not None:
@@ -1006,7 +866,8 @@ class Engine:
             if self.mode != "oracle":
                 fp = self._agg_fingerprint(spec.value, members)
                 if fp not in self._agg_chi_cache:
-                    self._agg_chi_cache[fp] = build_chi(pseudo, self.index_store.config)
+                    block = ChiBlock.of(build_chi(pseudo, self.index_store.config))
+                    self._agg_chi_cache[fp] = block
             rep = min(members)
 
             def term_exact(term: CpTerm):
@@ -1047,11 +908,3 @@ class _QueryCtx:
         if rec is None:
             rec = self.load(mask_id)
         return rec
-
-
-def execute_incremental(
-    plan: QueryPlan, store: MaskStore, index_store: IndexStore, **kwargs
-) -> tuple[QueryResult, IndexStore]:
-    """Run one plan in incremental mode; the store gains indexes as a side effect."""
-    engine = Engine(store, index_store, mode="incremental", **kwargs)
-    return engine.execute(plan), index_store

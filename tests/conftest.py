@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from chisearch.chi import ChiConfig, IndexStore, build_chi
+from chisearch.bounds import cp_bounds, snap_rois
+from chisearch.chi import ChiBlock, ChiConfig, IndexStore, build_chi, grid_boundaries
 from chisearch.store import MaskMeta, MaskRecord, MaskStore, Roi, ValueRange
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -43,6 +44,27 @@ def record(pixels: np.ndarray, mask_id: int = 1, image_id: int = 1, model_id: in
 
 def random_record(rng: np.random.Generator, width: int, height: int, mask_id: int = 1):
     return record(rng.random((height, width), dtype=np.float32), mask_id=mask_id)
+
+
+def roi_array(*rois: Roi) -> np.ndarray:
+    return np.array([[r.x1, r.y1, r.x2, r.y2] for r in rois], dtype=np.int64)
+
+
+def bounds_of(index, roi: Roi, vr: ValueRange) -> tuple[int, int]:
+    """(lower, upper) for one mask's count: a one-row kernel call. ``index``
+    is a ChiIndex or a ChiBlock whose only row is that mask."""
+    block = index if isinstance(index, ChiBlock) else ChiBlock.of(index)
+    lo, hi = cp_bounds(block, np.zeros(1, dtype=np.intp), roi_array(roi), vr)
+    return int(lo[0]), int(hi[0])
+
+
+def snapped(roi: Roi, width: int, height: int, config: ChiConfig):
+    """The kernel's outer and inner rectangles for ``roi``, as coordinate
+    lists x1, y1, x2, y2 read off the grid's boundary list."""
+    g = grid_boundaries(width, height, config)
+    xs, ys = (0,) + g.xs, (0,) + g.ys
+    outer, inner = snap_rois(roi_array(roi), width, height, config)
+    return [[xs[r[0]], ys[r[1]], xs[r[2]], ys[r[3]]] for r in (outer[:, 0], inner[:, 0])]
 
 
 def random_roi_in(rng: np.random.Generator, width: int, height: int) -> Roi:

@@ -15,15 +15,14 @@ import pytest
 from scipy import stats as scipy_stats
 
 from chisearch.bench import WorkloadSpec, generate_workload, run_workload
-from chisearch.bounds import cp_bounds
-from chisearch.chi import ChiConfig, IndexStore, build_chi, grid_boundaries, persist_index
+from chisearch.chi import ChiBlock, ChiConfig, IndexStore, build_chi, grid_boundaries, persist_index
 from chisearch.corpus import blob_mask, edge_mask, generate_corpus, uniform_mask
 from chisearch.executor import Engine
 from chisearch.planner import plan
 from chisearch.sql import parse
 from chisearch.store import MaskStore, Roi, ValueRange, cp_exact, load_roi_table
 
-from conftest import build_index, random_range, random_roi_in, record
+from conftest import bounds_of, build_index, random_range, random_roi_in, record
 
 BIG_CONFIG = ChiConfig(28, 28, 16)
 SWEEP_CONFIGS = tuple(
@@ -90,14 +89,14 @@ def test_criterion_1_bound_soundness():
     for dist in DISTS:
         masks = [record(synth(dist, rng), mask_id=i) for i in range(6)]
         for config in SWEEP_CONFIGS:
-            indexes = [build_chi(m, config) for m in masks]
+            blocks = [ChiBlock.of(build_chi(m, config)) for m in masks]
             for _ in range(per_combo):
                 i = int(rng.integers(len(masks)))
                 roi = random_roi_in(rng, 64, 64)
                 vr = random_range(rng)
                 exact = cp_exact(masks[i], roi, vr)
-                b = cp_bounds(indexes[i], roi, vr)
-                assert b.lower <= exact <= b.upper, (dist, config, roi, vr, exact, b)
+                lower, upper = bounds_of(blocks[i], roi, vr)
+                assert lower <= exact <= upper, (dist, config, roi, vr, exact, lower, upper)
                 checked += 1
     elapsed = time.perf_counter() - t0
     assert checked >= 10_000
@@ -113,7 +112,7 @@ def test_criterion_2_aligned_exactness():
         dist = DISTS[int(rng.integers(3))]
         config = SWEEP_CONFIGS[int(rng.integers(len(SWEEP_CONFIGS)))]
         mask = record(synth(dist, rng))
-        index = build_chi(mask, config)
+        block = ChiBlock.of(build_chi(mask, config))
         grid = grid_boundaries(64, 64, config)
         xs, ys = (0,) + grid.xs, (0,) + grid.ys
         for _ in range(25):
@@ -123,8 +122,8 @@ def test_criterion_2_aligned_exactness():
             a = int(rng.integers(0, config.bins)); z = int(rng.integers(a + 1, config.bins + 1))
             vr = ValueRange(float(config.bin_edges[a]), float(config.bin_edges[z]))
             exact = cp_exact(mask, roi, vr)
-            b = cp_bounds(index, roi, vr)
-            assert b.lower == b.upper == exact
+            lower, upper = bounds_of(block, roi, vr)
+            assert lower == upper == exact
             checked += 1
     print(f"\n[criterion 2] PASS aligned exactness: {checked} queries, all exact")
 
@@ -277,15 +276,15 @@ def test_criterion_8_refinement(tmp_path):
     while checked < 1000:
         dist = DISTS[int(rng.integers(3))]
         mask = record(synth(dist, rng))
-        idx_c = build_chi(mask, coarse)
-        idx_f = build_chi(mask, fine)
+        block_c = ChiBlock.of(build_chi(mask, coarse))
+        block_f = ChiBlock.of(build_chi(mask, fine))
         for _ in range(50):
             roi = random_roi_in(rng, 64, 64)
             vr = random_range(rng)
-            bc = cp_bounds(idx_c, roi, vr)
-            bf = cp_bounds(idx_f, roi, vr)
-            assert bf.upper <= bc.upper, (roi, vr)
-            assert bf.lower >= bc.lower, (roi, vr)
+            lower_c, upper_c = bounds_of(block_c, roi, vr)
+            lower_f, upper_f = bounds_of(block_f, roi, vr)
+            assert upper_f <= upper_c, (roi, vr)
+            assert lower_f >= lower_c, (roi, vr)
             checked += 1
     print(f"\n[criterion 8] PASS refinement: {checked} triples, finer config "
           f"never looser")

@@ -12,92 +12,83 @@ from chisearch.bounds import (
     EmptyGroup,
     NonMonotoneOperator,
     bound_scalar_agg,
-    cp_bounds,
     exact_scalar_agg,
     expr_bounds,
     expr_exact,
     is_boundable,
-    lower_bound,
-    snap_regions,
-    upper_bound,
 )
-from chisearch.chi import ChiConfig, build_chi, grid_boundaries, region_histogram
+from chisearch.chi import ChiBlock, ChiConfig, build_chi, grid_boundaries
 from chisearch.store import Roi, RoiBinding, ValueRange, cp_exact
 
-from conftest import random_range, random_roi_in, record
+from conftest import bounds_of, random_range, random_roi_in, record, snapped
 
 
 def test_snap_regions_worked_example():
-    g = grid_boundaries(8, 8, ChiConfig(2, 2, 2))
-    s = snap_regions(Roi(2, 2, 5, 5), g)
-    assert s.outer == Roi(2, 2, 6, 6)
-    assert s.inner == Roi(2, 2, 4, 4)
+    outer, inner = snapped(Roi(2, 2, 5, 5), 8, 8, ChiConfig(2, 2, 2))
+    assert outer == [2, 2, 6, 6]
+    assert inner == [2, 2, 4, 4]
 
 
 def test_snap_fixed_point_on_aligned_roi():
-    g = grid_boundaries(8, 8, ChiConfig(2, 2, 2))
-    s = snap_regions(Roi(2, 4, 6, 8), g)
-    assert s.outer == s.inner == Roi(2, 4, 6, 8)
+    outer, inner = snapped(Roi(2, 4, 6, 8), 8, 8, ChiConfig(2, 2, 2))
+    assert outer == inner == [2, 4, 6, 8]
 
 
 def test_snap_inside_one_cell():
-    g = grid_boundaries(8, 8, ChiConfig(4, 4, 2))
-    s = snap_regions(Roi(1, 1, 3, 3), g)
-    assert s.inner is None
-    assert s.outer == Roi(0, 0, 4, 4)
+    outer, (x1, y1, x2, y2) = snapped(Roi(1, 1, 3, 3), 8, 8, ChiConfig(4, 4, 2))
+    assert x1 >= x2 and y1 >= y2  # no aligned rectangle fits inside
+    assert outer == [0, 0, 4, 4]
 
 
 def test_snap_ragged_edges():
-    g = grid_boundaries(10, 7, ChiConfig(3, 3, 2))
-    s = snap_regions(Roi(8, 5, 10, 7), g)
-    assert s.outer == Roi(6, 3, 10, 7)
-    assert s.inner == Roi(9, 6, 10, 7)
+    outer, inner = snapped(Roi(8, 5, 10, 7), 10, 7, ChiConfig(3, 3, 2))
+    assert outer == [6, 3, 10, 7]
+    assert inner == [9, 6, 10, 7]
 
 
 def test_upper_bound_worked_example(grid_example, grid_example_index):
     roi = Roi(2, 2, 5, 5)
     vr = ValueRange(0.6, 1.0)
-    # Enclosing-region bound 8, enclosed-region bound 2 + 9 - 4 = 7.
+    # Enclosing-region bound 8, enclosed-region bound 2 + 9 - 4 = 7. The
+    # widened range is bin 1, [0.5, 1.0), which aligned regions count exactly.
     idx = grid_example_index
-    c_outer = region_histogram(idx, Roi(2, 2, 6, 6))
-    c_inner = region_histogram(idx, Roi(2, 2, 4, 4))
-    assert int(c_outer[1] - c_outer[2]) == 8
-    assert int(c_inner[1] - c_inner[2]) + 9 - 4 == 7
-    assert upper_bound(idx, roi, vr) == 7
+    assert bounds_of(idx, Roi(2, 2, 6, 6), ValueRange(0.5, 1.0)) == (8, 8)
+    assert bounds_of(idx, Roi(2, 2, 4, 4), ValueRange(0.5, 1.0)) == (2, 2)
+    assert bounds_of(idx, roi, vr)[1] == 7
     assert cp_exact(grid_example, roi, vr) <= 7
 
 
 def test_bounds_exact_when_aligned(grid_example, grid_example_index):
     roi = Roi(2, 2, 6, 6)  # on the grid
     vr = ValueRange(0.5, 1.0)  # on a bin edge
-    b = cp_bounds(grid_example_index, roi, vr)
+    lower, upper = bounds_of(grid_example_index, roi, vr)
     exact = cp_exact(grid_example, roi, vr)
-    assert b.lower == b.upper == exact == 8
+    assert lower == upper == exact == 8
 
 
 def test_lower_bound_full_domain_equals_area(grid_example, grid_example_index):
     roi = Roi(0, 0, 8, 8)
-    assert lower_bound(grid_example_index, roi, ValueRange(0.0, 1.0)) == 64
+    assert bounds_of(grid_example_index, roi, ValueRange(0.0, 1.0))[0] == 64
 
 
 def test_lower_bound_vacuous_inside_cell():
     rng = np.random.default_rng(0)
     rec = record(rng.random((16, 16), dtype=np.float32))
     idx = build_chi(rec, ChiConfig(8, 8, 2))
-    assert lower_bound(idx, Roi(1, 1, 3, 3), ValueRange(0.3, 0.4)) == 0
+    assert bounds_of(idx, Roi(1, 1, 3, 3), ValueRange(0.3, 0.4))[0] == 0
 
 
 def _soundness_trial(rng, width, height, cfg):
     rec = record(rng.random((height, width), dtype=np.float32))
-    idx = build_chi(rec, cfg)
+    block = ChiBlock.of(build_chi(rec, cfg))
     fails = []
     for _ in range(40):
         roi = random_roi_in(rng, width, height)
         vr = random_range(rng)
         exact = cp_exact(rec, roi, vr)
-        b = cp_bounds(idx, roi, vr)
-        if not (0 <= b.lower <= exact <= b.upper <= roi.area):
-            fails.append((roi, vr, exact, b))
+        lower, upper = bounds_of(block, roi, vr)
+        if not (0 <= lower <= exact <= upper <= roi.area):
+            fails.append((roi, vr, exact, lower, upper))
     return fails
 
 
@@ -121,8 +112,8 @@ def test_bounds_sound_property(seed):
     roi = random_roi_in(rng, w, h)
     vr = random_range(rng)
     exact = cp_exact(rec, roi, vr)
-    b = cp_bounds(idx, roi, vr)
-    assert 0 <= b.lower <= exact <= b.upper <= roi.area
+    lower, upper = bounds_of(idx, roi, vr)
+    assert 0 <= lower <= exact <= upper <= roi.area
 
 
 def test_exactness_on_aligned_inputs_randomized():
@@ -140,8 +131,8 @@ def test_exactness_on_aligned_inputs_randomized():
         roi = Roi(xs[i1], ys[j1], xs[i2], ys[j2])
         a = int(rng.integers(0, cfg.bins)); z = int(rng.integers(a + 1, cfg.bins + 1))
         vr = ValueRange(float(cfg.bin_edges[a]), float(cfg.bin_edges[z]))
-        b = cp_bounds(idx, roi, vr)
-        assert b.lower == b.upper == cp_exact(rec, roi, vr)
+        lower, upper = bounds_of(idx, roi, vr)
+        assert lower == upper == cp_exact(rec, roi, vr)
 
 
 # -- the upper-bound argument, step by step ------------------------------------
@@ -152,14 +143,16 @@ def test_widened_bin_range_overcounts():
     rng = np.random.default_rng(31)
     rec = record(rng.random((12, 12), dtype=np.float32))
     cfg = ChiConfig(3, 3, 5)
-    idx = build_chi(rec, cfg)
+    block = ChiBlock.of(build_chi(rec, cfg))
     g = grid_boundaries(12, 12, cfg)
     for _ in range(100):
         roi = Roi(0, 0, int(rng.choice(g.xs)), int(rng.choice(g.ys)))
         vr = random_range(rng)
         lo, hi = cfg.outer_bin_span(vr)
-        hist = region_histogram(idx, roi)
-        assert hist[lo] - hist[hi] >= cp_exact(rec, roi, vr)
+        widened = ValueRange(float(cfg.bin_edges[lo]), float(cfg.bin_edges[hi]))
+        count, upper = bounds_of(block, roi, widened)
+        assert count == upper  # aligned region and range: the histogram reading
+        assert count >= cp_exact(rec, roi, vr)
 
 
 def test_spatial_additivity_of_count():
@@ -190,12 +183,13 @@ def test_count_capped_by_area():
 def test_upper_bound_never_exceeds_area():
     rng = np.random.default_rng(43)
     rec = record(rng.random((20, 20), dtype=np.float32))
-    idx = build_chi(rec, ChiConfig(16, 16, 2))  # huge cells force loose regions
+    block = ChiBlock.of(build_chi(rec, ChiConfig(16, 16, 2)))  # huge cells force loose regions
     for _ in range(100):
         roi = random_roi_in(rng, 20, 20)
         vr = random_range(rng)
-        assert upper_bound(idx, roi, vr) <= roi.area
-        assert lower_bound(idx, roi, vr) >= 0
+        lower, upper = bounds_of(block, roi, vr)
+        assert upper <= roi.area
+        assert lower >= 0
 
 
 def test_refinement_never_loosens():
@@ -206,15 +200,15 @@ def test_refinement_never_loosens():
     fine = ChiConfig(4, 4, 8)
     for _ in range(20):
         rec = record(rng.random((32, 32), dtype=np.float32))
-        idx_c = build_chi(rec, coarse)
-        idx_f = build_chi(rec, fine)
+        block_c = ChiBlock.of(build_chi(rec, coarse))
+        block_f = ChiBlock.of(build_chi(rec, fine))
         for _ in range(25):
             roi = random_roi_in(rng, 32, 32)
             vr = random_range(rng)
-            bc = cp_bounds(idx_c, roi, vr)
-            bf = cp_bounds(idx_f, roi, vr)
-            assert bf.upper <= bc.upper
-            assert bf.lower >= bc.lower
+            lower_c, upper_c = bounds_of(block_c, roi, vr)
+            lower_f, upper_f = bounds_of(block_f, roi, vr)
+            assert upper_f <= upper_c
+            assert lower_f >= lower_c
 
 
 # -- expression intervals --------------------------------------------------------
@@ -258,8 +252,8 @@ def test_random_expressions_bracket_exact():
         expr = BinOp(str(op), t1, BinOp("/", t2, Const(3.0)))
 
         def leaf_bounds(term):
-            b = cp_bounds(idx, term.roi.resolve(1, w, h), term.rng)
-            return (float(b.lower), float(b.upper))
+            lower, upper = bounds_of(idx, term.roi.resolve(1, w, h), term.rng)
+            return (float(lower), float(upper))
 
         def leaf_exact(term):
             return cp_exact(rec, term.roi.resolve(1, w, h), term.rng)

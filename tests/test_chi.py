@@ -1,27 +1,37 @@
+import struct
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chisearch.bounds import cp_bounds
 from chisearch.chi import (
     CHI_MAGIC,
+    ChiBlock,
     ChiConfig,
     ConfigMismatch,
     CorruptIndex,
     IndexStore,
-    NotAvailableRegion,
     OverflowDetected,
     build_chi,
     grid_boundaries,
-    is_available_region,
     load_index,
     merge_index,
     persist_index,
-    region_histogram,
 )
 from chisearch.store import MaskMeta, MaskRecord, Roi, ValueRange, cp_exact
 
-from conftest import count_pixels_loop, record
+from conftest import (
+    bounds_of,
+    count_pixels_loop,
+    record,
+    region_hist_loop,
+    roi_array,
+    snapped,
+)
 
 
 def test_grid_boundaries_include_ragged_edge():
@@ -112,37 +122,54 @@ def test_overflow_guard():
 # -- available regions ---------------------------------------------------------
 
 
+def _is_aligned(roi, w, h, cfg):
+    outer, inner = snapped(roi, w, h, cfg)
+    return outer == inner == [roi.x1, roi.y1, roi.x2, roi.y2]
+
+
 def test_available_region_examples(grid_example):
-    g = grid_boundaries(8, 8, ChiConfig(2, 2, 2))
-    # The worked example's regions, converted to 0-based half-open form.
-    assert is_available_region(Roi(2, 2, 4, 6), g)
-    assert not is_available_region(Roi(3, 3, 5, 5), g)
+    # The worked example's regions, converted to 0-based half-open form: an
+    # aligned rectangle snaps to itself both ways, any other does not.
+    assert _is_aligned(Roi(2, 2, 4, 6), 8, 8, ChiConfig(2, 2, 2))
+    assert not _is_aligned(Roi(3, 3, 5, 5), 8, 8, ChiConfig(2, 2, 2))
 
 
 def test_full_mask_always_available():
-    for w, h, cw, ch in ((8, 8, 2, 2), (10, 7, 3, 3), (5, 9, 4, 2)):
-        g = grid_boundaries(w, h, ChiConfig(cw, ch, 2))
-        assert is_available_region(Roi(0, 0, w, h), g)
+    for w, h, cw, ch in ((8, 8, 2, 2), (10, 7, 3, 3), (5, 9, 4, 2), (3, 2, 8, 8)):
+        assert _is_aligned(Roi(0, 0, w, h), w, h, ChiConfig(cw, ch, 2))
 
 
 # -- region histograms ----------------------------------------------------------
 
 
+def _aligned_histogram(index, rois):
+    """Pixels of each aligned roi at or above each bin edge, plus the final
+    zero, read as exact brackets over [edge, 1.0) from one multi-row call."""
+    block, edges = ChiBlock.of(index), index.config.bin_edges
+    rows = np.zeros(len(rois), dtype=np.intp)
+    cols = []
+    for e in edges[:-1]:
+        lower, upper = cp_bounds(block, rows, roi_array(*rois), ValueRange(float(e), 1.0))
+        assert (lower == upper).all()
+        cols.append(lower)
+    return [c + [0] for c in np.stack(cols, axis=1).tolist()]
+
+
 def test_worked_example_region_histograms(grid_example_index):
     # Inner rectangle count 2, enclosing rectangle count 8 (bin index 1).
-    assert region_histogram(grid_example_index, Roi(2, 2, 4, 4)).tolist() == [4, 2, 0]
-    assert region_histogram(grid_example_index, Roi(2, 2, 6, 6)).tolist() == [16, 8, 0]
+    inner, outer = _aligned_histogram(grid_example_index, [Roi(2, 2, 4, 4), Roi(2, 2, 6, 6)])
+    assert inner == [4, 2, 0]
+    assert outer == [16, 8, 0]
 
 
 def test_prefix_region_equals_corner_row(grid_example_index):
-    hist = region_histogram(grid_example_index, Roi(0, 0, 4, 4))
-    assert hist[:-1].tolist() == grid_example_index.counts[1, 1].tolist()
-    assert hist[-1] == 0
-
-
-def test_region_histogram_not_available_raises(grid_example_index):
-    with pytest.raises(NotAvailableRegion):
-        region_histogram(grid_example_index, Roi(3, 3, 5, 5))
+    (hist,) = _aligned_histogram(grid_example_index, [Roi(0, 0, 4, 4)])
+    assert hist[:-1] == grid_example_index.counts[1, 1].tolist()
+    # In the padded block that corner sits one step in on each axis, with
+    # zeros at rank 0 and in the extra top bin.
+    padded = ChiBlock.of(grid_example_index).counts[0]
+    assert padded[2, 2, :-1].tolist() == hist[:-1]
+    assert not padded[0].any() and not padded[:, 0].any() and not padded[..., -1].any()
 
 
 def test_region_histogram_matches_brute_force_everywhere():
@@ -152,18 +179,102 @@ def test_region_histogram_matches_brute_force_everywhere():
     idx = build_chi(rec, cfg)
     g = grid_boundaries(13, 11, cfg)
     xs, ys = (0,) + g.xs, (0,) + g.ys
-    for ix1, x1 in enumerate(xs):
-        for x2 in xs[ix1 + 1 :]:
-            for iy1, y1 in enumerate(ys):
-                for y2 in ys[iy1 + 1 :]:
-                    roi = Roi(x1, y1, x2, y2)
-                    got = region_histogram(idx, roi).tolist()
-                    want = [
-                        count_pixels_loop(rec.pixels, roi, float(e), float("inf"))
-                        for e in cfg.bin_edges[:-1]
-                    ] + [0]
-                    assert got == want
-                    assert got[0] == roi.area
+    rois = [
+        Roi(x1, y1, x2, y2)
+        for ix1, x1 in enumerate(xs)
+        for x2 in xs[ix1 + 1 :]
+        for iy1, y1 in enumerate(ys)
+        for y2 in ys[iy1 + 1 :]
+    ]
+    for roi, got in zip(rois, _aligned_histogram(idx, rois)):
+        assert got == region_hist_loop(rec.pixels, roi, cfg.bin_edges)
+        assert got[0] == roi.area
+
+
+def test_narrowed_value_domain_repro_is_sound():
+    # A config once could narrow the value domain to [0, 0.3); pixels above
+    # it spilled into the next cell and this bracket read [512, 512]. The
+    # domain is now fixed at [0, 1).
+    with pytest.raises(TypeError):
+        ChiConfig(16, 16, 4, 0.0, 0.3)
+    px = np.full((64, 64), 0.1, dtype=np.float32)
+    px[16:32, 0:16] = 0.9
+    rec = record(px)
+    roi, vr = Roi(0, 0, 16, 32), ValueRange(0.0, 0.3)
+    lower, upper = bounds_of(build_chi(rec, ChiConfig(16, 16, 4)), roi, vr)
+    assert lower <= cp_exact(rec, roi, vr) == 256 <= upper
+
+
+# -- the padded block -----------------------------------------------------------
+
+
+def test_block_growth_doubles_and_keeps_rows_in_place():
+    cfg = ChiConfig(4, 3, 3)
+    rng = np.random.default_rng(17)
+    n = 37
+    builds = [
+        build_chi(record(rng.random((10, 7), dtype=np.float32), mask_id=100 + i), cfg)
+        for i in range(n)
+    ]
+    store = IndexStore(cfg)
+    allocations, before = 0, None
+    for i, idx in enumerate(builds):
+        store.insert(idx)
+        after = store.block(7, 10).counts
+        if after is before:
+            assert np.shares_memory(before[:i], after)  # earlier rows stay put
+        else:
+            allocations += 1
+        before = after
+    assert allocations <= int(np.ceil(np.log2(n))) + 1
+    block = store.block(7, 10)
+    for idx in builds:
+        assert np.array_equal(block.counts[block.row_of[idx.mask_id], 1:, 1:, :-1], idx.counts)
+    store.insert(builds[3])  # a re-inserted id keeps its row
+    assert block.row_of[builds[3].mask_id] == 3 and len(block.row_of) == n
+
+
+def test_concurrent_inserts_land_in_their_own_rows():
+    # Eight threads on two cores, released together with a short switch
+    # interval, grow two blocks at once; every mask must end in its own row.
+    cfg = ChiConfig(3, 3, 4)
+    rng = np.random.default_rng(29)
+    dims = ((9, 7), (5, 5))
+    n = 800
+    builds = [
+        build_chi(record(rng.random(dims[i % 2], dtype=np.float32), mask_id=i), cfg)
+        for i in range(n)
+    ]
+    store = IndexStore(cfg)
+    start = threading.Barrier(8, timeout=60)
+    errors = []
+
+    def worker(k):
+        try:
+            start.wait()
+            for idx in builds[k::8]:
+                store.insert(idx)
+        except Exception as e:  # re-raised below: a dead worker fails the test
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert store.mask_ids() == list(range(n))
+    for h, w in dims:
+        assert sorted(store.block(w, h).row_of.values()) == list(range(n // 2))
+    for idx in builds:
+        block = store.block(idx.width, idx.height)
+        assert np.array_equal(block.counts[block.row_of[idx.mask_id], 1:, 1:, :-1], idx.counts)
 
 
 # -- persistence ---------------------------------------------------------------
@@ -224,6 +335,20 @@ def test_load_rejects_corruption(tmp_path):
     trailing.write_bytes(bytes(raw) + b"\x00\x00")
     with pytest.raises(CorruptIndex):
         load_index(trailing)
+
+
+def test_load_rejects_foreign_value_domain(tmp_path):
+    store = _store_with_masks()
+    path = tmp_path / "idx.chi"
+    persist_index(store, path)
+    raw = bytearray(path.read_bytes())
+    off = len(CHI_MAGIC) + 16  # after version, bins and cell dims
+    assert struct.unpack_from("<ff", raw, off) == (0.0, 1.0)
+    struct.pack_into("<ff", raw, off, 0.0, 0.3)
+    narrowed = tmp_path / "narrowed.chi"
+    narrowed.write_bytes(bytes(raw))
+    with pytest.raises(CorruptIndex):
+        load_index(narrowed)
 
 
 def test_merge_refuses_config_mismatch():

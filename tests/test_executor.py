@@ -19,7 +19,6 @@ from chisearch.executor import (
     QueryPlan,
     ScalarAggSpec,
     TopKSpec,
-    execute_incremental,
 )
 from chisearch.store import Roi, RoiBinding, ValueRange
 
@@ -318,9 +317,9 @@ def test_incremental_cold_session(small_corpus):
     ids = store.mask_ids()[:20]
     cold = IndexStore(prebuilt.config)
     plan = filter_plan(ids, 130)
-    result, updated = execute_incremental(plan, store, cold)
+    result = Engine(store, cold, mode="incremental").execute(plan)
     assert result.stats.masks_loaded == len(ids)
-    assert updated.mask_ids() == sorted(ids)  # exactly the targeted masks indexed
+    assert cold.mask_ids() == sorted(ids)  # exactly the targeted masks indexed
 
 
 def test_incremental_second_run_matches_indexed_loads(small_corpus):
