@@ -17,6 +17,7 @@ such mask's counts as one row; bounds are computed from the blocks.
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 from dataclasses import dataclass
@@ -241,25 +242,40 @@ class IndexStore:
 
 
 def persist_index(store: IndexStore, path: str | Path) -> None:
-    """Write the store to one file; see load_index for the inverse."""
+    """Write the store to one file; see load_index for the inverse.
+
+    The bytes go to a fresh file beside ``path``, which is flushed, fsynced
+    and then renamed over ``path``: a crash mid-write leaves the old file
+    whole and, at worst, a stray temp file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     cfg = store.config
-    with open(path, "wb") as fh:
-        fh.write(CHI_MAGIC)
-        fh.write(
-            _HEADER.pack(
-                CHI_VERSION,
-                cfg.bins,
-                cfg.cell_width,
-                cfg.cell_height,
-                PIXEL_MIN,
-                PIXEL_MAX,
-                len(store),
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(CHI_MAGIC)
+            fh.write(
+                _HEADER.pack(
+                    CHI_VERSION,
+                    cfg.bins,
+                    cfg.cell_width,
+                    cfg.cell_height,
+                    PIXEL_MIN,
+                    PIXEL_MAX,
+                    len(store),
+                )
             )
-        )
-        for mask_id in store.mask_ids():
-            idx = store.get_or_absent(mask_id)
-            fh.write(_RECORD.pack(mask_id, idx.width, idx.height, idx.n_cx, idx.n_cy))
-            fh.write(np.ascontiguousarray(idx.counts, dtype="<u4").tobytes())
+            for mask_id in store.mask_ids():
+                idx = store.get_or_absent(mask_id)
+                fh.write(_RECORD.pack(mask_id, idx.width, idx.height, idx.n_cx, idx.n_cy))
+                fh.write(np.ascontiguousarray(idx.counts, dtype="<u4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_index(path: str | Path) -> IndexStore:
@@ -276,7 +292,10 @@ def load_index(path: str | Path) -> IndexStore:
     if (lo, hi) != (PIXEL_MIN, PIXEL_MAX):
         raise CorruptIndex(f"{path}: value domain [{lo}, {hi}) is not [0, 1)")
     off += _HEADER.size
-    config = ChiConfig(cw, ch, bins)
+    try:
+        config = ChiConfig(cw, ch, bins)
+    except ValueError as e:
+        raise CorruptIndex(f"{path}: {e}") from e
     store = IndexStore(config)
     for _ in range(count):
         try:

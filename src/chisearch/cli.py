@@ -49,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("query", help="run one query")
     q.add_argument("store_dir")
-    q.add_argument("--index", help="index file (indexed mode)")
+    q.add_argument("--index", help="index file (indexed mode); with --incremental, "
+                   "the warm-start file the session is persisted back to")
     q.add_argument("--incremental", action="store_true",
                    help="build indexes as the query runs (cold start allowed)")
     q.add_argument("--oracle", action="store_true", help="full scan, no index")
@@ -143,10 +144,17 @@ def _print_result(result: QueryResult, stats_json: str | None) -> None:
         print(payload, file=sys.stderr)
 
 
+def _session_index(path: str | None, config: ChiConfig) -> IndexStore:
+    """An incremental session's index: warm from ``path`` if that file exists."""
+    if path and Path(path).exists():
+        return load_index(path)
+    return IndexStore(config)
+
+
 def _cmd_query(args) -> int:
-    modes = sum(bool(m) for m in (args.index, args.incremental, args.oracle))
-    if modes != 1:
-        raise PlanError("choose exactly one of --index, --incremental, --oracle")
+    if args.oracle == bool(args.index or args.incremental):
+        raise PlanError("choose one of --index, --incremental (optionally with --index) "
+                        "or --oracle")
     text = _read_query_text(args)
     with MaskStore.open(args.store_dir) as store:
         roi_table = _roi_table_for(args, args.store_dir)
@@ -155,14 +163,14 @@ def _cmd_query(args) -> int:
         if args.oracle:
             engine = Engine(store, mode="oracle", threads=args.threads)
         elif args.incremental:
-            index_store = load_index(args.index) if args.index else IndexStore(
-                ChiConfig(28, 28, 16)
-            )
+            index_store = _session_index(args.index, ChiConfig(28, 28, 16))
             engine = Engine(store, index_store, mode="incremental", threads=args.threads)
         else:
             engine = Engine(store, load_index(args.index), mode="indexed",
                             threads=args.threads)
         result = engine.execute(query_plan)
+    if args.incremental and args.index:
+        persist_index(index_store, args.index)
     _print_result(result, args.stats_json)
     return 0
 
@@ -170,12 +178,9 @@ def _cmd_query(args) -> int:
 def _cmd_repl(args) -> int:
     with MaskStore.open(args.store_dir) as store:
         roi_table = _roi_table_for(args, args.store_dir)
-        if args.index and Path(args.index).exists():
-            index_store = load_index(args.index)
-        else:
-            index_store = IndexStore(
-                ChiConfig(args.cell_width, args.cell_height, args.bins)
-            )
+        index_store = _session_index(
+            args.index, ChiConfig(args.cell_width, args.cell_height, args.bins)
+        )
         engine = Engine(store, index_store, mode="incremental", threads=args.threads)
         last_stats = None
         for line in sys.stdin:

@@ -310,7 +310,6 @@ class Engine:
         *,
         mode: str = "indexed",
         threads: int = 1,
-        topk_by_upper_bound: bool = False,
     ):
         if mode not in ("indexed", "incremental", "oracle"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -320,7 +319,6 @@ class Engine:
         self.index_store = index_store
         self.mode = mode
         self.threads = max(1, threads)
-        self.topk_by_upper_bound = topk_by_upper_bound
         self._agg_chi_cache: dict[tuple, ChiBlock] = {}
 
     # -- shared plumbing ---------------------------------------------------
@@ -392,18 +390,7 @@ class Engine:
         if plan.shape.limit is not None:
             result_ids = result_ids[: plan.shape.limit]
         columns, rows = self._render_filter_rows(ctx, plan, result_ids)
-        t_end = time.perf_counter()
-
-        loaded = set(ctx.records)
-        stats.masks_loaded = len(loaded)
-        stats.masks_accepted_directly = sum(1 for m in accepted if m not in loaded)
-        stats.masks_pruned = stats.masks_targeted - stats.masks_loaded - stats.masks_accepted_directly
-        stats.phases = {
-            "filter": t_filter - t_start,
-            "verify": t_end - t_filter,
-            "total": t_end - t_start,
-        }
-        return QueryResult(columns, rows, stats)
+        return ctx.result(columns, rows, t_start, t_filter, accepted)
 
     def _filter_verdicts(
         self, ctx: "_QueryCtx", node: PredNode, targets: list[int]
@@ -543,27 +530,17 @@ class Engine:
 
     # -- top-k ---------------------------------------------------------------
 
-    def _topk_threshold(self, heap: list, k: int, descending: bool) -> float:
-        """The value a candidate must strictly beat; overridable for fault
-        injection (a stale threshold may only cause extra loads)."""
-        if len(heap) < k:
-            return -np.inf if descending else np.inf
-        v = heap[0][0]
-        return v if descending else -v
-
     def execute_topk(self, plan: QueryPlan) -> QueryResult:
         t_start = time.perf_counter()
         ctx = _QueryCtx(self)
-        stats = ctx.stats
         spec: TopKSpec = plan.shape
         targets = sorted(plan.target_ids)
-        stats.masks_targeted = len(targets)
+        ctx.stats.masks_targeted = len(targets)
         k = spec.k if spec.k is not None else len(targets)
         k = min(k, len(targets))
         if k == 0:
-            stats.phases = {"filter": 0.0, "verify": 0.0, "total": 0.0}
             columns, rows = self._render_value_rows(ctx, plan, [], "mask")
-            return QueryResult(columns, rows, stats)
+            return ctx.result(columns, rows, t_start, t_start)
 
         bound_of: dict[int, float] = {}
         pred_verdicts: dict[int, int] = {}
@@ -583,48 +560,57 @@ class Engine:
         if self.mode == "oracle":
             self._prefetch(ctx, candidates)  # everything loads anyway
 
-        order = candidates
-        if self.topk_by_upper_bound and bound_of:
-            sign = -1 if spec.descending else 1
-            order = sorted(candidates, key=lambda m: (sign * bound_of.get(m, sign * np.inf), m))
-
-        # Min-heap over (value, -id) keeps, among equal boundary values, the
-        # lower ids; candidates must strictly beat the boundary to enter.
-        heap: list[tuple[float, int]] = []
-        for mid in order:
-            threshold = self._topk_threshold(heap, k, spec.descending)
-            edge = bound_of.get(mid)
-            if edge is not None and len(heap) >= k:
-                if spec.descending and edge <= threshold:
-                    continue
-                if not spec.descending and edge >= threshold:
-                    continue
+        def exact(mid: int) -> float | None:
             if spec.pred is not None and pred_verdicts.get(mid, _UNKNOWN) != _TRUE:
                 if not self._pred_exact(ctx, spec.pred, mid):
-                    continue
-            v = float(self._expr_exact_for(ctx, mid, spec.expr))
-            key = (v, -mid) if spec.descending else (-v, -mid)
-            if len(heap) < k:
-                heapq.heappush(heap, key)
-            else:
-                boundary = self._topk_threshold(heap, k, spec.descending)
-                if (spec.descending and v > boundary) or (
-                    not spec.descending and v < boundary
-                ):
-                    heapq.heapreplace(heap, key)
-        t_end = time.perf_counter()
+                    return None
+            return float(self._expr_exact_for(ctx, mid, spec.expr))
 
-        ranked = [(v if spec.descending else -v, -nid) for v, nid in heap]
-        ranked.sort(key=lambda t: (-t[0], t[1]) if spec.descending else (t[0], t[1]))
+        ranked = self._select_ranked(candidates, k, spec.descending, bound_of, exact)
         columns, rows = self._render_value_rows(ctx, plan, ranked, "mask")
-        stats.masks_loaded = len(ctx.records)
-        stats.masks_pruned = stats.masks_targeted - stats.masks_loaded
-        stats.phases = {
-            "filter": t_filter - t_start,
-            "verify": t_end - t_filter,
-            "total": t_end - t_start,
-        }
-        return QueryResult(columns, rows, stats)
+        return ctx.result(columns, rows, t_start, t_filter)
+
+    # -- ranked selection ------------------------------------------------------
+
+    def _topk_threshold(self, heap: list, k: int) -> tuple | None:
+        """The k-th best key kept so far, or None while fewer than k are kept.
+        Overridable for fault injection: a stale (lower) key may only cause
+        extra loads, never a different answer."""
+        return heap[0] if len(heap) >= k else None
+
+    def _select_ranked(self, ids, k: int, descending: bool, edge_of: dict, exact):
+        """The k best ``(value, id)`` pairs among ``ids``, best first.
+
+        A higher value wins for DESC and a lower one for ASC; equal values
+        keep the lower id. Both rules live in one key, ``(±value, -id)``,
+        where larger is better. ``edge_of`` maps an id to the edge of its
+        bracket that could win (the upper bound for DESC, the lower for ASC);
+        ids without one are visited first. ``exact(id)`` returns the exact
+        value, or None when an exact WHERE or HAVING check rejects the id.
+
+        Ids are visited in descending bound key, so the loop stops at the
+        first whose bound key does not beat the k-th kept key: no later id
+        can beat it either (the threshold stop of Fagin, Lotem and Naor).
+        """
+        sign = 1.0 if descending else -1.0
+
+        def bound_key(i: int) -> tuple:
+            edge = edge_of.get(i)
+            return (np.inf if edge is None else sign * edge, -i)
+
+        heap: list[tuple[float, int]] = []
+        for i in sorted(ids, key=bound_key, reverse=True):
+            threshold = self._topk_threshold(heap, k)
+            if threshold is not None and bound_key(i) <= threshold:
+                break
+            v = exact(i)
+            if v is None:
+                continue
+            if len(heap) < k:
+                heapq.heappush(heap, (sign * v, -i))
+            else:
+                heapq.heappushpop(heap, (sign * v, -i))
+        return [(sign * sv, -ni) for sv, ni in sorted(heap, reverse=True)]
 
     def _render_value_rows(self, ctx, plan, ranked, kind: str):
         """Rows for ranked (value, id) pairs; id is a mask or a group key."""
@@ -658,10 +644,9 @@ class Engine:
     def execute_aggregation(self, plan: QueryPlan) -> QueryResult:
         t_start = time.perf_counter()
         ctx = _QueryCtx(self)
-        stats = ctx.stats
         spec: AggSpec = plan.shape
         targets = sorted(plan.target_ids)
-        stats.masks_targeted = len(targets)
+        ctx.stats.masks_targeted = len(targets)
 
         groups: dict[int, list[int]] = {}
         for mid in targets:
@@ -704,54 +689,26 @@ class Engine:
                 columns, rows = self._render_group_rows(
                     plan, spec, [(0.0, key) for key in final], False
                 )
-            accepted_keys = set(final)
+            # Groups certain to pass that were never loaded count as accepted.
+            accepted = [m for key in final for m in groups[key]]
         else:
-            # Ranked groups: three-case dispatch against the evolving boundary.
             descending = True if spec.descending is None else spec.descending
             k = spec.limit if spec.limit is not None else len(groups)
-            candidates = sorted(survivors + unknown)
+            edge_of = {
+                key: b.upper if descending else b.lower for key, b in group_bounds.items()
+            }
             needs_exact_having = set(unknown)
-            heap: list[tuple[float, int]] = []
-            for key in candidates:
-                threshold = self._topk_threshold(heap, k, descending)
-                b = group_bounds.get(key)
-                if b is not None and len(heap) >= k:
-                    if descending and b.upper <= threshold:
-                        continue
-                    if not descending and b.lower >= threshold:
-                        continue
+
+            def exact(key: int) -> float | None:
                 v = self._group_exact(ctx, spec, key, groups[key])
                 if key in needs_exact_having and not _having_exact(spec.having, v):
-                    continue
-                keyed = (v, -key) if descending else (-v, -key)
-                if len(heap) < k:
-                    heapq.heappush(heap, keyed)
-                else:
-                    boundary = self._topk_threshold(heap, k, descending)
-                    if (descending and v > boundary) or (not descending and v < boundary):
-                        heapq.heapreplace(heap, keyed)
-            ranked = [(v if descending else -v, -nk) for v, nk in heap]
-            ranked.sort(key=lambda t: (-t[0], t[1]) if descending else (t[0], t[1]))
-            columns, rows = self._render_group_rows(plan, spec, ranked, True)
-            accepted_keys = set()
-        t_end = time.perf_counter()
+                    return None
+                return v
 
-        loaded = set(ctx.records)
-        stats.masks_loaded = len(loaded)
-        # Ranked queries have no accept-without-load case; plain having
-        # filters do, for groups certain to pass that were never loaded.
-        stats.masks_accepted_directly = sum(
-            1 for key in accepted_keys for m in groups[key] if m not in loaded
-        )
-        stats.masks_pruned = (
-            stats.masks_targeted - stats.masks_loaded - stats.masks_accepted_directly
-        )
-        stats.phases = {
-            "filter": t_filter - t_start,
-            "verify": t_end - t_filter,
-            "total": t_end - t_start,
-        }
-        return QueryResult(columns, rows, stats)
+            ranked = self._select_ranked(survivors + unknown, k, descending, edge_of, exact)
+            columns, rows = self._render_group_rows(plan, spec, ranked, True)
+            accepted = []  # ranked queries have no accept-without-load case
+        return ctx.result(columns, rows, t_start, t_filter, accepted)
 
     def _select_wants_value(self, plan: QueryPlan) -> bool:
         if plan.select is None:
@@ -908,3 +865,20 @@ class _QueryCtx:
         if rec is None:
             rec = self.load(mask_id)
         return rec
+
+    def result(self, columns, rows, t_start: float, t_filter: float, accepted=()) -> QueryResult:
+        """Close the query's stats and wrap its rows. Every targeted mask is
+        loaded, accepted without a load (``accepted`` minus loaded), or pruned."""
+        t_end = time.perf_counter()
+        stats = self.stats
+        stats.masks_loaded = len(self.records)
+        stats.masks_accepted_directly = sum(1 for m in accepted if m not in self.records)
+        stats.masks_pruned = (
+            stats.masks_targeted - stats.masks_loaded - stats.masks_accepted_directly
+        )
+        stats.phases = {
+            "filter": t_filter - t_start,
+            "verify": t_end - t_filter,
+            "total": t_end - t_start,
+        }
+        return QueryResult(columns, rows, stats)

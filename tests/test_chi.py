@@ -351,6 +351,45 @@ def test_load_rejects_foreign_value_domain(tmp_path):
         load_index(narrowed)
 
 
+def test_load_rejects_degenerate_config(tmp_path):
+    store = _store_with_masks()
+    path = tmp_path / "idx.chi"
+    persist_index(store, path)
+    raw = path.read_bytes()
+    for field, name in ((1, "bins"), (2, "cell_w"), (3, "cell_h")):
+        header = bytearray(raw)
+        struct.pack_into("<I", header, len(CHI_MAGIC) + 4 * field, 0)
+        bad = tmp_path / f"zero_{name}.chi"
+        bad.write_bytes(bytes(header))
+        with pytest.raises(CorruptIndex):
+            load_index(bad)
+
+
+def test_failed_persist_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "idx.chi"
+    persist_index(_store_with_masks(), path)
+    before = path.read_bytes()
+
+    bigger = _store_with_masks(seed=5, n=6)
+    get = bigger.get_or_absent
+    calls = []
+
+    def fail_on_third(mask_id):
+        calls.append(mask_id)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return get(mask_id)
+
+    monkeypatch.setattr(bigger, "get_or_absent", fail_on_third)
+    with pytest.raises(OSError, match="disk full"):
+        persist_index(bigger, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["idx.chi"]
+    monkeypatch.undo()
+    persist_index(bigger, path)  # a later persist still replaces it
+    assert load_index(path).mask_ids() == bigger.mask_ids()
+
+
 def test_merge_refuses_config_mismatch():
     a = _store_with_masks(cfg=ChiConfig(4, 4, 3))
     b = _store_with_masks(cfg=ChiConfig(2, 2, 3))

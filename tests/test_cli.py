@@ -1,11 +1,12 @@
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from chisearch.cli import main
-from chisearch.chi import load_index
+from chisearch.chi import CHI_MAGIC, load_index
 from chisearch.corpus import generate_corpus
 from chisearch.executor import Engine
 from chisearch.store import MaskStore, Roi, ValueRange, cp_exact, load_roi_table
@@ -118,6 +119,27 @@ def test_query_stats_json_accounting(corpus, capsys, tmp_path):
     assert s["masks_pruned"] + s["masks_accepted_directly"] + s["masks_loaded"] == s["masks_targeted"]
 
 
+def test_query_incremental_warm_starts_from_index(corpus, capsys, tmp_path):
+    d, _ = corpus
+    session = tmp_path / "session.chi"
+    q = ("SELECT mask_id FROM MasksDatabaseView "
+         "WHERE CP(mask, ((1,1),(32,32)), (0.5,1.0)) > 500")
+    loads, outs = [], []
+    for _ in range(2):
+        stats_path = tmp_path / "stats.json"
+        code, out, _ = run(capsys, "query", str(d), "--incremental", "--index", str(session),
+                           "-q", q, "--stats-json", str(stats_path))
+        assert code == 0
+        assert session.exists()  # the session is persisted back
+        loads.append(json.loads(stats_path.read_text())["masks_loaded"])
+        outs.append(out)
+    assert loads[0] == 24  # no file yet: a cold session loads every targeted mask
+    assert loads[1] < loads[0]
+    assert outs[0] == outs[1] == run(capsys, "query", str(d), "--oracle", "-q", q)[1]
+    assert load_index(session).mask_ids() == list(range(1, 25))
+    assert run(capsys, "query", str(d), "--oracle", "--index", str(session), "-q", q)[0] == 2
+
+
 def test_query_metadata_only_loads_nothing(corpus, capsys, tmp_path):
     d, idx = corpus
     stats_path = tmp_path / "stats.json"
@@ -142,11 +164,16 @@ def test_missing_store_exit_code(tmp_path, capsys):
 
 
 def test_bad_index_file_exit_code(corpus, tmp_path, capsys):
-    d, _ = corpus
+    d, idx = corpus
     bad = tmp_path / "bad.chi"
     bad.write_bytes(b"garbage")
     code, _, err = run(capsys, "query", str(d), "--index", str(bad), "-q", Q_FILTER)
     assert code == 3
+    zero_bins = bytearray(idx.read_bytes())
+    struct.pack_into("<I", zero_bins, len(CHI_MAGIC) + 4, 0)  # bins, after the version
+    bad.write_bytes(bytes(zero_bins))
+    code, _, err = run(capsys, "query", str(d), "--index", str(bad), "-q", Q_FILTER)
+    assert code == 3, err
 
 
 def test_query_file_and_rois_flags(corpus, capsys, tmp_path):

@@ -22,7 +22,15 @@ from chisearch.executor import (
 )
 from chisearch.store import Roi, RoiBinding, ValueRange
 
-from conftest import build_index, build_store, record, random_range, random_roi_in
+from conftest import (
+    bounds_of,
+    build_index,
+    build_store,
+    count_pixels_loop,
+    random_range,
+    random_roi_in,
+    record,
+)
 
 
 ROI = Roi(5, 3, 20, 21)
@@ -201,33 +209,100 @@ def test_topk_stale_threshold_only_costs_loads(engines):
             super().__init__(*a, **kw)
             self._history = []
 
-        def _topk_threshold(self, heap, k, descending):
-            current = super()._topk_threshold(heap, k, descending)
-            self._history.append(current)
-            lagged = self._history[max(0, len(self._history) - 4)]
-            # A stale boundary is always at most the current one (desc).
-            return lagged
+        def _topk_threshold(self, heap, k):
+            self._history.append(super()._topk_threshold(heap, k))
+            # A stale boundary key is always at most the current one.
+            return self._history[max(0, len(self._history) - 4)]
 
         def execute(self, plan):
             self._history = []
             return super().execute(plan)
 
     stale = Stale(store, eng.index_store, mode="indexed")
-    p = QueryPlan(ids, TopKSpec(term(), 7, True))
-    fresh = eng.execute(p)
-    lagged = stale.execute(p)
-    assert lagged.rows == fresh.rows == oracle.execute(p).rows
-    assert lagged.stats.masks_loaded >= fresh.stats.masks_loaded
+    for desc in (True, False):
+        p = QueryPlan(ids, TopKSpec(term(), 7, desc))
+        fresh = eng.execute(p)
+        lagged = stale.execute(p)
+        assert lagged.rows == fresh.rows == oracle.execute(p).rows
+        assert lagged.stats.masks_loaded >= fresh.stats.masks_loaded
 
 
-def test_topk_upper_bound_order_heuristic(engines):
+def test_topk_bound_order_matches_oracle_rows(engines):
     store, eng, oracle = engines
     ids = store.mask_ids()
-    heuristic = Engine(store, eng.index_store, mode="indexed", topk_by_upper_bound=True)
-    p = QueryPlan(ids, TopKSpec(term(), 7, True))
-    r_h = heuristic.execute(p)
-    r_o = oracle.execute(p)
-    assert sorted(v for _, v in r_h.rows) == sorted(v for _, v in r_o.rows)
+    coarse = term(Roi(0, 0, 3, 4), ValueRange(0.5, 1.0))  # 12 pixels: many tied counts
+    tied_at_boundary = 0
+    for t in (term(), coarse):
+        for desc in (True, False):
+            for k in (1, 3, 7, 12):
+                p = QueryPlan(ids, TopKSpec(t, k, desc))
+                expected = oracle.execute(p).rows
+                assert eng.execute(p).rows == expected, (t, desc, k)
+                full = [v for _, v in oracle.execute(QueryPlan(ids, TopKSpec(t, None, desc))).rows]
+                tied_at_boundary += full[k - 1] == full[k]
+    assert tied_at_boundary  # some case must cut through a run of equal values
+
+
+def _looser_bound_pair(tmp_path, image_ids=(1, 1)):
+    """Masks 1 and 2 with 4 pixels each at 0.7 in TIE_TERM's roi, the top
+    half of one 4x4 cell. Mask 2 has 4 more below the roi in that cell, so
+    its upper bound is 8 where mask 1's is a tight 4."""
+    one = np.full((8, 8), 0.1, dtype=np.float32)
+    one[:2, :2] = 0.7
+    two = one.copy()
+    two[2:4, :2] = 0.7
+    records = [
+        record(px, mask_id=i, image_id=g) for i, g, px in zip((1, 2), image_ids, (one, two))
+    ]
+    store = build_store(tmp_path / "s", records)
+    return store, build_index(store, ChiConfig(4, 4, 2))
+
+
+TIE_TERM = CpTerm(RoiBinding.constant(Roi(0, 0, 4, 2)), ValueRange(0.5, 1.0))
+
+
+def test_topk_tie_with_looser_bound_on_higher_id(tmp_path):
+    store, index = _looser_bound_pair(tmp_path)
+    eng = Engine(store, index, mode="indexed")
+    p = QueryPlan([1, 2], TopKSpec(TIE_TERM, 1, True))
+    assert eng.execute(p).rows == Engine(store, mode="oracle").execute(p).rows == [(1, 4.0)]
+    store.close()
+
+
+def test_ranked_aggregation_tie_with_looser_bound_on_higher_key(tmp_path):
+    store, index = _looser_bound_pair(tmp_path, image_ids=(1, 2))
+    eng = Engine(store, index, mode="indexed")
+    p = QueryPlan([1, 2], AggSpec("image_id", ScalarAggSpec("AVG", TIE_TERM), None, True, 1))
+    assert eng.execute(p).rows == Engine(store, mode="oracle").execute(p).rows == [(1, 4.0)]
+    store.close()
+
+
+def test_topk_early_stop_loads_shortest_bound_prefix(engines, monkeypatch):
+    store, eng, _ = engines
+    ids = store.mask_ids()
+    # A bin-aligned range and a roi one pixel past a cell edge: brackets
+    # tight enough to stop early, loose enough to need a real prefix.
+    roi, vr, k = Roi(0, 0, 13, 24), ValueRange(0.25, 0.75), 5
+    exact = {m: count_pixels_loop(store.get_mask(m).pixels, roi, vr.lo, vr.hi) for m in ids}
+    loaded: list[int] = []
+    get_mask = store.get_mask
+    monkeypatch.setattr(store, "get_mask", lambda m: loaded.append(m) or get_mask(m))
+    for desc in (True, False):
+        sign = 1 if desc else -1
+        bound_key = {}
+        for m in ids:
+            lo, hi = bounds_of(eng.index_store.get_or_absent(m), roi, vr)
+            bound_key[m] = (sign * (hi if desc else lo), -m)
+        prefix: list[int] = []
+        for m in sorted(ids, key=bound_key.get, reverse=True):
+            kept = sorted(((sign * exact[p], -p) for p in prefix), reverse=True)
+            if len(kept) >= k and kept[k - 1] > bound_key[m]:
+                break
+            prefix.append(m)
+        assert k < len(prefix) < len(ids)
+        loaded.clear()
+        eng.execute(QueryPlan(ids, TopKSpec(term(roi, vr), k, desc)))
+        assert loaded == prefix
 
 
 # -- aggregation --------------------------------------------------------------------
