@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .store import PIXEL_MAX, PIXEL_MIN, MaskRecord, ValueRange
+from .store import PIXEL_DTYPE, PIXEL_MAX, PIXEL_MIN, MaskRecord, ValueRange
 
 CHI_MAGIC = b"MCHI1\n"
 CHI_VERSION = 1
@@ -69,6 +69,19 @@ class ChiConfig:
         """The bins+1 value thresholds; binning and bound lookups must share these."""
         edges = (PIXEL_MAX / self.bins) * np.arange(self.bins + 1, dtype=np.float64)
         edges[-1] = PIXEL_MAX
+        return edges
+
+    @cached_property
+    def bin_edges_f32(self) -> np.ndarray:
+        """``bin_edges``, each rounded up to the nearest float32.
+
+        A float32 value is at or above a float64 edge exactly when it is at
+        or above that edge rounded up, so float32 pixels binned against
+        these land in the same bins as against ``bin_edges``.
+        """
+        edges = self.bin_edges.astype(np.float32)
+        low = edges < self.bin_edges
+        edges[low] = np.nextafter(edges[low], np.float32(np.inf))
         return edges
 
     def outer_bin_span(self, rng: ValueRange) -> tuple[int, int]:
@@ -131,6 +144,22 @@ class ChiIndex:
         return self.counts.nbytes
 
 
+@lru_cache(maxsize=16)
+def _cell_base(width: int, height: int, config: ChiConfig) -> np.ndarray:
+    """Per pixel, row-major, the flat offset of its cell's bin 0, minus one.
+
+    Adding a pixel's ``searchsorted(..., side="right")`` rank (its bin plus
+    one) gives the flat ``(cx, cy, bin)`` slot that ``build_chi`` counts.
+    """
+    grid = grid_boundaries(width, height, config)
+    cx = np.minimum(np.arange(width) // config.cell_width, len(grid.xs) - 1)
+    cy = np.minimum(np.arange(height) // config.cell_height, len(grid.ys) - 1)
+    base = (cx[None, :] * len(grid.ys) + cy[:, None]) * config.bins - 1
+    base = base.astype(np.intp).ravel()
+    base.flags.writeable = False
+    return base
+
+
 def build_chi(mask: MaskRecord, config: ChiConfig) -> ChiIndex:
     """Build the corner-count array for one mask. Runs in O(width * height)."""
     if mask.width * mask.height >= 2**32:
@@ -138,14 +167,12 @@ def build_chi(mask: MaskRecord, config: ChiConfig) -> ChiIndex:
     grid = grid_boundaries(mask.width, mask.height, config)
     n_cx, n_cy, b = len(grid.xs), len(grid.ys), config.bins
 
-    # Bin of each pixel: the largest edge at or below its value. Using the
-    # shared edges array keeps binning and bound lookups exactly consistent.
-    bins = np.searchsorted(config.bin_edges, mask.pixels.ravel(), side="right") - 1
-
-    ys, xs = np.divmod(np.arange(mask.width * mask.height), mask.width)
-    cx = np.minimum(xs // config.cell_width, n_cx - 1)
-    cy = np.minimum(ys // config.cell_height, n_cy - 1)
-    flat = (cx * n_cy + cy) * b + bins
+    # Bin of each pixel: the largest edge at or below its value, read off
+    # the float32 image of the shared edges (see ``bin_edges_f32``), so the
+    # pixels are compared as they are, with no float64 copy.
+    pixels = np.asarray(mask.pixels, dtype=PIXEL_DTYPE).ravel()
+    flat = np.searchsorted(config.bin_edges_f32, pixels, side="right")
+    flat += _cell_base(mask.width, mask.height, config)
     per_cell = np.bincount(flat, minlength=n_cx * n_cy * b).reshape(n_cx, n_cy, b)
 
     rev = np.cumsum(per_cell[:, :, ::-1], axis=2)[:, :, ::-1]
@@ -245,8 +272,9 @@ def persist_index(store: IndexStore, path: str | Path) -> None:
     """Write the store to one file; see load_index for the inverse.
 
     The bytes go to a fresh file beside ``path``, which is flushed, fsynced
-    and then renamed over ``path``: a crash mid-write leaves the old file
-    whole and, at worst, a stray temp file behind.
+    and then renamed over ``path``, and the directory is fsynced after the
+    rename: a crash mid-write leaves the old file whole and, at worst, a
+    stray temp file behind.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
@@ -276,6 +304,12 @@ def persist_index(store: IndexStore, path: str | Path) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    # The rename lives in the directory; sync it too, so it survives a crash.
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_index(path: str | Path) -> IndexStore:

@@ -10,13 +10,15 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bench as bench_mod
 from .chi import ChiConfig, ChiError, IndexStore, build_chi, load_index, persist_index
 from .corpus import DISTRIBUTIONS, generate_corpus, ingest_f32_files
 from .executor import Engine, ExecError, QueryResult
 from .planner import PlanError, plan
 from .sql import ParseError, parse
-from .store import MaskStore, StoreError, load_roi_table
+from .store import PIXEL_DTYPE, MaskStore, StoreError, load_roi_table
 
 EXIT_QUERY_ERROR = 2
 EXIT_IO_ERROR = 3
@@ -106,8 +108,13 @@ def _cmd_index(args) -> int:
     index_store = IndexStore(config)
     with MaskStore.open(args.store_dir) as store:
         raw_bytes = sum(e.nbytes for e in store.entries())
-        for mid in store.mask_ids():
-            index_store.insert(build_chi(store.get_mask(mid), config))
+        buffers: dict[tuple[int, int], np.ndarray] = {}  # one per mask size
+        for entry in store.entries():
+            shape = (entry.height, entry.width)
+            if shape not in buffers:
+                buffers[shape] = np.empty(shape, dtype=PIXEL_DTYPE)
+            rec = store.get_mask(entry.mask_id, out=buffers[shape])
+            index_store.insert(build_chi(rec, config))
     persist_index(index_store, args.out)
     payload = index_store.payload_bytes()
     ratio = payload / raw_bytes if raw_bytes else 0.0

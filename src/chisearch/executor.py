@@ -40,6 +40,7 @@ from .bounds import (
 from .chi import ChiBlock, ChiIndex, IndexStore, build_chi
 from .store import (
     MAX_PIXEL,
+    PIXEL_DTYPE,
     DimensionMismatch,
     ManifestEntry,
     MaskMeta,
@@ -320,18 +321,34 @@ class Engine:
         self.mode = mode
         self.threads = max(1, threads)
         self._agg_chi_cache: dict[tuple, ChiBlock] = {}
+        # Pixel buffers given back by finished queries, per (height, width).
+        self._spare: dict[tuple[int, int], list[np.ndarray]] = {}
+        self._spare_lock = threading.Lock()
 
     # -- shared plumbing ---------------------------------------------------
 
     def execute(self, plan: QueryPlan) -> QueryResult:
-        if isinstance(plan.shape, FilterSpec):
-            return self.execute_filter(plan)
-        if isinstance(plan.shape, TopKSpec):
-            return self.execute_topk(plan)
-        return self.execute_aggregation(plan)
+        with _QueryCtx(self) as ctx:
+            if isinstance(plan.shape, FilterSpec):
+                return self._execute_filter(ctx, plan)
+            if isinstance(plan.shape, TopKSpec):
+                return self._execute_topk(ctx, plan)
+            return self._execute_aggregation(ctx, plan)
 
     def _meta(self, mask_id: int) -> ManifestEntry:
         return self.store.get_meta(mask_id)
+
+    def _take_buffer(self, shape: tuple[int, int]) -> np.ndarray:
+        with self._spare_lock:
+            spare = self._spare.get(shape)
+            if spare:
+                return spare.pop()
+        return np.empty(shape, dtype=PIXEL_DTYPE)
+
+    def _give_back(self, buffers: list[np.ndarray]) -> None:
+        with self._spare_lock:
+            for buf in buffers:
+                self._spare.setdefault(buf.shape, []).append(buf)
 
     def _index_of(self, mask_id: int) -> ChiIndex | None:
         if self.mode == "oracle":
@@ -356,9 +373,8 @@ class Engine:
 
     # -- filter --------------------------------------------------------------
 
-    def execute_filter(self, plan: QueryPlan) -> QueryResult:
+    def _execute_filter(self, ctx: "_QueryCtx", plan: QueryPlan) -> QueryResult:
         t_start = time.perf_counter()
-        ctx = _QueryCtx(self)
         stats = ctx.stats
         targets = sorted(plan.target_ids)
         stats.masks_targeted = len(targets)
@@ -530,9 +546,8 @@ class Engine:
 
     # -- top-k ---------------------------------------------------------------
 
-    def execute_topk(self, plan: QueryPlan) -> QueryResult:
+    def _execute_topk(self, ctx: "_QueryCtx", plan: QueryPlan) -> QueryResult:
         t_start = time.perf_counter()
-        ctx = _QueryCtx(self)
         spec: TopKSpec = plan.shape
         targets = sorted(plan.target_ids)
         ctx.stats.masks_targeted = len(targets)
@@ -592,6 +607,8 @@ class Engine:
         first whose bound key does not beat the k-th kept key: no later id
         can beat it either (the threshold stop of Fagin, Lotem and Naor).
         """
+        if k == 0:
+            return []
         sign = 1.0 if descending else -1.0
 
         def bound_key(i: int) -> tuple:
@@ -641,9 +658,8 @@ class Engine:
 
     # -- aggregation -----------------------------------------------------------
 
-    def execute_aggregation(self, plan: QueryPlan) -> QueryResult:
+    def _execute_aggregation(self, ctx: "_QueryCtx", plan: QueryPlan) -> QueryResult:
         t_start = time.perf_counter()
-        ctx = _QueryCtx(self)
         spec: AggSpec = plan.shape
         targets = sorted(plan.target_ids)
         ctx.stats.masks_targeted = len(targets)
@@ -737,7 +753,6 @@ class Engine:
         spec = plan.shape
         if not isinstance(spec, AggSpec) or not isinstance(spec.value, MaskAggSpec):
             raise ExecError("plan has no mask aggregation to warm")
-        ctx = _QueryCtx(self)
         groups: dict[int, list[int]] = {}
         for mid in sorted(plan.target_ids):
             key = getattr(self._meta(mid).meta, spec.group_key)
@@ -748,7 +763,8 @@ class Engine:
             fp = self._agg_fingerprint(spec.value, members)
             if fp in self._agg_chi_cache:
                 continue
-            pseudo = self._materialize_group(ctx, spec.value, key, members)
+            with _QueryCtx(self) as ctx:
+                pseudo = self._materialize_group(ctx, spec.value, key, members)
             self._agg_chi_cache[fp] = ChiBlock.of(build_chi(pseudo, self.index_store.config))
             built += 1
         return built
@@ -840,17 +856,35 @@ class Engine:
 
 
 class _QueryCtx:
-    """Per-query scratch: loaded records (each mask at most once) and stats."""
+    """Per-query scratch: loaded records (each mask at most once) and stats.
+
+    Records are read into pixel buffers taken from the engine's spares; on
+    leaving the ``with`` block, raising or not, the records are dropped and
+    every buffer goes back, so no pixel array outlives its query.
+    """
 
     def __init__(self, engine: Engine):
         self.engine = engine
         self.stats = ExecStats()
         self.records: dict[int, MaskRecord] = {}
         self.group_values: dict[int, float] = {}
+        self._buffers: list[np.ndarray] = []
         self._lock = threading.Lock()
 
+    def __enter__(self) -> "_QueryCtx":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.records.clear()
+        self.engine._give_back(self._buffers)
+        self._buffers = []
+
     def load(self, mask_id: int) -> MaskRecord:
-        rec = self.engine.store.get_mask(mask_id)
+        entry = self.engine.store.get_meta(mask_id)
+        buf = self.engine._take_buffer((entry.height, entry.width))
+        with self._lock:
+            self._buffers.append(buf)
+        rec = self.engine.store.get_mask(mask_id, out=buf)
         if (
             self.engine.mode == "incremental"
             and self.engine.index_store.get_or_absent(mask_id) is None

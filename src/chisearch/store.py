@@ -249,7 +249,7 @@ class MaskStore:
     """Directory-backed mask database.
 
     Single writer during ingestion; safe for concurrent readers afterwards.
-    Reads use ``os.pread`` so worker threads never share seek state. Every
+    Reads use ``os.preadv`` so worker threads never share seek state. Every
     ``get_mask`` call bumps an atomic load counter: that counter is the raw
     material for the fraction-of-masks-loaded statistic.
     """
@@ -370,17 +370,35 @@ class MaskStore:
             raise NotFound(f"mask_id {mask_id} not in manifest")
         return entry
 
-    def get_mask(self, mask_id: int) -> MaskRecord:
-        """Load one mask's pixels from disk. Counted: this call defines FML."""
+    def get_mask(self, mask_id: int, out: np.ndarray | None = None) -> MaskRecord:
+        """Load one mask's pixels from disk. Counted: this call defines FML.
+
+        Without ``out`` the pixels land in a fresh buffer. With it, they are
+        read into ``out``, which must be a writable, C-contiguous ``<f4``
+        array of shape (height, width), and the record's pixels are a
+        read-only view of it: valid until the caller reuses ``out``.
+        """
         entry = self.get_meta(mask_id)
         if self._data_fd is None:
             raise StoreError("store not open for reading (create() stores must be reopened)")
+        shape = (entry.height, entry.width)
+        if out is not None and not (
+            isinstance(out, np.ndarray)
+            and out.dtype == PIXEL_DTYPE
+            and out.shape == shape
+            and out.flags.c_contiguous
+            and out.flags.writeable
+        ):
+            raise ValueError(
+                f"out must be a writable C-contiguous {PIXEL_DTYPE.str} array of shape {shape}"
+            )
         with self._counter_lock:
             self._load_calls += 1
-        raw = os.pread(self._data_fd, entry.nbytes, entry.byte_offset)
-        if len(raw) != entry.nbytes:
+        buf = np.empty(shape, PIXEL_DTYPE) if out is None else out
+        if os.preadv(self._data_fd, [buf], entry.byte_offset) != entry.nbytes:
             raise StoreError(f"short read for mask {mask_id}")
-        pixels = np.frombuffer(raw, dtype=PIXEL_DTYPE).reshape(entry.height, entry.width)
+        pixels = buf.view()
+        pixels.flags.writeable = False
         return MaskRecord(entry.meta, entry.width, entry.height, pixels)
 
     @property

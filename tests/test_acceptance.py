@@ -70,7 +70,9 @@ class _CachingStore:
         self._store = store
         self._cache: dict[int, object] = {}
 
-    def get_mask(self, mask_id: int):
+    def get_mask(self, mask_id: int, out=None):
+        # ``out`` is ignored: the engine reuses it after the query, so a
+        # cached record must own its pixels and is always read fresh.
         rec = self._cache.get(mask_id)
         if rec is None:
             rec = self._store.get_mask(mask_id)

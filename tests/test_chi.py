@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 import sys
 import threading
@@ -22,7 +24,7 @@ from chisearch.chi import (
     merge_index,
     persist_index,
 )
-from chisearch.store import MaskMeta, MaskRecord, Roi, ValueRange, cp_exact
+from chisearch.store import MAX_PIXEL, MaskMeta, MaskRecord, Roi, ValueRange, cp_exact
 
 from conftest import (
     bounds_of,
@@ -111,6 +113,47 @@ def test_in_memory_count_size_matches_formula():
     assert idx.counts.nbytes == 4 * 16 * 8 * 8 == 4096
     big = build_chi(record(rng.random((448, 448), dtype=np.float32)), ChiConfig(64, 64, 16))
     assert big.counts.nbytes == 7 * 7 * 16 * 4 == 3136
+
+
+def _reference_build(mask, config):
+    """The straightforward build: float64 searchsorted and per-pixel cell ids."""
+    grid = grid_boundaries(mask.width, mask.height, config)
+    n_cx, n_cy, b = len(grid.xs), len(grid.ys), config.bins
+    bins = np.searchsorted(config.bin_edges, mask.pixels.ravel(), side="right") - 1
+    ys, xs = np.divmod(np.arange(mask.width * mask.height), mask.width)
+    cx = np.minimum(xs // config.cell_width, n_cx - 1)
+    cy = np.minimum(ys // config.cell_height, n_cy - 1)
+    flat = (cx * n_cy + cy) * b + bins
+    per_cell = np.bincount(flat, minlength=n_cx * n_cy * b).reshape(n_cx, n_cy, b)
+    rev = np.cumsum(per_cell[:, :, ::-1], axis=2)[:, :, ::-1]
+    prefix = np.cumsum(np.cumsum(rev, axis=0), axis=1)
+    return prefix.astype(np.uint32)
+
+
+def test_build_matches_float64_reference_on_bin_edges():
+    rng = np.random.default_rng(8)
+    f32 = np.float32
+    for bins in (1, 3, 7, 10, 16, 33, 100):
+        edges = ChiConfig(1, 1, bins).bin_edges
+        near = edges.astype(f32)  # at each edge, as close as float32 gets
+        values = np.concatenate(
+            [near, np.nextafter(near, f32(np.inf)), np.nextafter(near, f32(-np.inf)),
+             [f32(0.0), f32(MAX_PIXEL)]]
+        ).astype(f32)
+        values = values[(values >= 0) & (values < 1)]
+        # Every value on both sides of every edge actually occurs.
+        assert all((values < e).any() and (values >= e).any() for e in edges[1:-1])
+        for (w, h), (cw, ch) in (
+            ((23, 17), (5, 7)), ((17, 23), (4, 4)), ((9, 6), (10, 10)), ((1, 1), (1, 1)),
+            ((31, 12), (8, 5)),
+        ):
+            cfg = ChiConfig(cw, ch, bins)
+            px = rng.choice(values, size=(h, w))
+            px.ravel()[: len(values)] = values[: w * h]
+            mask = record(px)
+            got = build_chi(mask, cfg).counts
+            assert got.dtype == np.uint32
+            assert np.array_equal(got, _reference_build(mask, cfg)), (bins, w, h, cw, ch)
 
 
 def test_overflow_guard():
@@ -388,6 +431,35 @@ def test_failed_persist_keeps_old_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     persist_index(bigger, path)  # a later persist still replaces it
     assert load_index(path).mask_ids() == bigger.mask_ids()
+
+
+def test_persist_fsyncs_directory_after_rename(tmp_path, monkeypatch):
+    store = _store_with_masks()
+    path = tmp_path / "idx.chi"
+    cfg = store.config
+    expected = CHI_MAGIC + struct.pack("<IIIIffQ", 1, cfg.bins, cfg.cell_width,
+                                       cfg.cell_height, 0.0, 1.0, len(store))
+    for mid in store.mask_ids():
+        idx = store.get_or_absent(mid)
+        expected += struct.pack("<QIIII", mid, idx.width, idx.height, idx.n_cx, idx.n_cy)
+        expected += idx.counts.astype("<u4").tobytes()
+
+    synced = []  # (is a directory, target in place, temp files left)
+    real_fsync = os.fsync
+
+    def spy(fd):
+        synced.append((
+            stat.S_ISDIR(os.fstat(fd).st_mode),
+            path.exists(),
+            sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")),
+        ))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    persist_index(store, path)
+    assert synced[0][:2] == (False, False)  # the temp file, before the rename
+    assert synced[-1] == (True, True, [])  # the directory, after it
+    assert path.read_bytes() == expected
 
 
 def test_merge_refuses_config_mismatch():

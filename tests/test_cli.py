@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from chisearch.cli import main
-from chisearch.chi import CHI_MAGIC, load_index
+from chisearch.chi import CHI_MAGIC, ChiConfig, load_index, persist_index
 from chisearch.corpus import generate_corpus
 from chisearch.executor import Engine
 from chisearch.store import MaskStore, Roi, ValueRange, cp_exact, load_roi_table
+
+from conftest import build_index, build_store, record
 
 GEN = ["--count", "24", "--width", "32", "--height", "32", "--seed", "11"]
 IDX = ["--bins", "8", "--cell-width", "8", "--cell-height", "8"]
@@ -83,6 +85,32 @@ def test_index_command_reports_ratio_and_sizes(corpus, capsys, tmp_path):
     # 32x32 masks with 8x8 cells and 8 bins: 4*8*4*4 bytes per mask.
     for mid in store.mask_ids():
         assert store.get_or_absent(mid).payload_bytes == 4 * 8 * 4 * 4
+
+
+def test_index_command_reads_into_one_buffer_per_mask_size(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(6)
+    records = [
+        record(rng.random(shape, dtype=np.float32), mask_id=i + 1, image_id=i + 1)
+        for i, shape in enumerate([(9, 7), (12, 12), (9, 7), (12, 12), (5, 11), (9, 7)])
+    ]
+    store = build_store(tmp_path / "mixed", records)
+    config = ChiConfig(4, 3, 5)
+    expected = tmp_path / "expected.chi"
+    persist_index(build_index(store, config), expected)
+    store.close()
+
+    outs = []
+    get_mask = MaskStore.get_mask
+    monkeypatch.setattr(
+        MaskStore, "get_mask",
+        lambda self, m, out=None: outs.append(out) or get_mask(self, m, out=out),
+    )
+    idx = tmp_path / "cli.chi"
+    assert run(capsys, "index", str(tmp_path / "mixed"), "--out", str(idx), "--bins", "5",
+               "--cell-width", "4", "--cell-height", "3")[0] == 0
+    assert len(outs) == len(records)
+    assert len({id(o) for o in outs}) == 3  # one buffer per mask size
+    assert idx.read_bytes() == expected.read_bytes()
 
 
 def test_single_bin_index_still_sound(tmp_path, capsys):

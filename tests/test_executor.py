@@ -20,7 +20,7 @@ from chisearch.executor import (
     ScalarAggSpec,
     TopKSpec,
 )
-from chisearch.store import Roi, RoiBinding, ValueRange
+from chisearch.store import MissingRoiBinding, Roi, RoiBinding, ValueRange
 
 from conftest import (
     bounds_of,
@@ -286,7 +286,7 @@ def test_topk_early_stop_loads_shortest_bound_prefix(engines, monkeypatch):
     exact = {m: count_pixels_loop(store.get_mask(m).pixels, roi, vr.lo, vr.hi) for m in ids}
     loaded: list[int] = []
     get_mask = store.get_mask
-    monkeypatch.setattr(store, "get_mask", lambda m: loaded.append(m) or get_mask(m))
+    monkeypatch.setattr(store, "get_mask", lambda m, **kw: loaded.append(m) or get_mask(m, **kw))
     for desc in (True, False):
         sign = 1 if desc else -1
         bound_key = {}
@@ -303,6 +303,21 @@ def test_topk_early_stop_loads_shortest_bound_prefix(engines, monkeypatch):
         loaded.clear()
         eng.execute(QueryPlan(ids, TopKSpec(term(roi, vr), k, desc)))
         assert loaded == prefix
+
+
+def test_limit_zero_returns_no_rows_without_loads(engines):
+    store, eng, oracle = engines
+    ids = store.mask_ids()
+    for desc in (True, False):
+        for shape in (
+            AggSpec("image_id", ScalarAggSpec("AVG", term()), None, desc, 0),
+            TopKSpec(term(), 0, desc),
+        ):
+            plan = QueryPlan(ids, shape)
+            assert oracle.execute(plan).rows == [], shape
+            r = eng.execute(plan)
+            assert r.rows == [], shape
+            assert r.stats.masks_loaded == 0
 
 
 # -- aggregation --------------------------------------------------------------------
@@ -437,6 +452,114 @@ def test_incremental_aggregation_matches(small_corpus):
     oracle = Engine(store, mode="oracle")
     assert inc.execute(p).rows == oracle.execute(p).rows
     assert inc.execute(p).rows == oracle.execute(p).rows  # warm pass too
+
+
+# -- reused pixel buffers ---------------------------------------------------------------
+
+
+def _spare_count(engine: Engine) -> dict:
+    return {shape: len(bufs) for shape, bufs in engine._spare.items() if bufs}
+
+
+def _mixed_size_corpus(tmp_path):
+    """Masks of three sizes; both masks of an image share a size."""
+    rng = np.random.default_rng(99)
+    sizes = [(24, 24), (17, 13), (30, 20)]
+    records = []
+    for i in range(36):
+        w, h = sizes[(i // 2) % 3]
+        records.append(record(rng.random((h, w), dtype=np.float32), mask_id=i + 1,
+                              image_id=1 + i // 2, model_id=1 + i % 2))
+    store = build_store(tmp_path / "mixed", records)
+    return store, build_index(store, ChiConfig(5, 4, 6))
+
+
+def _mixed_plans(rng, ids):
+    plans = []
+    for trial in range(30):
+        roi = random_roi_in(rng, 17, 13)  # inside the smallest mask size
+        t = CpTerm(RoiBinding.constant(roi), random_range(rng))
+        kind = trial % 5
+        if kind == 0:
+            threshold = int(rng.integers(0, roi.area + 1))
+            shape = FilterSpec(CpComparison(Predicate(t, ">" if trial % 2 else "<", threshold)))
+        elif kind == 1:
+            shape = TopKSpec(t, int(rng.integers(1, 12)), bool(trial % 2))
+        elif kind == 2:
+            fn = ("SUM", "AVG", "MIN", "MAX")[trial % 4]
+            shape = AggSpec("image_id", ScalarAggSpec(fn, t), None, bool(trial % 2), 6)
+        elif kind == 3:
+            agg = MaskAggregate(("intersect", "min", "max")[trial % 3], 0.5)
+            full = CpTerm(RoiBinding.full(), ValueRange(0.4, 1.0))
+            shape = AggSpec("image_id", MaskAggSpec(agg, full), None, bool(trial % 2), 4)
+        else:
+            shape = FilterSpec(None)
+        n = len(ids) if trial == 0 else int(rng.integers(1, len(ids) + 1))
+        targets = sorted(int(m) for m in rng.choice(ids, size=n, replace=False))
+        plans.append(QueryPlan(targets, shape,
+                               select=(Column("mask_id"), ExprItem("v", t))
+                               if kind in (0, 4) else None))
+    return plans
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_warm_engine_reusing_buffers_matches_oracle(tmp_path, threads):
+    store, index = _mixed_size_corpus(tmp_path)
+    ids = store.mask_ids()
+    eng = Engine(store, index, mode="indexed", threads=threads)
+    inc = Engine(store, IndexStore(index.config), mode="incremental", threads=threads)
+    oracle = Engine(store, mode="oracle")
+    plans = _mixed_plans(np.random.default_rng(5), ids)
+    for rnd in range(2):
+        for i, plan in enumerate(plans):
+            expected = oracle.execute(plan)
+            for e in (eng, inc):
+                got = e.execute(plan)
+                assert got.rows == expected.rows, (rnd, i, e.mode)
+                assert got.columns == expected.columns
+    # The oracle's first query loads every mask: its spares are the buffers
+    # that query held, one per mask, and no more.
+    sizes = {}
+    for m in ids:
+        shape = (store.get_meta(m).height, store.get_meta(m).width)
+        sizes[shape] = sizes.get(shape, 0) + 1
+    assert _spare_count(oracle) == sizes
+    store.close()
+
+
+def test_repeated_queries_read_into_the_same_buffers(engines, monkeypatch):
+    store, eng, _ = engines
+    ids = store.mask_ids()
+    plans = [filter_plan(ids, t) for t in (100, 130, 160)]
+    plans += [QueryPlan(ids, TopKSpec(term(), 7, True))]
+    outs = []
+    get_mask = store.get_mask
+    monkeypatch.setattr(
+        store, "get_mask", lambda m, out=None: outs.append(out) or get_mask(m, out=out)
+    )
+    loaded = [eng.execute(p).stats.masks_loaded for p in plans]
+    assert all(o is not None for o in outs)
+    first = {id(o) for o in outs}
+    assert _spare_count(eng) == {(24, 24): max(loaded)}
+    outs.clear()
+    for p in plans:
+        eng.execute(p)
+    assert {id(o) for o in outs} <= first  # no new buffer once warm
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_query_raising_mid_verify_gives_buffers_back(engines, threads):
+    store, eng, oracle = engines
+    eng = Engine(store, eng.index_store, mode="indexed", threads=threads)
+    ids = store.mask_ids()
+    table = {m: Roi(2, 2, 20, 20) for m in ids if m != 25}
+    bad = CpTerm(RoiBinding.per_mask(table), VR)
+    plan = QueryPlan(ids, FilterSpec(CpComparison(Predicate(bad, ">", 100))), verify_all=True)
+    with pytest.raises(MissingRoiBinding):
+        eng.execute(plan)
+    assert _spare_count(eng) == {(24, 24): len(ids)}  # every load was given back
+    for p in (filter_plan(ids, 130), QueryPlan(ids, TopKSpec(term(), 5, False))):
+        assert eng.execute(p).rows == oracle.execute(p).rows
 
 
 # -- determinism -----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from chisearch.store import (
     DATA_NAME,
+    PIXEL_DTYPE,
     DimensionMismatch,
     DuplicateMaskId,
     MANIFEST_NAME,
@@ -18,6 +20,7 @@ from chisearch.store import (
     RoiBinding,
     RoiOutOfBounds,
     STORE_MAGIC,
+    StoreError,
     ValueOutOfRange,
     ValueRange,
     cp_exact,
@@ -217,6 +220,65 @@ def test_parallel_get_mask_counts_every_call(tmp_path):
     assert store.load_calls == 16
     for i in range(8):
         assert results[i] == store.get_mask(i).pixels.sum()
+    store.close()
+
+
+# -- reads into caller buffers ----------------------------------------------------
+
+
+def _one_mask_store(tmp_path, width=5, height=3):
+    pixels = np.random.default_rng(4).random((height, width), dtype=np.float32)
+    st_w = make_store(tmp_path)
+    st_w.ingest_mask(MaskMeta(1, 1, 1, 1), width, height, pixels)
+    st_w.close()
+    return MaskStore.open(tmp_path / "store"), pixels
+
+
+def test_get_mask_into_out_rejects_bad_buffers(tmp_path):
+    store, _ = _one_mask_store(tmp_path)
+    read_only = np.zeros((3, 5), PIXEL_DTYPE)
+    read_only.flags.writeable = False
+    bad = [
+        np.zeros((5, 3), PIXEL_DTYPE),  # transposed shape
+        np.zeros(15, PIXEL_DTYPE),  # flat
+        np.zeros((3, 5), np.float64),
+        np.zeros((3, 5), ">f4"),
+        np.zeros((3, 5), PIXEL_DTYPE, order="F"),
+        np.zeros((3, 10), PIXEL_DTYPE)[:, ::2],  # strided view
+        read_only,
+        bytearray(60),
+    ]
+    for out in bad:
+        with pytest.raises(ValueError):
+            store.get_mask(1, out=out)
+    assert store.load_calls == 0  # a rejected buffer is not a load
+    store.close()
+
+
+def test_get_mask_into_out_fills_it_and_returns_read_only_pixels(tmp_path):
+    store, pixels = _one_mask_store(tmp_path)
+    out = np.full((3, 5), 7.0, PIXEL_DTYPE)
+    rec = store.get_mask(1, out=out)
+    assert out.tobytes() == pixels.tobytes()
+    assert np.shares_memory(rec.pixels, out)
+    assert (rec.width, rec.height, rec.mask_id) == (5, 3, 1)
+    with pytest.raises(ValueError):
+        rec.pixels[0, 0] = 0.5
+    fresh = store.get_mask(1)
+    assert not fresh.pixels.flags.writeable
+    assert fresh.pixels.tobytes() == pixels.tobytes()
+    assert store.load_calls == 2
+    store.close()
+
+
+def test_get_mask_short_read_raises_store_error(tmp_path):
+    store, _ = _one_mask_store(tmp_path)
+    data = tmp_path / "store" / DATA_NAME
+    os.truncate(data, data.stat().st_size - 4)  # lose the last pixel
+    with pytest.raises(StoreError, match="short read"):
+        store.get_mask(1, out=np.empty((3, 5), PIXEL_DTYPE))
+    with pytest.raises(StoreError, match="short read"):
+        store.get_mask(1)
     store.close()
 
 
