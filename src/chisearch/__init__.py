@@ -11,6 +11,7 @@ from .store import (
     MaskStore,
     Roi,
     RoiBinding,
+    RoiTable,
     ValueRange,
     cp_exact,
 )
@@ -64,9 +65,9 @@ __all__ = [
     "ChiIndex", "Const", "CpComparison", "CpTerm", "Engine", "ExecStats",
     "FilterSpec", "IndexStore", "MaskAggSpec", "MaskAggregate", "MaskMeta",
     "MaskRecord", "MaskStore", "MetaComparison", "ParseError", "PlanError",
-    "Predicate", "QueryPlan", "QueryResult", "Roi", "RoiBinding", "ScalarAggSpec",
-    "TopKSpec", "ValueRange", "bound_scalar_agg", "build_chi", "cp_bounds",
-    "cp_exact", "expr_bounds", "expr_exact", "generate_corpus", "grid_boundaries",
-    "load_index", "merge_index", "parse", "persist_index", "plan", "pretty",
-    "register_mask_agg",
+    "Predicate", "QueryPlan", "QueryResult", "Roi", "RoiBinding", "RoiTable",
+    "ScalarAggSpec", "TopKSpec", "ValueRange", "bound_scalar_agg", "build_chi",
+    "cp_bounds", "cp_exact", "expr_bounds", "expr_exact", "generate_corpus",
+    "grid_boundaries", "load_index", "merge_index", "parse", "persist_index", "plan",
+    "pretty", "register_mask_agg",
 ]

@@ -36,7 +36,7 @@ from .executor import (
     TopKSpec,
 )
 from .bounds import CpTerm
-from .store import MaskStore, Roi, RoiBinding, ValueRange, load_roi_table
+from .store import MaskStore, Roi, RoiBinding, RoiTable, ValueRange, load_roi_table
 from .corpus import random_roi
 
 MODES = ("indexed", "incremental", "oracle")
@@ -290,5 +290,5 @@ def _run_mode(store_dir, queries, mode, config, threads, session_index_path):
     return rows
 
 
-def load_workload_roi_table(store_dir: str | Path) -> dict[int, Roi]:
+def load_workload_roi_table(store_dir: str | Path) -> RoiTable:
     return load_roi_table(Path(store_dir) / "rois.tsv")

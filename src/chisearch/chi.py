@@ -51,6 +51,12 @@ class OverflowDetected(ChiError):
     pass
 
 
+# Most value bins an index may have. ``build_chi`` bins by a float32
+# product, which needs every bin index exact in float32 (below 2**24) and
+# the float32 edges distinct; 2**22 keeps a wide margin.
+MAX_BINS = 2**22
+
+
 @dataclass(frozen=True)
 class ChiConfig:
     """Index granularity: spatial cell size and number of equi-width value
@@ -61,7 +67,7 @@ class ChiConfig:
     bins: int
 
     def __post_init__(self):
-        if self.cell_width < 1 or self.cell_height < 1 or self.bins < 1:
+        if self.cell_width < 1 or self.cell_height < 1 or not 1 <= self.bins <= MAX_BINS:
             raise ValueError(f"invalid index config {self!r}")
 
     @cached_property
@@ -146,15 +152,15 @@ class ChiIndex:
 
 @lru_cache(maxsize=16)
 def _cell_base(width: int, height: int, config: ChiConfig) -> np.ndarray:
-    """Per pixel, row-major, the flat offset of its cell's bin 0, minus one.
+    """Per pixel, row-major, the flat offset of its cell's bin 0.
 
-    Adding a pixel's ``searchsorted(..., side="right")`` rank (its bin plus
-    one) gives the flat ``(cx, cy, bin)`` slot that ``build_chi`` counts.
+    Adding a pixel's bin gives the flat ``(cx, cy, bin)`` slot that
+    ``build_chi`` counts.
     """
     grid = grid_boundaries(width, height, config)
     cx = np.minimum(np.arange(width) // config.cell_width, len(grid.xs) - 1)
     cy = np.minimum(np.arange(height) // config.cell_height, len(grid.ys) - 1)
-    base = (cx[None, :] * len(grid.ys) + cy[:, None]) * config.bins - 1
+    base = (cx[None, :] * len(grid.ys) + cy[:, None]) * config.bins
     base = base.astype(np.intp).ravel()
     base.flags.writeable = False
     return base
@@ -167,11 +173,17 @@ def build_chi(mask: MaskRecord, config: ChiConfig) -> ChiIndex:
     grid = grid_boundaries(mask.width, mask.height, config)
     n_cx, n_cy, b = len(grid.xs), len(grid.ys), config.bins
 
-    # Bin of each pixel: the largest edge at or below its value, read off
+    # Bin of each pixel: the largest edge at or below its value, against
     # the float32 image of the shared edges (see ``bin_edges_f32``), so the
-    # pixels are compared as they are, with no float64 copy.
+    # pixels are compared as they are, with no float64 copy. The floor of
+    # the float32 product v * bins is the value's bin or one above it: an
+    # edge sits within 2**-52 of i / bins, and the product rounds to the
+    # nearest float32, which holds every integer up to MAX_BINS. So it can
+    # only overshoot, at a value just below an edge (at most to ``bins``,
+    # whose edge 1.0 is above every pixel), and one step down settles it.
     pixels = np.asarray(mask.pixels, dtype=PIXEL_DTYPE).ravel()
-    flat = np.searchsorted(config.bin_edges_f32, pixels, side="right")
+    flat = (pixels * np.float32(b)).astype(np.intp)
+    flat -= pixels < config.bin_edges_f32.take(flat)
     flat += _cell_base(mask.width, mask.height, config)
     per_cell = np.bincount(flat, minlength=n_cx * n_cy * b).reshape(n_cx, n_cy, b)
 

@@ -19,11 +19,12 @@ Engines run in one of three modes:
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -39,10 +40,11 @@ from .bounds import (
 )
 from .chi import ChiBlock, ChiIndex, IndexStore, build_chi
 from .store import (
+    INT64_MAX,
+    INT64_MIN,
     MAX_PIXEL,
     PIXEL_DTYPE,
     DimensionMismatch,
-    ManifestEntry,
     MaskMeta,
     MaskRecord,
     MaskStore,
@@ -80,17 +82,66 @@ class CpComparison:
     pred: Predicate
 
 
+_ORDER_OPS = {"<": np.less, ">": np.greater}
+_FLIPPED = {"<": ">", ">": "<", "=": "="}
+
+
+def _compare(a, op: str, b) -> np.ndarray:
+    """``a op b`` for op in '<', '>', '=', where each side is an int64 column
+    or a number, with the result Python's int/float comparison would give.
+
+    A column is never converted to float: against a number ``c``, ``col > c``
+    is ``col > floor(c)``, ``col < c`` is ``col < ceil(c)``, and ``col = c``
+    holds only for an integral ``c``; numbers past the int64 range decide
+    the whole column at once.
+    """
+    if not isinstance(a, np.ndarray):
+        if not isinstance(b, np.ndarray):
+            return np.bool_(a == b if op == "=" else (a < b if op == "<" else a > b))
+        a, op, b = b, _FLIPPED[op], a
+    if isinstance(b, np.ndarray):
+        return np.equal(a, b) if op == "=" else _ORDER_OPS[op](a, b)
+    if b != b:  # NaN
+        return np.zeros(len(a), bool)
+    if b > INT64_MAX or b < INT64_MIN:
+        return np.full(len(a), op == ("<" if b > 0 else ">"))
+    if op == "=":
+        return np.equal(a, np.int64(b)) if b == math.floor(b) else np.zeros(len(a), bool)
+    c = math.floor(b) if op == ">" else math.ceil(b)
+    return _ORDER_OPS[op](a, np.int64(c))
+
+
 @dataclass(frozen=True)
 class MetaComparison:
-    """Comparison on a manifest column; decidable without any pixel I/O."""
+    """``left op right`` over manifest columns; decidable without pixel I/O.
 
-    column: str  # mask_id | image_id | model_id | mask_type
-    op: str  # '=' or 'in'
-    values: tuple
+    An operand is a column name (see ``store.COLUMNS``) or a number.
+    ``right`` holds one operand for '<' and '>'; '=' and 'in' hold when
+    ``left`` equals any operand in it.
+    """
 
-    def holds(self, meta: MaskMeta) -> bool:
-        v = getattr(meta, self.column)
-        return v == self.values[0] if self.op == "=" else v in self.values
+    left: str | float
+    op: str  # '=' | 'in' | '<' | '>'
+    right: tuple
+
+    def holds(self, columns: Mapping[str, np.ndarray], at: np.ndarray | None = None) -> np.ndarray:
+        """Boolean array: where the comparison holds, for every row of
+        ``columns`` or for the rows ``at``."""
+        n = len(columns["mask_id"]) if at is None else len(at)
+
+        def side(v):
+            if not isinstance(v, str):
+                return v
+            return columns[v] if at is None else columns[v][at]
+
+        left = side(self.left)
+        if self.op in _ORDER_OPS:
+            out = _compare(left, self.op, side(self.right[0]))
+        else:
+            out = np.zeros(n, bool)
+            for v in self.right:
+                out = out | _compare(left, "=", side(v))
+        return np.broadcast_to(out, (n,))
 
 
 @dataclass(frozen=True)
@@ -335,9 +386,6 @@ class Engine:
                 return self._execute_topk(ctx, plan)
             return self._execute_aggregation(ctx, plan)
 
-    def _meta(self, mask_id: int) -> ManifestEntry:
-        return self.store.get_meta(mask_id)
-
     def _take_buffer(self, shape: tuple[int, int]) -> np.ndarray:
         with self._spare_lock:
             spare = self._spare.get(shape)
@@ -433,10 +481,8 @@ class Engine:
         self, ctx: "_QueryCtx", node: PredNode, ids: list[int]
     ) -> np.ndarray:
         if isinstance(node, MetaComparison):
-            return np.array(
-                [_TRUE if node.holds(self._meta(m).meta) else _FALSE for m in ids],
-                dtype=np.int8,
-            )
+            holds = node.holds(self.store.columns, self.store.positions(ids))
+            return np.where(holds, _TRUE, _FALSE).astype(np.int8)
         if isinstance(node, BoolOp):
             child = [self._node_verdicts_batch(ctx, c, ids) for c in node.children]
             stack = np.stack(child)
@@ -462,48 +508,36 @@ class Engine:
     def _expr_bounds_many(self, ctx: "_QueryCtx", expr: Expr, ids: list[int]):
         """(lower, upper) float arrays of ``expr`` for masks with indexes;
         one kernel call per count term and mask size."""
-        by_dims: dict[tuple[int, int], list[int]] = {}
-        for i, mid in enumerate(ids):
-            e = self._meta(mid)
-            by_dims.setdefault((e.width, e.height), []).append(i)
+        cols, pos = self.store.columns, self.store.positions(ids)
+        widths, heights = cols["width"][pos], cols["height"][pos]
+        # One key per size: both fit 32 bits (see store._row_problem).
+        sizes, group_of = np.unique((widths << 32) | heights, return_inverse=True)
+        ids = np.asarray(ids, dtype=np.int64)
         lowers, uppers = np.empty(len(ids)), np.empty(len(ids))
-        for (width, height), pos in by_dims.items():
-            group = [ids[i] for i in pos]
-            block = self.index_store.block(width, height)
-            rows = np.array([block.row_of[m] for m in group])
-            lowers[pos], uppers[pos] = self._block_bounds(block, rows, group, expr)
+        for g in range(len(sizes)):
+            sel = np.flatnonzero(group_of == g)
+            group = ids[sel]
+            block = self.index_store.block(int(widths[sel[0]]), int(heights[sel[0]]))
+            rows = np.array([block.row_of[m] for m in group.tolist()])
+            lowers[sel], uppers[sel] = self._block_bounds(block, rows, group, expr)
         return lowers, uppers
 
-    def _block_bounds(self, block: ChiBlock, rows: np.ndarray, ids: list[int], expr: Expr):
+    def _block_bounds(self, block: ChiBlock, rows: np.ndarray, ids: np.ndarray, expr: Expr):
         """(lower, upper) float arrays of ``expr`` for masks ``ids`` at ``rows``."""
+        widths = np.full(len(ids), block.width, dtype=np.int64)
+        heights = np.full(len(ids), block.height, dtype=np.int64)
 
         def term_bounds(term: CpTerm):
-            rois = self._resolve_rois(ids, term.roi)
+            rois = term.roi.resolve_many(ids, widths, heights)
             lo, hi = bnd.cp_bounds(block, rows, rois, term.rng)
             return lo.astype(np.float64), hi.astype(np.float64)
 
         def area_value(binding: RoiBinding):
-            rois = self._resolve_rois(ids, binding)
+            rois = binding.resolve_many(ids, widths, heights)
             return ((rois[:, 2] - rois[:, 0]) * (rois[:, 3] - rois[:, 1])).astype(np.float64)
 
         lo, hi = expr_bounds(expr, term_bounds, area_value)
         return np.full(len(ids), lo, dtype=np.float64), np.full(len(ids), hi, dtype=np.float64)
-
-    def _resolve_rois(self, ids: Sequence[int], binding: RoiBinding) -> np.ndarray:
-        if binding.kind in ("constant", "full") and ids:
-            e = self._meta(ids[0])
-            r = binding.resolve(ids[0], e.width, e.height)
-            r.check_within(e.width, e.height)
-            return np.tile(
-                np.array([r.x1, r.y1, r.x2, r.y2], dtype=np.int64), (len(ids), 1)
-            )
-        out = np.empty((len(ids), 4), dtype=np.int64)
-        for i, mid in enumerate(ids):
-            e = self._meta(mid)
-            r = binding.resolve(mid, e.width, e.height)
-            r.check_within(e.width, e.height)
-            out[i] = (r.x1, r.y1, r.x2, r.y2)
-        return out
 
     def _expr_exact_for(self, ctx: "_QueryCtx", mask_id: int, expr: Expr) -> float:
         rec = ctx.record(mask_id)
@@ -521,7 +555,7 @@ class Engine:
 
     def _pred_exact(self, ctx: "_QueryCtx", node: PredNode, mask_id: int) -> bool:
         if isinstance(node, MetaComparison):
-            return node.holds(self._meta(mask_id).meta)
+            return bool(node.holds(self.store.columns, self.store.positions([mask_id]))[0])
         if isinstance(node, BoolOp):
             results = (self._pred_exact(ctx, c, mask_id) for c in node.children)
             return all(results) if node.op == "and" else any(results)
@@ -534,7 +568,7 @@ class Engine:
         columns = [it.name for it in items]
         rows = []
         for mid in result_ids:
-            meta = self._meta(mid).meta
+            meta = self.store.get_meta(mid).meta
             row = []
             for it in items:
                 if isinstance(it, Column):
@@ -648,7 +682,9 @@ class Engine:
             for c in extra_cols:
                 if kind == "mask":
                     row.append(
-                        ident if c.name == "mask_id" else getattr(self._meta(ident).meta, c.name)
+                        ident
+                        if c.name == "mask_id"
+                        else getattr(self.store.get_meta(ident).meta, c.name)
                     )
                 else:
                     row.append(ident)
@@ -664,10 +700,7 @@ class Engine:
         targets = sorted(plan.target_ids)
         ctx.stats.masks_targeted = len(targets)
 
-        groups: dict[int, list[int]] = {}
-        for mid in targets:
-            key = getattr(self._meta(mid).meta, spec.group_key)
-            groups.setdefault(key, []).append(mid)
+        groups = self._groups(targets, spec.group_key)
         keys = sorted(groups)
 
         if self.mode == "oracle":
@@ -753,10 +786,7 @@ class Engine:
         spec = plan.shape
         if not isinstance(spec, AggSpec) or not isinstance(spec.value, MaskAggSpec):
             raise ExecError("plan has no mask aggregation to warm")
-        groups: dict[int, list[int]] = {}
-        for mid in sorted(plan.target_ids):
-            key = getattr(self._meta(mid).meta, spec.group_key)
-            groups.setdefault(key, []).append(mid)
+        groups = self._groups(sorted(plan.target_ids), spec.group_key)
         built = 0
         for key in sorted(groups):
             members = groups[key]
@@ -768,6 +798,15 @@ class Engine:
             self._agg_chi_cache[fp] = ChiBlock.of(build_chi(pseudo, self.index_store.config))
             built += 1
         return built
+
+    def _groups(self, targets: list[int], group_key: str) -> dict[int, list[int]]:
+        """Ascending ``targets`` split by their ``group_key`` column, each
+        group's members in ascending order."""
+        keys = self.store.columns[group_key][self.store.positions(targets)]
+        order = np.argsort(keys, kind="stable")
+        uniq, first = np.unique(keys[order], return_index=True)
+        members = np.split(np.asarray(targets, dtype=np.int64)[order], first[1:])
+        return {k: m.tolist() for k, m in zip(uniq.tolist(), members)}
 
     def _group_bounds(self, ctx, spec: AggSpec, groups, keys) -> dict[int, Bounds]:
         """Bracket each group's aggregate without loading where possible."""
@@ -802,7 +841,7 @@ class Engine:
                 block = self._agg_chi_cache.get(self._agg_fingerprint(spec.value, groups[key]))
                 if block is not None:
                     # A one-row call; the pseudo-mask's rois resolve as its lowest member's.
-                    rep = [min(groups[key])]
+                    rep = np.array([min(groups[key])], dtype=np.int64)
                     row = np.zeros(1, dtype=np.intp)
                     lo, hi = self._block_bounds(block, row, rep, spec.value.expr)
                     out[key] = Bounds(float(lo[0]), float(hi[0]))

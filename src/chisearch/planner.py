@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
 from . import sql
 from .bounds import (
     AreaTerm,
@@ -99,6 +101,14 @@ def _const_value(node) -> float | None:
     return None
 
 
+def _meta_holds(node, columns) -> np.ndarray:
+    """Boolean array over the manifest rows: where a compiled metadata tree holds."""
+    if isinstance(node, BoolOp):
+        parts = [_meta_holds(c, columns) for c in node.children]
+        return (np.logical_and if node.op == "and" else np.logical_or).reduce(parts)
+    return node.holds(columns)
+
+
 class _Planner:
     def __init__(self, ast: sql.QueryAst, store: MaskStore, roi_table):
         self.ast = ast
@@ -171,33 +181,30 @@ class _Planner:
             (cp if _contains_cp(c) else meta).append(c)
         return meta, cp
 
-    def meta_filter_ids(self, meta_conds) -> list[int]:
-        entries = list(self.store.entries())
-        keep = []
-        for e in entries:
-            if all(self.eval_meta(c, e.meta) for c in meta_conds):
-                keep.append(e.mask_id)
-        return keep
+    def meta_filter_ids(self, meta_nodes) -> list[int]:
+        """Ids of the masks every compiled metadata node accepts, in manifest order."""
+        columns = self.store.columns
+        keep = np.ones(len(columns["mask_id"]), dtype=bool)
+        for node in meta_nodes:
+            keep &= _meta_holds(node, columns)
+        return columns["mask_id"][keep].tolist()
 
-    def eval_meta(self, cond, meta) -> bool:
+    def to_meta_node(self, cond):
+        """Compile a count-free condition into MetaComparison/BoolOp nodes."""
         if isinstance(cond, sql.BoolExpr):
-            results = (self.eval_meta(c, meta) for c in cond.items)
-            return all(results) if cond.op == "and" else any(results)
+            return BoolOp(cond.op, tuple(self.to_meta_node(c) for c in cond.items))
         if isinstance(cond, sql.InList):
             self.check_column(cond.column)
-            return getattr(meta, cond.column) in cond.values
+            return MetaComparison(cond.column, "in", cond.values)
         if isinstance(cond, sql.Compare):
-            left = self.meta_operand(cond.left, meta)
-            right = self.meta_operand(cond.right, meta)
-            if cond.op == "=":
-                return left == right
-            return left > right if cond.op == ">" else left < right
-        raise PlanError(f"cannot evaluate metadata condition {cond!r}")
+            return MetaComparison(self.meta_side(cond.left), cond.op, (self.meta_side(cond.right),))
+        raise PlanError(f"cannot plan metadata condition {cond!r}")
 
-    def meta_operand(self, node, meta):
+    def meta_side(self, node) -> str | float:
+        """A metadata comparison's side: a column name or a constant."""
         if isinstance(node, sql.ColumnRef):
             self.check_column(node.name)
-            return getattr(meta, node.name)
+            return node.name
         v = _const_value(node)
         if v is None:
             raise PlanError(f"unsupported metadata operand {node!r}")
@@ -208,21 +215,12 @@ class _Planner:
             raise UnknownColumn(f"unknown column {name!r}")
 
     def to_pred_node(self, cond):
+        if not _contains_cp(cond):
+            return self.to_meta_node(cond)  # metadata nested under OR
         if isinstance(cond, sql.BoolExpr):
             return BoolOp(cond.op, tuple(self.to_pred_node(c) for c in cond.items))
-        if isinstance(cond, sql.InList):
-            self.check_column(cond.column)
-            return MetaComparison(cond.column, "in", cond.values)
         if isinstance(cond, sql.Compare):
             lcp, rcp = _contains_cp(cond.left), _contains_cp(cond.right)
-            if not lcp and not rcp:
-                # Pure metadata comparison nested under OR.
-                if isinstance(cond.left, sql.ColumnRef) and cond.op == "=":
-                    self.check_column(cond.left.name)
-                    v = _const_value(cond.right)
-                    if v is not None:
-                        return MetaComparison(cond.left.name, "=", (v,))
-                raise PlanError(f"cannot plan comparison {cond!r}")
             if cond.op == "=":
                 raise PlanError("count comparisons support only > and <")
             if lcp and rcp:
@@ -286,7 +284,7 @@ class _Planner:
         meta_conds, cp_conds = ([], [])
         if ast.where is not None:
             meta_conds, cp_conds = self.split_where(ast.where)
-        target_ids = self.meta_filter_ids(meta_conds)
+        target_ids = self.meta_filter_ids([self.to_meta_node(c) for c in meta_conds])
 
         pred_node = None
         if cp_conds:

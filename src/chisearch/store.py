@@ -18,7 +18,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -117,6 +117,60 @@ class ValueRange:
 
 FULL_RANGE = ValueRange(PIXEL_MIN, PIXEL_MAX)
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _find(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``ids`` sits in ``sorted_ids``, and whether it is there."""
+    at = np.minimum(np.searchsorted(sorted_ids, ids), max(len(sorted_ids) - 1, 0))
+    found = sorted_ids[at] == ids if len(sorted_ids) else np.zeros(len(ids), bool)
+    return at, found
+
+
+class RoiTable(Mapping[int, Roi]):
+    """Immutable per-mask roi table: sorted mask ids beside an (n, 4) int64
+    array of x1, y1, x2, y2, for looking up many masks at once, and the Roi
+    objects by id, for one. Equal to any mapping with the same items;
+    hashed by content."""
+
+    __slots__ = ("_by_id", "_ids", "_rois")
+
+    def __init__(self, table: Mapping[int, Roi] | None = None):
+        self._by_id = dict(sorted((table or {}).items()))
+        self._ids = np.array(list(self._by_id), dtype=np.int64)
+        rois = [(r.x1, r.y1, r.x2, r.y2) for r in self._by_id.values()]
+        self._rois = np.array(rois, dtype=np.int64).reshape(len(self._ids), 4)
+        self._ids.flags.writeable = False
+        self._rois.flags.writeable = False
+
+    def rois_of(self, mask_ids: Sequence[int]) -> np.ndarray:
+        """(n, 4) rois of ``mask_ids``; MissingRoiBinding names the first absent id."""
+        ids = np.asarray(mask_ids, dtype=np.int64)
+        at, found = _find(self._ids, ids)
+        if not found.all():
+            raise MissingRoiBinding(f"no roi bound for mask {int(ids[np.argmin(found)])}")
+        return self._rois[at]
+
+    def __getitem__(self, mask_id: int) -> Roi:
+        return self._by_id[mask_id]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._by_id)
+
+    def __len__(self) -> int:
+        return len(self._by_id)
+
+    def __eq__(self, other):
+        if isinstance(other, RoiTable):
+            return np.array_equal(self._ids, other._ids) and np.array_equal(self._rois, other._rois)
+        return super().__eq__(other)
+
+    def __hash__(self):
+        return hash((self._ids.tobytes(), self._rois.tobytes()))
+
+    def __repr__(self):
+        return f"RoiTable(<{len(self)} rois>)"
+
 
 class RoiBinding:
     """How a query's region argument resolves to a concrete Roi per mask.
@@ -129,10 +183,10 @@ class RoiBinding:
     _PER_MASK = "per_mask"
     _FULL = "full"
 
-    def __init__(self, kind: str, roi: Roi | None = None, table: Mapping[int, Roi] | None = None):
+    def __init__(self, kind: str, roi: Roi | None = None, table: RoiTable | None = None):
         self.kind = kind
         self._roi = roi
-        self._table = table
+        self.table = table
 
     @classmethod
     def constant(cls, roi: Roi) -> "RoiBinding":
@@ -140,7 +194,8 @@ class RoiBinding:
 
     @classmethod
     def per_mask(cls, table: Mapping[int, Roi]) -> "RoiBinding":
-        return cls(cls._PER_MASK, table=dict(table))
+        """Bind ``table``, kept as it is when it is already a RoiTable."""
+        return cls(cls._PER_MASK, table=table if isinstance(table, RoiTable) else RoiTable(table))
 
     @classmethod
     def full(cls) -> "RoiBinding":
@@ -151,29 +206,49 @@ class RoiBinding:
             return self._roi
         if self.kind == self._FULL:
             return Roi(0, 0, width, height)
-        roi = self._table.get(mask_id)
+        roi = self.table.get(mask_id)
         if roi is None:
             raise MissingRoiBinding(f"no roi bound for mask {mask_id}")
         return roi
+
+    def resolve_many(
+        self, mask_ids: Sequence[int], widths: np.ndarray, heights: np.ndarray
+    ) -> np.ndarray:
+        """(n, 4) int64 rois x1, y1, x2, y2 of many masks, checked against
+        their sizes: ``resolve`` and ``Roi.check_within`` as one array op."""
+        n = len(mask_ids)
+        if self.kind == self._CONSTANT:
+            r = self._roi
+            rois = np.tile(np.array([r.x1, r.y1, r.x2, r.y2], dtype=np.int64), (n, 1))
+        elif self.kind == self._FULL:
+            zeros = np.zeros(n, dtype=np.int64)
+            rois = np.stack([zeros, zeros, widths, heights], axis=1)
+        else:
+            rois = self.table.rois_of(mask_ids)
+        out = (rois[:, 2] > widths) | (rois[:, 3] > heights)
+        if out.any():
+            i = int(np.argmax(out))
+            roi = Roi(*(int(v) for v in rois[i]))
+            raise RoiOutOfBounds(f"{roi!r} exceeds mask {widths[i]}x{heights[i]}")
+        return rois
 
     def __eq__(self, other):
         return (
             isinstance(other, RoiBinding)
             and self.kind == other.kind
             and self._roi == other._roi
-            and self._table == other._table
+            and self.table == other.table
         )
 
     def __hash__(self):
-        table = None if self._table is None else tuple(sorted(self._table.items()))
-        return hash((self.kind, self._roi, table))
+        return hash((self.kind, self._roi, self.table))
 
     def __repr__(self):
         if self.kind == self._CONSTANT:
             return f"RoiBinding.constant({self._roi})"
         if self.kind == self._FULL:
             return "RoiBinding.full()"
-        return f"RoiBinding.per_mask(<{len(self._table)} rois>)"
+        return f"RoiBinding.per_mask(<{len(self.table)} rois>)"
 
 
 @dataclass(frozen=True)
@@ -245,6 +320,27 @@ def validate_pixels(pixels: np.ndarray, *, clamp: bool = False) -> np.ndarray:
     return arr
 
 
+# Manifest columns, in the order of a manifest line's first six fields.
+COLUMNS = ("mask_id", "image_id", "model_id", "mask_type", "width", "height")
+
+
+def _row_problem(mask_id, image_id, model_id, mask_type, width, height) -> str | None:
+    """Why a manifest row cannot describe a mask, or None when it can.
+
+    Every field must fit an int64 column; the mask id must also fit the
+    unsigned 64-bit id of an index record, and the sizes, positive, its
+    unsigned 32-bit width and height.
+    """
+    if not (0 < width < 2**32 and 0 < height < 2**32):
+        return f"bad dimensions {width}x{height}"
+    if not 0 <= mask_id <= INT64_MAX:
+        return f"mask_id {mask_id} outside [0, 2**63)"
+    for name, v in (("image_id", image_id), ("model_id", model_id), ("mask_type", mask_type)):
+        if not INT64_MIN <= v <= INT64_MAX:
+            return f"{name} {v} does not fit a signed 64-bit integer"
+    return None
+
+
 class MaskStore:
     """Directory-backed mask database.
 
@@ -259,6 +355,8 @@ class MaskStore:
         self._writable = writable
         self._entries: dict[int, ManifestEntry] = {}
         self._order: list[int] = []
+        self._columns: dict[str, np.ndarray] | None = None
+        self._sorted_ids = self._id_order = None
         self._load_calls = 0
         self._counter_lock = threading.Lock()
         self._write_lock = threading.Lock()
@@ -288,6 +386,7 @@ class MaskStore:
             os.close(store._data_fd)
             raise StoreError(f"{data_path} does not start with {STORE_MAGIC!r}")
         size = data_path.stat().st_size
+        rows: list[tuple[int, ...]] = []
         with open(directory / MANIFEST_NAME, encoding="ascii") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -296,7 +395,11 @@ class MaskStore:
                 parts = line.split("\t")
                 if len(parts) != 7:
                     raise StoreError(f"manifest line {lineno}: expected 7 fields")
-                mid, img, mdl, mtype, w, h, off = (int(p) for p in parts)
+                *row, off = (int(p) for p in parts)
+                mid, img, mdl, mtype, w, h = row
+                problem = _row_problem(*row)
+                if problem is not None:
+                    raise StoreError(f"manifest line {lineno}: {problem}")
                 if mid in store._entries:
                     raise StoreError(f"manifest line {lineno}: duplicate mask_id {mid}")
                 entry = ManifestEntry(MaskMeta(mid, img, mdl, mtype), w, h, off)
@@ -304,6 +407,12 @@ class MaskStore:
                     raise StoreError(f"manifest line {lineno}: offset outside data file")
                 store._entries[mid] = entry
                 store._order.append(mid)
+                rows.append(tuple(row))
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), len(COLUMNS)).T.copy()
+        table.flags.writeable = False
+        store._columns = dict(zip(COLUMNS, table))
+        store._id_order = np.argsort(store._columns["mask_id"], kind="stable")
+        store._sorted_ids = store._columns["mask_id"][store._id_order]
         spans = sorted((e.byte_offset, e.byte_offset + e.nbytes) for e in store._entries.values())
         for (a0, a1), (b0, _) in zip(spans, spans[1:]):
             if a1 > b0:
@@ -342,6 +451,11 @@ class MaskStore:
             raise StoreError("store is open read-only")
         if width < 1 or height < 1:
             raise DimensionMismatch(f"bad dimensions {width}x{height}")
+        problem = _row_problem(
+            meta.mask_id, meta.image_id, meta.model_id, meta.mask_type, width, height
+        )
+        if problem is not None:
+            raise StoreError(problem)
         arr = np.asarray(pixels)
         if arr.size != width * height:
             raise DimensionMismatch(
@@ -369,6 +483,28 @@ class MaskStore:
         if entry is None:
             raise NotFound(f"mask_id {mask_id} not in manifest")
         return entry
+
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """The manifest as read-only int64 arrays in manifest order, one per
+        name in ``COLUMNS``; row i of every array is the same mask."""
+        if self._columns is None:
+            raise StoreError("store not open for reading (create() stores must be reopened)")
+        return self._columns
+
+    def positions(self, mask_ids: Sequence[int]) -> np.ndarray:
+        """Rows of ``columns`` holding ``mask_ids``, in their order; NotFound
+        names the first absent id."""
+        self.columns  # raises on a store not open for reading
+        try:
+            ids = np.asarray(mask_ids, dtype=np.int64)
+        except OverflowError:
+            bad = next(m for m in mask_ids if not INT64_MIN <= m <= INT64_MAX)
+            raise NotFound(f"mask_id {bad} not in manifest") from None
+        at, found = _find(self._sorted_ids, ids)
+        if not found.all():
+            raise NotFound(f"mask_id {int(ids[np.argmin(found)])} not in manifest")
+        return self._id_order[at]
 
     def get_mask(self, mask_id: int, out: np.ndarray | None = None) -> MaskRecord:
         """Load one mask's pixels from disk. Counted: this call defines FML.
@@ -430,8 +566,9 @@ def read_f32_file(path: str | Path, width: int, height: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=PIXEL_DTYPE).reshape(height, width)
 
 
-def load_roi_table(path: str | Path) -> dict[int, Roi]:
-    """Parse a per-mask roi table: mask_id, x1, y1, x2, y2 (0-based half-open)."""
+def load_roi_table(path: str | Path) -> RoiTable:
+    """Parse a per-mask roi table: mask_id, x1, y1, x2, y2 (0-based half-open).
+    A mask id listed twice keeps its last roi."""
     table: dict[int, Roi] = {}
     with open(path, encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -442,8 +579,10 @@ def load_roi_table(path: str | Path) -> dict[int, Roi]:
             if len(parts) != 5:
                 raise StoreError(f"{path} line {lineno}: expected 5 fields")
             mid, x1, y1, x2, y2 = (int(p) for p in parts)
+            if not 0 <= mid <= INT64_MAX:
+                raise StoreError(f"{path} line {lineno}: mask_id {mid} outside [0, 2**63)")
             table[mid] = Roi(x1, y1, x2, y2)
-    return table
+    return RoiTable(table)
 
 
 def write_roi_table(path: str | Path, table: Mapping[int, Roi]) -> None:

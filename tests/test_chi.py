@@ -17,6 +17,7 @@ from chisearch.chi import (
     ConfigMismatch,
     CorruptIndex,
     IndexStore,
+    MAX_BINS,
     OverflowDetected,
     build_chi,
     grid_boundaries,
@@ -133,7 +134,7 @@ def _reference_build(mask, config):
 def test_build_matches_float64_reference_on_bin_edges():
     rng = np.random.default_rng(8)
     f32 = np.float32
-    for bins in (1, 3, 7, 10, 16, 33, 100):
+    for bins in (1, 3, 7, 10, 16, 33, 100, 255, 1000):
         edges = ChiConfig(1, 1, bins).bin_edges
         near = edges.astype(f32)  # at each edge, as close as float32 gets
         values = np.concatenate(
@@ -145,7 +146,7 @@ def test_build_matches_float64_reference_on_bin_edges():
         assert all((values < e).any() and (values >= e).any() for e in edges[1:-1])
         for (w, h), (cw, ch) in (
             ((23, 17), (5, 7)), ((17, 23), (4, 4)), ((9, 6), (10, 10)), ((1, 1), (1, 1)),
-            ((31, 12), (8, 5)),
+            ((31, 12), (8, 5)), ((61, 53), (16, 16)),
         ):
             cfg = ChiConfig(cw, ch, bins)
             px = rng.choice(values, size=(h, w))
@@ -154,6 +155,18 @@ def test_build_matches_float64_reference_on_bin_edges():
             got = build_chi(mask, cfg).counts
             assert got.dtype == np.uint32
             assert np.array_equal(got, _reference_build(mask, cfg)), (bins, w, h, cw, ch)
+        # A seeded batch of 10**5 random values, after every edge value above.
+        batch = rng.random(10**5, dtype=f32)
+        batch[: len(values)] = values
+        mask = record(batch.reshape(400, 250))
+        cfg = ChiConfig(64, 100, bins)
+        assert np.array_equal(build_chi(mask, cfg).counts, _reference_build(mask, cfg)), bins
+
+
+def test_config_rejects_more_bins_than_the_build_can_place():
+    assert ChiConfig(1, 1, MAX_BINS).bins == MAX_BINS
+    with pytest.raises(ValueError):
+        ChiConfig(1, 1, MAX_BINS + 1)
 
 
 def test_overflow_guard():

@@ -20,7 +20,17 @@ from chisearch.executor import (
     ScalarAggSpec,
     TopKSpec,
 )
-from chisearch.store import MissingRoiBinding, Roi, RoiBinding, ValueRange
+from chisearch import planner, sql
+from chisearch.store import (
+    MissingRoiBinding,
+    Roi,
+    RoiBinding,
+    RoiOutOfBounds,
+    RoiTable,
+    ValueRange,
+    load_roi_table,
+    write_roi_table,
+)
 
 from conftest import (
     bounds_of,
@@ -560,6 +570,65 @@ def test_query_raising_mid_verify_gives_buffers_back(engines, threads):
     assert _spare_count(eng) == {(24, 24): len(ids)}  # every load was given back
     for p in (filter_plan(ids, 130), QueryPlan(ids, TopKSpec(term(), 5, False))):
         assert eng.execute(p).rows == oracle.execute(p).rows
+
+
+# -- per-mask roi tables ---------------------------------------------------------------
+
+
+def _roi_engines(store, index):
+    """An indexed engine and an incremental one whose session already holds
+    every index, so both bracket through the vectorised roi lookup."""
+    warm = IndexStore(index.config)
+    for m in index.mask_ids():
+        warm.insert(index.get_or_absent(m))
+    return Engine(store, index, mode="indexed"), Engine(store, warm, mode="incremental")
+
+
+def test_plans_over_one_loaded_table_share_it(small_corpus, tmp_path):
+    store, _ = small_corpus
+    path = tmp_path / "rois.tsv"
+    write_roi_table(path, {m: Roi(2, 2, 20, 20) for m in store.mask_ids()})
+    table = load_roi_table(path)
+    q = "SELECT mask_id FROM MasksDatabaseView WHERE CP(mask, object, (0.5, 1.0)) > 100"
+    first, second = (planner.plan(sql.parse(q), store, table) for _ in range(2))
+    assert first.shape.pred.pred.expr.roi.table is table
+    assert second.shape.pred.pred.expr.roi.table is table
+
+
+@pytest.mark.parametrize("shape", ["filter", "topk", "agg"])
+def test_target_missing_from_roi_table_raises_in_vectorised_path(small_corpus, shape):
+    store, index = small_corpus
+    ids = store.mask_ids()
+    table = RoiTable({m: Roi(2, 2, 20, 20) for m in ids if m not in (17, 30)})
+    t = CpTerm(RoiBinding.per_mask(table), VR)
+    plan = {
+        "filter": QueryPlan(ids, FilterSpec(CpComparison(Predicate(t, ">", 100)))),
+        "topk": QueryPlan(ids, TopKSpec(t, 3, True)),
+        "agg": QueryPlan(ids, AggSpec("image_id", ScalarAggSpec("AVG", t), None, True, 3)),
+    }[shape]
+    loads = store.load_calls
+    for eng in _roi_engines(store, index):
+        with pytest.raises(MissingRoiBinding, match="mask 17"):
+            eng.execute(plan)
+    assert store.load_calls == loads  # raised while bracketing, before any load
+
+
+@pytest.mark.parametrize("binding", ["per_mask", "constant"])
+def test_roi_past_the_mask_edge_raises_in_vectorised_path(small_corpus, binding):
+    store, index = small_corpus
+    ids = store.mask_ids()
+    if binding == "per_mask":
+        rois = {m: Roi(2, 2, 20, 20) for m in ids}
+        rois[12] = Roi(3, 3, 25, 10)  # masks are 24x24
+        b = RoiBinding.per_mask(rois)
+    else:
+        b = RoiBinding.constant(Roi(0, 20, 10, 25))
+    plan = QueryPlan(ids, FilterSpec(CpComparison(Predicate(CpTerm(b, VR), ">", 100))))
+    loads = store.load_calls
+    for eng in _roi_engines(store, index):
+        with pytest.raises(RoiOutOfBounds, match="exceeds mask 24x24"):
+            eng.execute(plan)
+    assert store.load_calls == loads
 
 
 # -- determinism -----------------------------------------------------------------------

@@ -6,6 +6,8 @@ partly from the bin edges, zero and ``MAX_PIXEL`` and partly at random, and
 some masks duplicated so ranked queries tie. A run of random plans (filters
 with AND/OR trees, top-k with k past the target count, scalar and mask
 aggregates with HAVING, empty target sets) must give the oracle's rows.
+Metadata comparisons (=, IN, <, > against numbers, some fractional, or
+against other manifest columns) sit inside the AND/OR trees.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from chisearch.executor import (
     ScalarAggSpec,
     TopKSpec,
 )
-from chisearch.store import MAX_PIXEL, RoiBinding, ValueRange
+from chisearch.store import COLUMNS, MAX_PIXEL, RoiBinding, ValueRange
 
 from conftest import build_index, build_store, random_roi_in, record
 
-SIZES = ((8, 8), (11, 7), (6, 13))
+SIZES = ((8, 8), (11, 7), (6, 13), (8, 7))  # the last shares a width and a height
 PLANS_PER_EXAMPLE = 8
 
 
@@ -99,10 +101,28 @@ def _threshold(rng) -> float:
     return float(rng.integers(-1, 60)) + (0.5 if rng.random() < 0.2 else 0.0)
 
 
+def _column_value(record, column: str) -> int:
+    return getattr(record, column) if column in ("width", "height") else getattr(record.meta, column)
+
+
+def _meta_comparison(rng, records) -> MetaComparison:
+    def operand():
+        if rng.random() < 0.2:
+            return str(rng.choice(COLUMNS))
+        r = records[int(rng.integers(len(records)))]
+        v = _column_value(r, str(rng.choice(COLUMNS)))
+        return v + float(rng.choice([-1, -0.5, 0, 0, 0.5, 1]))
+
+    op = str(rng.choice(["=", "in", "<", ">"]))
+    right = tuple(operand() for _ in range(int(rng.integers(1, 4)) if op == "in" else 1))
+    left = str(rng.choice(COLUMNS)) if rng.random() < 0.9 else operand()
+    return MetaComparison(left, op, right)
+
+
 def _pred(rng, cfg, records, depth=0):
     kind = rng.integers(4 if depth < 2 else 2)
     if kind == 0:
-        return MetaComparison("model_id", "=", (int(rng.integers(1, 3)),))
+        return _meta_comparison(rng, records)
     if kind == 1:
         cmp = ">" if rng.random() < 0.5 else "<"
         return CpComparison(Predicate(_expr(rng, cfg, records), cmp, _threshold(rng)))

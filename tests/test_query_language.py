@@ -19,7 +19,7 @@ from chisearch.sql import ParseError, parse, pretty
 from chisearch.store import Roi, ValueRange
 
 from conftest import build_index, build_store, record
-from chisearch.chi import ChiConfig
+from chisearch.chi import ChiConfig, IndexStore
 
 
 EXAMPLE_RATIO_QUERY = """
@@ -354,3 +354,173 @@ def test_example_queries_plan_and_run(planned_corpus):
     for text in (EXAMPLE_RATIO_QUERY, EXAMPLE_INTERSECT_QUERY):
         p = plan(parse(text), store, roi_table)
         assert eng.execute(p).rows == oracle.execute(p).rows
+
+
+# -- the metadata evaluator against the per-entry reference -------------------------
+
+
+def _reference_holds(cond, meta) -> bool:
+    """The per-entry evaluator the planner ran before the manifest became
+    columns: Python comparisons on one manifest entry at a time."""
+    if isinstance(cond, sql.BoolExpr):
+        results = (_reference_holds(c, meta) for c in cond.items)
+        return all(results) if cond.op == "and" else any(results)
+    if isinstance(cond, sql.InList):
+        return getattr(meta, cond.column) in cond.values
+    left, right = (_reference_value(n, meta) for n in (cond.left, cond.right))
+    if cond.op == "=":
+        return left == right
+    return left > right if cond.op == ">" else left < right
+
+
+def _reference_value(node, meta):
+    if isinstance(node, sql.ColumnRef):
+        return getattr(meta, node.name)
+    if isinstance(node, sql.Arith):
+        a, b = _reference_value(node.left, meta), _reference_value(node.right, meta)
+        return a + b if node.op == "+" else a - b if node.op == "-" else a * b
+    return node.value
+
+
+INF = "1" + "0" * 400  # parses to float inf; INF - INF is NaN
+BIG = (2**53 - 1, 2**53, 2**53 + 1, 2**63 - 2, 2**63 - 1)
+# Manifest rows (mask_id, image_id, model_id, mask_type): small values, and
+# values beside 2**53 (where float64 stops holding every integer) and 2**63.
+EXTREME_ROWS = [
+    (1, 3, 2, 3),
+    (2, -1, 3, 2),
+    (3, 2, -1, 1),
+    (4, 2**53, 2**53 + 1, -(2**63)),
+    (2**53 - 1, 2**53 + 1, 2**53 - 1, 2**63 - 1),
+    (2**53, 2**63 - 1, -(2**63), 3),
+    (2**53 + 1, -(2**63), 2**63 - 2, 2**53),
+    (2**63 - 2, 2**63 - 2, 3, -1),
+    (2**63 - 1, 3, 2**63 - 1, 2**53 + 1),
+]
+CONSTANTS = ("2.5", "3.0", "3", "-1", "0", "-1.5") + tuple(
+    str(v) for b in BIG for v in (b, -b)
+) + ("9223372036854775808", "-9223372036854775809", "9007199254740993.0", "1" + "0" * 40)
+META = ("mask_id", "image_id", "model_id", "mask_type")
+
+
+@pytest.fixture()
+def extreme_store(tmp_path):
+    # Manifest order differs from id order, so rows and ids cannot be confused.
+    order = (4, 0, 8, 2, 6, 1, 7, 3, 5)
+    records = [
+        record(np.full((2, 2), 0.5, np.float32), mask_id=m, image_id=i, model_id=d, mask_type=t)
+        for m, i, d, t in (EXTREME_ROWS[k] for k in order)
+    ]
+    store = build_store(tmp_path / "x", records)
+    yield store
+    store.close()
+
+
+def _random_meta_condition(rng, depth=0) -> str:
+    kind = int(rng.integers(5 if depth < 2 else 3))
+    col = str(rng.choice(META))
+    const = str(rng.choice(CONSTANTS))
+    if kind == 0:
+        op = str(rng.choice(["=", "<", ">"]))
+        side = rng.random()
+        if side < 0.4:
+            return f"{col} {op} {const}"
+        if side < 0.8:
+            return f"{const} {op} {col}"
+        if side < 0.95:
+            return f"{col} {op} {rng.choice(META)}"
+        return f"{const} {op} {rng.choice(CONSTANTS)}"
+    if kind == 1:
+        values = ", ".join(rng.choice(CONSTANTS, size=int(rng.integers(1, 4))))
+        return f"{col} IN ({values})"
+    if kind == 2:
+        return f"{col} {rng.choice(['<', '>'])} {const}"
+    op = " AND " if kind == 3 else " OR "
+    items = [_random_meta_condition(rng, depth + 1) for _ in range(int(rng.integers(2, 4)))]
+    return "(" + op.join(items) + ")"
+
+
+def test_metadata_filter_matches_per_entry_reference(extreme_store):
+    store = extreme_store
+    entries = [e.meta for e in store.entries()]
+    queries = []
+    for col in META:
+        for const in CONSTANTS:
+            for op in ("=", "<", ">"):
+                queries += [f"{col} {op} {const}", f"{const} {op} {col}"]
+            queries.append(f"{col} IN ({const}, 3, -1)")
+        for other in META:
+            queries += [f"{col} {op} {other}" for op in ("=", "<", ">")]
+    queries += ["3 > 2.5", "2.5 = 2.5", "-1 > 3", "(image_id = 3 OR 1 = 2) AND model_id < 3"]
+    for op in ("=", "<", ">"):  # infinite and NaN constants, from arithmetic
+        queries += [f"image_id {op} {INF}", f"model_id {op} 0 - {INF}",
+                    f"mask_type {op} {INF} - {INF}", f"{INF} - {INF} {op} 1",
+                    f"mask_id {op} 2 * 3.5 - 1"]
+    rng = np.random.default_rng(2024)
+    queries += [_random_meta_condition(rng) for _ in range(400)]
+    for where in queries:
+        ast = parse(f"SELECT mask_id FROM MasksDatabaseView WHERE {where}")
+        want = [m.mask_id for m in entries if _reference_holds(ast.where, m)]
+        got = plan(ast, store).target_ids
+        assert got == want, where
+        assert all(type(m) is int for m in got)
+
+
+def test_metadata_under_or_matches_reference_in_every_engine(extreme_store):
+    """Metadata nested beside a count goes through the executor's
+    MetaComparison branch: per target batch and per verified mask."""
+    store = extreme_store
+    index = build_index(store, ChiConfig(1, 1, 2))
+    engines = [
+        Engine(store, index, mode="indexed"),
+        Engine(store, IndexStore(ChiConfig(1, 1, 2)), mode="incremental"),
+    ]
+    oracle = Engine(store, mode="oracle")
+    entries = [e.meta for e in store.entries()]
+    rng = np.random.default_rng(7)
+    for _ in range(80):
+        meta = _random_meta_condition(rng)
+        cp = "CP(mask, full, (0.4, 0.6)) > 3" if rng.random() < 0.5 else "CP(mask, full, (0.0, 0.4)) > 0"
+        # A top-level metadata conjunct, half the time, leaves a subset of targets.
+        prefix = _random_meta_condition(rng) if rng.random() < 0.5 else "1 = 1"
+        ast = parse(f"SELECT mask_id FROM MasksDatabaseView WHERE {prefix} AND ({meta} OR {cp})")
+        p = plan(ast, store)
+        cp_true = cp.endswith("> 3")  # every pixel is 0.5: four in (0.4, 0.6), none below 0.4
+        where = ast.where.items
+        want = sorted(
+            (m.mask_id,) for m in entries
+            if all(_reference_holds(c, m) for c in where[:-1])
+            and (cp_true or _reference_holds(where[-1].items[0], m))
+        )
+        assert oracle.execute(p).rows == want, meta
+        for eng in engines:
+            assert eng.execute(p).rows == want, (eng.mode, meta)
+
+
+def test_unknown_column_raises_even_on_an_empty_store(tmp_path, extreme_store):
+    empty = build_store(tmp_path / "empty", [])
+    for store in (empty, extreme_store):
+        for where in ("nope = 1", "3 < nope", "nope IN (1, 2)", "image_id = 1 OR width > 2",
+                      "CP(mask, full, (0.5, 1.0)) > 1 OR nope < 2"):
+            with pytest.raises(UnknownColumn):
+                plan(parse(f"SELECT mask_id FROM MasksDatabaseView WHERE {where}"), store)
+    assert plan(parse("SELECT mask_id FROM MasksDatabaseView WHERE image_id > 1"), empty).target_ids == []
+    empty.close()
+
+
+def test_order_comparison_on_metadata_under_or_plans_and_matches_oracle(planned_corpus):
+    store, index, roi_table = planned_corpus
+    ast = parse(
+        "SELECT mask_id FROM MasksDatabaseView "
+        "WHERE image_id > 3 OR CP(mask, object, (0.5, 1.0)) > 75"
+    )
+    p = plan(ast, store, roi_table)
+    assert not p.verify_all and len(p.target_ids) == 20
+    oracle = Engine(store, mode="oracle").execute(p).rows
+    assert any(store.get_meta(m).meta.image_id <= 3 for (m,) in oracle)  # the count side decides some
+    assert any(store.get_meta(m).meta.image_id <= 3 and (m,) not in oracle for m in p.target_ids)
+    for eng in (
+        Engine(store, index, mode="indexed"),
+        Engine(store, IndexStore(ChiConfig(4, 4, 4)), mode="incremental"),
+    ):
+        assert eng.execute(p).rows == oracle

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chisearch.store import (
+    COLUMNS,
     DATA_NAME,
     PIXEL_DTYPE,
     DimensionMismatch,
@@ -15,10 +16,12 @@ from chisearch.store import (
     MAX_PIXEL,
     MaskMeta,
     MaskStore,
+    MissingRoiBinding,
     NotFound,
     Roi,
     RoiBinding,
     RoiOutOfBounds,
+    RoiTable,
     STORE_MAGIC,
     StoreError,
     ValueOutOfRange,
@@ -108,6 +111,88 @@ def test_manifest_format_is_tab_separated_decimal(tmp_path):
     st_w.close()
     line = (tmp_path / "store" / MANIFEST_NAME).read_text().strip()
     assert line == f"7\t8\t9\t2\t3\t2\t{len(STORE_MAGIC)}"
+
+
+def _store_with_manifest_line(tmp_path, fields):
+    """A store with 16 pixels of data whose manifest is the one line
+    ``fields`` plus the first pixel's offset; returns its directory."""
+    st_w = make_store(tmp_path)
+    st_w.ingest_mask(MaskMeta(1, 1, 1, 1), 4, 4, [0.5] * 16)
+    st_w.close()
+    d = tmp_path / "store"
+    line = "\t".join(str(f) for f in (*fields, len(STORE_MAGIC)))
+    (d / MANIFEST_NAME).write_text("\n" + line + "\n")
+    return d
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((2, 1, 1, 1, 0, 0), "bad dimensions 0x0"),
+        ((2, 1, 1, 1, -4, 4), "bad dimensions -4x4"),
+        ((2, 1, 1, 1, 2**32, 1), "bad dimensions 4294967296x1"),
+        ((2**64, 1, 1, 1, 1, 1), "mask_id 18446744073709551616"),
+        ((-1, 1, 1, 1, 1, 1), "mask_id -1"),
+        ((2, 2**63, 1, 1, 1, 1), "image_id"),
+        ((2, 1, -(2**63) - 1, 1, 1, 1), "model_id"),
+    ],
+)
+def test_open_rejects_rows_that_cannot_be_masks(tmp_path, fields, message):
+    d = _store_with_manifest_line(tmp_path, fields)
+    with pytest.raises(StoreError, match=f"manifest line 2: {message}"):
+        MaskStore.open(d)
+
+
+def test_open_accepts_int64_extremes(tmp_path):
+    d = _store_with_manifest_line(tmp_path, (2**63 - 1, -(2**63), 2**63 - 1, 0, 2, 2))
+    store = MaskStore.open(d)
+    assert [store.columns[c].tolist() for c in COLUMNS] == [
+        [2**63 - 1], [-(2**63)], [2**63 - 1], [0], [2], [2]
+    ]
+    assert store.positions([2**63 - 1]).tolist() == [0]
+    assert store.get_mask(2**63 - 1).pixels.shape == (2, 2)
+    store.close()
+
+
+def test_ingest_rejects_ids_past_int64(tmp_path):
+    st_w = make_store(tmp_path)
+    for meta in (MaskMeta(2**64, 1, 1, 1), MaskMeta(-1, 1, 1, 1), MaskMeta(1, 2**63, 1, 1)):
+        with pytest.raises(StoreError):
+            st_w.ingest_mask(meta, 1, 1, [0.5])
+    assert len(st_w) == 0
+    st_w.close()
+
+
+def test_manifest_columns_and_positions(tmp_path):
+    st_w = make_store(tmp_path)
+    rows = [(9, 4, 2, 1, 3, 2), (2, 4, 1, 7, 1, 1), (5, -3, 2, 1, 2, 3)]
+    for mid, img, mdl, mtype, w, h in rows:
+        st_w.ingest_mask(MaskMeta(mid, img, mdl, mtype), w, h, [0.5] * (w * h))
+    with pytest.raises(StoreError):  # a store being written has no columns yet
+        st_w.columns
+    st_w.close()
+    store = MaskStore.open(tmp_path / "store")
+    assert set(store.columns) == set(COLUMNS)
+    for i, name in enumerate(COLUMNS):
+        col = store.columns[name]
+        assert col.dtype == np.int64 and not col.flags.writeable
+        assert col.tolist() == [r[i] for r in rows]  # manifest order
+    assert store.positions([5, 9, 2, 9]).tolist() == [2, 0, 1, 0]
+    assert store.positions([]).tolist() == []
+    for absent in ([9, 3], [2**64], [-(2**70)]):
+        with pytest.raises(NotFound, match=str(absent[-1])):
+            store.positions(absent)
+    store.close()
+
+
+def test_empty_store_has_empty_columns(tmp_path):
+    make_store(tmp_path).close()
+    store = MaskStore.open(tmp_path / "store")
+    assert all(len(store.columns[c]) == 0 for c in COLUMNS)
+    assert store.positions([]).tolist() == []
+    with pytest.raises(NotFound):
+        store.positions([1])
+    store.close()
 
 
 @given(
@@ -292,8 +377,6 @@ def test_roi_binding_forms():
     assert f.resolve(5, 10, 6) == Roi(0, 0, 10, 6)
     p = RoiBinding.per_mask({5: Roi(0, 0, 2, 2)})
     assert p.resolve(5, 10, 10) == Roi(0, 0, 2, 2)
-    from chisearch.store import MissingRoiBinding
-
     with pytest.raises(MissingRoiBinding):
         p.resolve(6, 10, 10)
 
@@ -303,6 +386,63 @@ def test_roi_table_roundtrip(tmp_path):
     path = tmp_path / "rois.tsv"
     write_roi_table(path, table)
     assert load_roi_table(path) == table
+
+
+def test_roi_table_is_an_immutable_mapping_keyed_by_content(tmp_path):
+    table = {9: Roi(2, 3, 7, 8), 1: Roi(0, 0, 4, 4)}
+    rt = RoiTable(table)
+    assert rt == table and table == rt and rt != {1: Roi(0, 0, 4, 4)}
+    assert list(rt) == [1, 9] and len(rt) == 2 and dict(rt) == table
+    assert rt[9] == Roi(2, 3, 7, 8) and rt.get(4) is None
+    assert 1 in rt and 4 not in rt and "x" not in rt and 2**64 not in rt
+    same = RoiTable(dict(table))
+    assert same == rt and hash(same) == hash(rt)
+    assert RoiTable({1: Roi(0, 0, 4, 5), 9: Roi(2, 3, 7, 8)}) != rt
+    assert rt.rois_of([9, 1]).tolist() == [[2, 3, 7, 8], [0, 0, 4, 4]]
+    with pytest.raises(MissingRoiBinding, match="mask 5"):
+        rt.rois_of([1, 5, 6])
+    got = rt.rois_of([1])
+    got[0, 0] = 3  # a copy: the table keeps its roi
+    assert rt[1] == Roi(0, 0, 4, 4)
+    with pytest.raises((AttributeError, TypeError)):
+        rt[3] = Roi(0, 0, 1, 1)
+    assert RoiTable() == {} and RoiTable().rois_of([]).shape == (0, 4)
+    # The loaded table is a RoiTable; a listed-twice id keeps its last roi.
+    path = tmp_path / "rois.tsv"
+    path.write_text("1\t0\t0\t4\t4\n9\t0\t0\t1\t1\n9\t2\t3\t7\t8\n")
+    loaded = load_roi_table(path)
+    assert isinstance(loaded, RoiTable) and loaded == rt
+    path.write_text("1\t0\t0\t4\t4\n18446744073709551616\t0\t0\t1\t1\n")
+    with pytest.raises(StoreError, match="line 2: mask_id 18446744073709551616"):
+        load_roi_table(path)
+
+
+def test_per_mask_binding_keeps_a_roi_table_and_copies_a_dict():
+    rt = RoiTable({5: Roi(0, 0, 2, 2)})
+    assert RoiBinding.per_mask(rt).table is rt
+    d = {5: Roi(0, 0, 2, 2)}
+    bound = RoiBinding.per_mask(d)
+    assert isinstance(bound.table, RoiTable) and bound.table == rt
+    d[6] = Roi(0, 0, 1, 1)  # later edits of the dict do not reach the binding
+    assert 6 not in bound.table
+    assert bound == RoiBinding.per_mask(rt) and hash(bound) == hash(RoiBinding.per_mask(rt))
+
+
+def test_resolve_many_matches_resolve_and_checks_edges():
+    ids = [1, 2, 3]
+    widths, heights = np.array([8, 6, 8]), np.array([5, 5, 9])
+    rt = RoiTable({1: Roi(0, 0, 8, 5), 2: Roi(1, 1, 6, 5), 3: Roi(2, 2, 8, 9)})
+    for binding in (RoiBinding.full(), RoiBinding.constant(Roi(1, 0, 6, 5)), RoiBinding.per_mask(rt)):
+        got = binding.resolve_many(ids, widths, heights)
+        assert got.dtype == np.int64
+        want = [binding.resolve(m, int(w), int(h)) for m, w, h in zip(ids, widths, heights)]
+        assert got.tolist() == [[r.x1, r.y1, r.x2, r.y2] for r in want]
+    with pytest.raises(RoiOutOfBounds, match="exceeds mask 6x5"):
+        RoiBinding.constant(Roi(0, 0, 7, 5)).resolve_many(ids, widths, heights)
+    with pytest.raises(RoiOutOfBounds, match="exceeds mask 8x5"):
+        RoiBinding.per_mask(rt).resolve_many([3, 1], np.array([8, 8]), np.array([5, 5]))
+    with pytest.raises(MissingRoiBinding, match="mask 4"):
+        RoiBinding.per_mask(rt).resolve_many([1, 4], widths[:2], heights[:2])
 
 
 def test_f32_reader(tmp_path):
