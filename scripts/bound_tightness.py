@@ -26,7 +26,7 @@ from chisearch.corpus import generate_corpus
 from chisearch.store import MaskStore, ValueRange, cp_exact, load_roi_table
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--corpus", required=True)
     ap.add_argument("--out", required=True)
@@ -37,7 +37,7 @@ def main() -> None:
     ap.add_argument("--sample", type=int, default=1000)
     ap.add_argument("--gen-count", type=int, default=500,
                     help="corpus size if --corpus does not exist yet")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     corpus = Path(args.corpus)
     if not (corpus / "manifest.tsv").exists():

@@ -1,15 +1,19 @@
 """Sound lower/upper bounds on pixel counts, from the index alone.
 
 For an arbitrary query rectangle and value range the index cannot answer
-exactly, but it can bracket the answer. Spatially, the query rectangle is
-snapped outward and inward to the nearest grid-aligned rectangles; along the
-value axis, the range is widened and narrowed to the nearest bin edges.
-Combining an enclosing region with a widened range can only overcount;
-combining an enclosed region with a narrowed range can only undercount.
-The slack of the other region is charged at one pixel per cell of area,
-which yields a second bound of each kind; we always take the better one.
+exactly, but it can bracket the answer, one grid cell at a time. Along the
+value axis the range is widened to the nearest bin edges outside it,
+[lo, hi), and narrowed to those inside it, [a, z). For each cell c, four
+corner lookups give U_c, its count over [lo, hi), and L_c, its count over
+[a, z). With a_c the area of roi ∩ c and A_c the cell's own area (edge
+cells are narrower), the pixels counted in roi ∩ c number at most
+min(U_c, a_c) and at least max(0, L_c - (A_c - a_c)). Summing over the
+cells gives the bracket. Cells outside the roi add nothing, and cells
+inside it add U_c and L_c, so aligned rois with on-edge ranges come out
+exact. Only the boundary cells carry slack, each its own.
+
 ``cp_bounds`` is the one bound kernel: it brackets many masks of one size
-at once, reading the padded rows of their ``ChiBlock``.
+at once, reading the bin-major rows of their ``ChiBlock``.
 
 All functions here are pure: they only read their inputs.
 """
@@ -21,7 +25,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .chi import ChiBlock, ChiConfig
+from .chi import ChiBlock
 from .store import RoiBinding, ValueRange
 
 
@@ -49,38 +53,6 @@ class Bounds:
         return self.lower == self.upper
 
 
-def snap_rois(rois: np.ndarray, width: int, height: int, config: ChiConfig):
-    """Grid-aligned rectangles (outer, inner) bracketing each roi of a mask.
-
-    ``rois`` is an int array (n, 4) of x1, y1, x2, y2 inside a width x height
-    mask. ``outer`` is the smallest aligned rectangle covering each roi;
-    ``inner`` the largest it covers, of zero area when none exists. Both come
-    back as (4, n) arrays of boundary ranks, rows x1, y1, x2, y2: along each
-    axis rank i is the boundary i * cell, and the last rank is the mask edge.
-    """
-    lo, hi = np.ascontiguousarray(rois.T).reshape(2, 2, -1)  # (x1, y1), (x2, y2)
-    cell = np.array([[config.cell_width], [config.cell_height]])
-    extent = np.array([[width], [height]])
-    last = -(-extent // cell)
-    up_lo, up_hi = (np.minimum(-(-v // cell), last) for v in (lo, hi))
-    down_hi = np.maximum(np.where(hi == extent, last, hi // cell), up_lo)
-    return np.concatenate([lo // cell, up_hi]), np.concatenate([up_lo, down_hi])
-
-
-def _area(rects: np.ndarray) -> np.ndarray:
-    return (rects[2] - rects[0]) * (rects[3] - rects[1])
-
-
-def _region_counts(block: ChiBlock, rows, ranks: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """Pixels of each aligned rect at or above each bin edge, shape (len(bins), n):
-    four corner lookups, widened to int64 before subtracting so nothing wraps."""
-    _, nx, ny, nb = block.counts.shape
-    # Corners (x1, y1), (x1, y2), (x2, y1), (x2, y2) of each rect.
-    at = ((rows * nx + ranks[[0, 0, 2, 2]]) * ny + ranks[[1, 3, 1, 3]]) * nb
-    c = block.counts.reshape(-1).take(at[:, None, :] + bins[:, None]).astype(np.int64)
-    return c[3] - c[1] - c[2] + c[0]
-
-
 def cp_bounds(block: ChiBlock, rows: np.ndarray, rois: np.ndarray, rng: ValueRange):
     """Bracket the count of pixels with values in [rng.lo, rng.hi) inside
     ``rois[i]`` of the mask at row ``rows[i]`` of ``block``, for every i.
@@ -89,27 +61,45 @@ def cp_bounds(block: ChiBlock, rows: np.ndarray, rois: np.ndarray, rng: ValueRan
     y1, x2, y2. Returns int64 arrays (lower, upper). One mask is a one-row
     call.
     """
-    config, n = block.config, len(rows)
-    rects = np.concatenate(snap_rois(rois, block.width, block.height, config), axis=1)
-    cell = np.array([[config.cell_width], [config.cell_height]] * 2)
-    edge = np.array([[block.width], [block.height]] * 2)
-    area = _area(rois.T)
-    snapped_area = _area(np.minimum(rects * cell, edge))
-    outer_area, inner_area = snapped_area[:n], snapped_area[n:]
+    n = len(rows)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    lo, hi = block.config.outer_bin_span(rng)
+    a, z = block.config.inner_bin_span(rng)
+    k = 2 if a < z else 1  # count [lo, hi), and [a, z) unless it is empty
 
-    lo, hi = config.outer_bin_span(rng)
-    a, z = config.inner_bin_span(rng)
-    c = _region_counts(block, np.concatenate([rows, rows]), rects, np.array([lo, hi, a, z]))
-    # Rows: the count over the widened range, then over the narrowed one;
-    # columns: the outer rectangles, then the inner ones.
-    spans = c[0::2] - c[1::2]
-    outer_n, inner_n = spans[:, :n], spans[:, n:]
+    # Each cell's count over [lo, hi), then over [a, z): differences of the
+    # reverse-cumulative bins, then of the prefix corners along x and y, in
+    # place over one flat array. Slot (i, j) of a plane then holds cell
+    # (i, j)'s count, except the last slot along either axis, where the
+    # differences straddle two planes or two corner rows and hold no cell.
+    # The unsigned arithmetic wraps, but each true count lies in [0, width *
+    # height], inside the block's dtype, so every difference comes out exact.
+    cells = block.counts[rows, np.array([lo, a][:k])[:, None]]  # (k, n, slots x, slots y)
+    caps = block.counts[rows, np.array([hi, z][:k])[:, None]]
+    np.subtract(cells, caps, out=cells)
+    flat, ny = cells.reshape(-1), cells.shape[3]
+    np.subtract(flat[ny:], flat[:-ny], out=flat[:-ny])
+    np.subtract(flat[1:], flat[:-1], out=flat[:-1])
 
-    upper = np.minimum(np.minimum(outer_n[0], inner_n[0] + area - inner_area), area)
-    if a >= z:
-        return np.zeros(n, dtype=np.int64), upper
-    lower = np.maximum(np.maximum(inner_n[1], outer_n[1] - (outer_area - area)), 0)
-    return lower, upper
+    # caps, reused, gets each cell's overlap with the roi, a_c = ax * ay, and
+    # the upper bound sums min(U_c, a_c). For the lower bound, caps[1] gets
+    # the cell's area outside the roi, A_c - a_c, and the lower bound sums
+    # max(L_c, A_c - a_c) - (A_c - a_c). The empty slots have a_c = 0 and
+    # A_c = the dtype's maximum (see ``ChiBlock``), so they add 0 to both.
+    dtype = block.counts.dtype
+    x1, y1, x2, y2 = (c[:, None] for c in rois.T)
+    ax = np.maximum(np.minimum(x2, block.slot_x1) - np.maximum(x1, block.slot_x0), 0)
+    ay = np.maximum(np.minimum(y2, block.slot_y1) - np.maximum(y1, block.slot_y0), 0)
+    np.multiply(ax.astype(dtype)[:, :, None], ay.astype(dtype)[:, None, :], out=caps[0])
+    if k == 2:
+        np.subtract(block.slot_area, caps[0], out=caps[1])
+        np.maximum(cells[1], caps[1], out=cells[1])
+        np.subtract(cells[1], caps[1], out=caps[1])
+    np.minimum(cells[0], caps[0], out=caps[0])
+    # Each sum is at most the roi's area, so it fits the dtype too.
+    sums = caps.reshape(k, n, -1).sum(axis=2, dtype=dtype).astype(np.int64)
+    return (sums[1] if k == 2 else np.zeros(n, dtype=np.int64)), sums[0]
 
 
 # -- expressions over counts ------------------------------------------------

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .store import PIXEL_DTYPE, PIXEL_MAX, PIXEL_MIN, MaskRecord, ValueRange
+from .store import PIXEL_DTYPE, PIXEL_MAX, PIXEL_MIN, MaskRecord, ValueRange, f32_at_or_above
 
 CHI_MAGIC = b"MCHI1\n"
 CHI_VERSION = 1
@@ -85,10 +85,7 @@ class ChiConfig:
         or above that edge rounded up, so float32 pixels binned against
         these land in the same bins as against ``bin_edges``.
         """
-        edges = self.bin_edges.astype(np.float32)
-        low = edges < self.bin_edges
-        edges[low] = np.nextafter(edges[low], np.float32(np.inf))
-        return edges
+        return f32_at_or_above(self.bin_edges)
 
     def outer_bin_span(self, rng: ValueRange) -> tuple[int, int]:
         """Bin indices (lo, hi) whose edges bracket [rng.lo, rng.hi) from outside."""
@@ -195,18 +192,33 @@ def build_chi(mask: MaskRecord, config: ChiConfig) -> ChiIndex:
 class ChiBlock:
     """Corner counts of every indexed mask of one size, one row per mask.
 
-    ``counts[row]`` is a mask's ``ChiIndex.counts`` shifted by one along
-    every axis: boundary rank 0 (the mask origin) and bin ``bins`` (above
-    every value) stay zero, so any aligned rectangle's histogram is four
-    lookups with no special case. Rows are appended and capacity doubles
-    when full, so rows only move when the block grows.
+    The layout is bin-major: ``counts[row, bin, i, j]`` is the mask's
+    ``ChiIndex.counts[i - 1, j - 1, bin]``, so boundary rank 0 (the mask
+    origin) and bin ``bins`` (above every value) stay zero, and the corner
+    counts of one bin edge are one contiguous plane. Any aligned
+    rectangle's or cell's histogram is then four lookups with no special
+    case. The dtype is uint16 for masks of fewer than 2**16 pixels and
+    uint32 otherwise. Rows are appended and capacity doubles when full, so
+    rows only move when the block grows.
     """
 
     def __init__(self, width: int, height: int, config: ChiConfig):
         grid = grid_boundaries(width, height, config)
         self.width, self.height, self.config = width, height, config
-        self.n_cx, self.n_cy = len(grid.xs), len(grid.ys)
-        self.counts = np.zeros((1, self.n_cx + 1, self.n_cy + 1, config.bins + 1), np.uint32)
+        # No count exceeds width * height, so smaller masks fit in 16 bits,
+        # which halves what the bound kernel reads.
+        dtype = np.uint16 if width * height < 2**16 else np.uint32
+        self.counts = np.zeros((1, config.bins + 1, len(grid.xs) + 1, len(grid.ys) + 1), dtype)
+        # The bound kernel's geometry, one slot per boundary rank: slot i
+        # spans grid column i, [slot_x0[i], slot_x1[i]), and the last slot is
+        # empty; likewise along y. slot_area holds each cell's real area (edge
+        # cells are narrower), and the dtype's maximum in the empty slots.
+        xs, ys = np.array((0,) + grid.xs), np.array((0,) + grid.ys)
+        self.slot_x0, self.slot_x1 = xs, np.append(xs[1:], width)
+        self.slot_y0, self.slot_y1 = ys, np.append(ys[1:], height)
+        area = np.outer(self.slot_x1 - xs, self.slot_y1 - ys)
+        area[-1, :] = area[:, -1] = np.iinfo(dtype).max
+        self.slot_area = area.astype(dtype)
         self.row_of: dict[int, int] = {}
 
     @classmethod
@@ -225,9 +237,9 @@ class ChiBlock:
         row = self.row_of.get(index.mask_id, len(self.row_of))
         counts = self.counts
         if row == len(counts):
-            counts = np.zeros((2 * row,) + counts.shape[1:], np.uint32)
+            counts = np.zeros((2 * row,) + counts.shape[1:], counts.dtype)
             counts[:row] = self.counts
-        counts[row, 1:, 1:, :-1] = index.counts
+        counts[row, :-1, 1:, 1:] = index.counts.transpose(2, 0, 1)
         self.counts = counts
         self.row_of[index.mask_id] = row
 

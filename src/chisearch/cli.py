@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from .store import PIXEL_DTYPE, MaskStore, StoreError, load_roi_table
 EXIT_QUERY_ERROR = 2
 EXIT_IO_ERROR = 3
 EXIT_INTERNAL = 4
+
+DEFAULT_CONFIG = ChiConfig(28, 28, 16)  # a session index's config when nothing sets one
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,9 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("store_dir")
     r.add_argument("--index", help="warm-start index file; also the :persist default")
     r.add_argument("--rois")
-    r.add_argument("--bins", type=int, default=16)
-    r.add_argument("--cell-width", type=int, default=28)
-    r.add_argument("--cell-height", type=int, default=28)
+    r.add_argument("--bins", type=int, help="default 16, or the --index file's")
+    r.add_argument("--cell-width", type=int, help="default 28, or the --index file's")
+    r.add_argument("--cell-height", type=int, help="default 28, or the --index file's")
     r.add_argument("--threads", type=int, default=1)
 
     w = sub.add_parser("bench", help="run a generated multi-query workload")
@@ -151,6 +154,12 @@ def _print_result(result: QueryResult, stats_json: str | None) -> None:
         print(payload, file=sys.stderr)
 
 
+def _flag_config(args, base: ChiConfig) -> ChiConfig:
+    """``base`` with whichever of --cell-width, --cell-height, --bins were given."""
+    given = {k: getattr(args, k) for k in ("cell_width", "cell_height", "bins")}
+    return replace(base, **{k: v for k, v in given.items() if v is not None})
+
+
 def _session_index(path: str | None, config: ChiConfig) -> IndexStore:
     """An incremental session's index: warm from ``path`` if that file exists."""
     if path and Path(path).exists():
@@ -170,7 +179,7 @@ def _cmd_query(args) -> int:
         if args.oracle:
             engine = Engine(store, mode="oracle", threads=args.threads)
         elif args.incremental:
-            index_store = _session_index(args.index, ChiConfig(28, 28, 16))
+            index_store = _session_index(args.index, DEFAULT_CONFIG)
             engine = Engine(store, index_store, mode="incremental", threads=args.threads)
         else:
             engine = Engine(store, load_index(args.index), mode="indexed",
@@ -185,9 +194,12 @@ def _cmd_query(args) -> int:
 def _cmd_repl(args) -> int:
     with MaskStore.open(args.store_dir) as store:
         roi_table = _roi_table_for(args, args.store_dir)
-        index_store = _session_index(
-            args.index, ChiConfig(args.cell_width, args.cell_height, args.bins)
-        )
+        index_store = _session_index(args.index, _flag_config(args, DEFAULT_CONFIG))
+        wanted = _flag_config(args, index_store.config)
+        if wanted != index_store.config:
+            print(f"config error: the flags ask for {wanted}, but {args.index} was built "
+                  f"with {index_store.config}", file=sys.stderr)
+            return EXIT_QUERY_ERROR
         engine = Engine(store, index_store, mode="incremental", threads=args.threads)
         last_stats = None
         for line in sys.stdin:

@@ -23,8 +23,9 @@ engine's 0-based half-open form.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 KEYWORDS = {
     "select", "from", "where", "group", "by", "having", "order", "limit",
@@ -168,8 +169,7 @@ class QueryAst:
 # -- lexer --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'number' | 'sym' | 'eof'
     text: str
     line: int
@@ -179,52 +179,39 @@ class Token:
 _SYMBOLS = "(),*+-/><=;"
 
 
+# After any spaces, one alternative per token kind, tried in order; every
+# character but trailing spaces matches one. ``\s``, ``\d`` and ``\w`` are
+# str.isspace, str.isdecimal and str.isalnum-or-underscore, so a digit that
+# is not decimal, such as "²", is an unexpected character. An identifier
+# starts with a letter or an underscore, which ``tokenize`` checks, since
+# ``[^\W\d]`` also admits numeric characters such as "½". A comment runs
+# to the end of its line.
+_TOKEN_RE = re.compile(
+    r"[^\S\n]*(?:(?P<newline>\n)|(?P<comment>--[^\n]*)"
+    r"|(?P<number>\d+\.?\d*|\.\d+)|(?P<ident>[^\W\d]\w*)"
+    rf"|(?P<sym>[{re.escape(_SYMBOLS)}])|(?P<other>\S))"
+)
+
+
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with an 'eof' token. Columns count
+    characters from 1; the end of input sits where a final comment starts."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "-" and text[i : i + 2] == "--":  # line comment
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            tokens.append(Token("number", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _SYMBOLS:
-            tokens.append(Token("sym", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start, comment_at = 1, 0, None
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        if kind == "newline":
+            line, line_start, comment_at = line + 1, start + 1, None
+        elif kind == "comment":
+            comment_at = start
+        else:
+            word, col = m.group(kind), start - line_start + 1
+            if kind == "other" or (kind == "ident" and not (word[0].isalpha() or word[0] == "_")):
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            tokens.append(Token(kind, word, line, col))
+    end = len(text) if comment_at is None else comment_at
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 

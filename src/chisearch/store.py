@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -103,6 +104,22 @@ class Roi:
         )
 
 
+def f32_at_or_above(values) -> np.ndarray:
+    """Each value rounded up to the nearest float32.
+
+    A float32 pixel is at or above a float64 value exactly when it is at or
+    above that value rounded up, so float32 comparisons against these
+    decide membership in a float64 range exactly. Rounding to the nearest
+    float32 instead, as a float32 array compared with a Python float does,
+    would put a pixel just below an end on the wrong side of it.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    out = values.astype(np.float32)
+    low = out < values
+    out[low] = np.nextafter(out[low], np.float32(np.inf))
+    return out
+
+
 @dataclass(frozen=True)
 class ValueRange:
     """Half-open pixel value interval [lo, hi)."""
@@ -113,6 +130,11 @@ class ValueRange:
     def __post_init__(self):
         if not (PIXEL_MIN <= self.lo < self.hi <= PIXEL_MAX):
             raise ValueError(f"invalid value range [{self.lo}, {self.hi})")
+
+    @cached_property
+    def f32_ends(self) -> np.ndarray:
+        """``lo`` and ``hi`` rounded up to float32 (see ``f32_at_or_above``)."""
+        return f32_at_or_above([self.lo, self.hi])
 
 
 FULL_RANGE = ValueRange(PIXEL_MIN, PIXEL_MAX)
@@ -294,7 +316,8 @@ def cp_exact(mask: MaskRecord, roi: Roi, rng: ValueRange) -> int:
     """
     roi.check_within(mask.width, mask.height)
     window = mask.pixels[roi.y1 : roi.y2, roi.x1 : roi.x2]
-    return int(np.count_nonzero((window >= rng.lo) & (window < rng.hi)))
+    lo, hi = rng.f32_ends
+    return int(np.count_nonzero((window >= lo) & (window < hi)))
 
 
 def validate_pixels(pixels: np.ndarray, *, clamp: bool = False) -> np.ndarray:

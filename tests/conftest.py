@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from chisearch.bounds import cp_bounds, snap_rois
+from chisearch.bounds import cp_bounds
 from chisearch.chi import ChiBlock, ChiConfig, IndexStore, build_chi, grid_boundaries
 from chisearch.store import MaskMeta, MaskRecord, MaskStore, Roi, ValueRange
 
@@ -18,11 +22,12 @@ settings.load_profile("suite")
 
 
 def count_pixels_loop(pixels: np.ndarray, roi: Roi, lo: float, hi: float) -> int:
-    """Plain per-pixel loop; the independent reference for every count."""
+    """Plain per-pixel loop; the independent reference for every count. Each
+    pixel is compared as a Python float, so [lo, hi) is decided exactly."""
     n = 0
     for y in range(roi.y1, roi.y2):
         for x in range(roi.x1, roi.x2):
-            if lo <= pixels[y, x] < hi:
+            if lo <= float(pixels[y, x]) < hi:
                 n += 1
     return n
 
@@ -58,13 +63,73 @@ def bounds_of(index, roi: Roi, vr: ValueRange) -> tuple[int, int]:
     return int(lo[0]), int(hi[0])
 
 
+def snap_rois(rois: np.ndarray, width: int, height: int, config: ChiConfig):
+    """Grid-aligned rectangles (outer, inner) bracketing each roi of a mask.
+
+    ``rois`` is an int array (n, 4) of x1, y1, x2, y2 inside a width x height
+    mask. ``outer`` is the smallest aligned rectangle covering each roi;
+    ``inner`` the largest it covers, of zero area when none exists. Both come
+    back as (4, n) arrays of boundary ranks, rows x1, y1, x2, y2: along each
+    axis rank i is the boundary i * cell, and the last rank is the mask edge.
+    """
+    lo, hi = np.ascontiguousarray(rois.T).reshape(2, 2, -1)  # (x1, y1), (x2, y2)
+    cell = np.array([[config.cell_width], [config.cell_height]])
+    extent = np.array([[width], [height]])
+    last = -(-extent // cell)
+    up_lo, up_hi = (np.minimum(-(-v // cell), last) for v in (lo, hi))
+    down_hi = np.maximum(np.where(hi == extent, last, hi // cell), up_lo)
+    return np.concatenate([lo // cell, up_hi]), np.concatenate([up_lo, down_hi])
+
+
 def snapped(roi: Roi, width: int, height: int, config: ChiConfig):
-    """The kernel's outer and inner rectangles for ``roi``, as coordinate
-    lists x1, y1, x2, y2 read off the grid's boundary list."""
+    """The outer and inner rectangles of ``snap_rois`` for ``roi``, as
+    coordinate lists x1, y1, x2, y2 read off the grid's boundary list."""
     g = grid_boundaries(width, height, config)
     xs, ys = (0,) + g.xs, (0,) + g.ys
     outer, inner = snap_rois(roi_array(roi), width, height, config)
     return [[xs[r[0]], ys[r[1]], xs[r[2]], ys[r[3]]] for r in (outer[:, 0], inner[:, 0])]
+
+
+def _area(rects: np.ndarray) -> np.ndarray:
+    return (rects[2] - rects[0]) * (rects[3] - rects[1])
+
+
+def two_candidate_bounds(block: ChiBlock, rows: np.ndarray, rois: np.ndarray, rng: ValueRange):
+    """The bracket ``cp_bounds`` gave before it went per cell; the reference
+    it must never be looser than.
+
+    Combining the outer rectangle with the widened bin span can only
+    overcount, and the inner rectangle with the narrowed span can only
+    undercount. Charging the other rectangle's slack at one pixel per pixel
+    of area gives a second candidate on each side; the tighter one wins.
+    Same arguments and int64 results as ``cp_bounds``.
+    """
+    config, n = block.config, len(rows)
+    rects = np.concatenate(snap_rois(rois, block.width, block.height, config), axis=1)
+    cell = np.array([[config.cell_width], [config.cell_height]] * 2)
+    edge = np.array([[block.width], [block.height]] * 2)
+    area = _area(rois.T)
+    snapped_area = _area(np.minimum(rects * cell, edge))
+    outer_area, inner_area = snapped_area[:n], snapped_area[n:]
+
+    lo, hi = config.outer_bin_span(rng)
+    a, z = config.inner_bin_span(rng)
+    rows2, bins = np.concatenate([rows, rows]), np.array([[lo], [hi], [a], [z]])
+    # Corners (x1, y1), (x1, y2), (x2, y1), (x2, y2) of each rect, widened to
+    # int64 before subtracting; rows of c are the bins, columns the rects.
+    c00, c01, c10, c11 = (
+        block.counts[rows2, bins, rects[i], rects[j]].astype(np.int64)
+        for i, j in ((0, 1), (0, 3), (2, 1), (2, 3))
+    )
+    region = c11 - c01 - c10 + c00
+    spans = region[0::2] - region[1::2]  # the widened span, then the narrowed one
+    outer_n, inner_n = spans[:, :n], spans[:, n:]
+
+    upper = np.minimum(np.minimum(outer_n[0], inner_n[0] + area - inner_area), area)
+    if a >= z:
+        return np.zeros(n, dtype=np.int64), upper
+    lower = np.maximum(np.maximum(inner_n[1], outer_n[1] - (outer_area - area)), 0)
+    return lower, upper
 
 
 def random_roi_in(rng: np.random.Generator, width: int, height: int) -> Roi:
@@ -79,6 +144,15 @@ def random_range(rng: np.random.Generator) -> ValueRange:
     lo = float(rng.uniform(0.0, 0.98))
     hi = float(rng.uniform(lo + 1e-6, 1.0))
     return ValueRange(lo, hi)
+
+
+def load_repo_module(relpath: str):
+    """Import a module of the repo that is not in a package, such as a script."""
+    path = Path(__file__).resolve().parents[1] / relpath
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # -- the worked 8x8 example ---------------------------------------------------

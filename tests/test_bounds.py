@@ -12,15 +12,25 @@ from chisearch.bounds import (
     EmptyGroup,
     NonMonotoneOperator,
     bound_scalar_agg,
+    cp_bounds,
     exact_scalar_agg,
     expr_bounds,
     expr_exact,
     is_boundable,
 )
-from chisearch.chi import ChiBlock, ChiConfig, build_chi, grid_boundaries
+from chisearch.chi import ChiBlock, ChiConfig, IndexStore, build_chi, grid_boundaries
 from chisearch.store import Roi, RoiBinding, ValueRange, cp_exact
 
-from conftest import bounds_of, random_range, random_roi_in, record, snapped
+from conftest import (
+    bounds_of,
+    count_pixels_loop,
+    random_range,
+    random_roi_in,
+    record,
+    roi_array,
+    snapped,
+    two_candidate_bounds,
+)
 
 
 def test_snap_regions_worked_example():
@@ -209,6 +219,132 @@ def test_refinement_never_loosens():
             lower_f, upper_f = bounds_of(block_f, roi, vr)
             assert upper_f <= upper_c
             assert lower_f >= lower_c
+
+
+# -- the per-cell bound against the two-candidate reference ---------------------
+
+
+def _edge_values(cfg: ChiConfig) -> np.ndarray:
+    """Every bin edge as a float32 pixel, and the float32 steps either side."""
+    edges = cfg.bin_edges.astype(np.float32)
+    values = np.concatenate([edges, np.nextafter(edges, np.float32(-1)),
+                             np.nextafter(edges, np.float32(2))])
+    return values[(values >= 0) & (values < 1)]
+
+
+def _edge_ranges(rng, cfg: ChiConfig) -> list[ValueRange]:
+    """Ranges with ends on, and one float32 step beside, bin edges."""
+    ends = np.unique(np.concatenate([cfg.bin_edges, _edge_values(cfg)]))
+    out = []
+    for _ in range(6):
+        lo, hi = sorted(rng.choice(ends, size=2, replace=False).tolist())
+        out.append(ValueRange(lo, hi))
+    return out
+
+
+def _edge_rois(rng, w: int, h: int, cfg: ChiConfig) -> list[Roi]:
+    """Random rois, one-pixel-wide strips, rois inside a single cell (no
+    inner rectangle) and grid-aligned rois."""
+    x, y = int(rng.integers(0, w)), int(rng.integers(0, h))
+    g = grid_boundaries(w, h, cfg)
+    xs, ys = (0,) + g.xs, (0,) + g.ys
+    i = int(rng.integers(0, len(xs) - 1))
+    j = int(rng.integers(0, len(ys) - 1))
+    return [random_roi_in(rng, w, h) for _ in range(4)] + [
+        Roi(x, 0, x + 1, h),
+        Roi(0, y, w, y + 1),
+        Roi(x, y, x + 1, y + 1),
+        Roi(xs[i] + (xs[i + 1] - xs[i]) // 2, ys[j], xs[i + 1], ys[j + 1]),
+        Roi(xs[i], ys[j], xs[int(rng.integers(i + 1, len(xs)))], ys[-1]),
+    ]
+
+
+def test_per_cell_bound_sound_and_never_looser_than_reference():
+    # Grids that do not divide the mask and cells larger than it, pixels on
+    # and beside every bin edge, several masks per block so that each call
+    # brackets rows of different masks at once.
+    rng = np.random.default_rng(61)
+    cases = tighter = 0
+    for _ in range(60):
+        w, h = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+        cfg = ChiConfig(int(rng.integers(1, 40)), int(rng.integers(1, 40)),
+                        int(rng.integers(1, 9)))
+        values = np.concatenate([_edge_values(cfg), rng.random(8, dtype=np.float32)])
+        recs = [record(rng.choice(values, size=(h, w)), mask_id=m) for m in range(3)]
+        store = IndexStore(cfg)
+        for rec in recs:
+            store.insert(build_chi(rec, cfg))
+        block = store.block(w, h)
+        rois = _edge_rois(rng, w, h, cfg)
+        rows = rng.integers(0, len(recs), size=len(rois))
+        for vr in _edge_ranges(rng, cfg) + [random_range(rng)]:
+            lower, upper = cp_bounds(block, rows, roi_array(*rois), vr)
+            ref_lower, ref_upper = two_candidate_bounds(block, rows, roi_array(*rois), vr)
+            for k, roi in enumerate(rois):
+                exact = count_pixels_loop(recs[rows[k]].pixels, roi, vr.lo, vr.hi)
+                assert 0 <= lower[k] <= exact <= upper[k] <= roi.area, (w, h, cfg, roi, vr)
+                assert ref_lower[k] <= lower[k] and upper[k] <= ref_upper[k], (cfg, roi, vr)
+                cases += 1
+                tighter += bool(lower[k] > ref_lower[k] or upper[k] < ref_upper[k])
+    assert cases > 3000
+    assert tighter > 0
+
+
+def test_per_cell_bound_exact_on_aligned_rois_with_edge_ranges():
+    rng = np.random.default_rng(67)
+    for _ in range(100):
+        w, h = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+        cfg = ChiConfig(int(rng.integers(1, 40)), int(rng.integers(1, 40)),
+                        int(rng.integers(1, 9)))
+        rec = record(rng.choice(_edge_values(cfg), size=(h, w)))
+        g = grid_boundaries(w, h, cfg)
+        xs, ys = (0,) + g.xs, (0,) + g.ys
+        i1 = int(rng.integers(0, len(xs) - 1)); i2 = int(rng.integers(i1 + 1, len(xs)))
+        j1 = int(rng.integers(0, len(ys) - 1)); j2 = int(rng.integers(j1 + 1, len(ys)))
+        roi = Roi(xs[i1], ys[j1], xs[i2], ys[j2])
+        a = int(rng.integers(0, cfg.bins)); z = int(rng.integers(a + 1, cfg.bins + 1))
+        vr = ValueRange(float(cfg.bin_edges[a]), float(cfg.bin_edges[z]))
+        exact = count_pixels_loop(rec.pixels, roi, vr.lo, vr.hi)
+        assert bounds_of(build_chi(rec, cfg), roi, vr) == (exact, exact)
+
+
+def test_per_cell_bound_strictly_tighter_worked_example():
+    # An 8x8 mask, 4x4 cells, high values only in the top-left cell. The
+    # roi [1, 7) x [0, 4) covers 12 pixels of each of the two top cells and
+    # no whole cell. The reference charges the outer rectangle's 16 high
+    # pixels to the upper side and credits only 16 - 8 to the lower; per
+    # cell, the high cell gives at most and at least 12, the other 0.
+    px = np.full((8, 8), 0.1, dtype=np.float32)
+    px[:4, :4] = 0.9
+    block = ChiBlock.of(build_chi(record(px), ChiConfig(4, 4, 2)))
+    rows, rois, vr = np.zeros(1, dtype=np.intp), roi_array(Roi(1, 0, 7, 4)), ValueRange(0.5, 1.0)
+    assert [int(v[0]) for v in two_candidate_bounds(block, rows, rois, vr)] == [8, 16]
+    assert [int(v[0]) for v in cp_bounds(block, rows, rois, vr)] == [12, 12]
+    assert count_pixels_loop(px, Roi(1, 0, 7, 4), 0.5, 1.0) == 12
+
+
+def test_block_dtype_holds_every_count():
+    # Blocks of masks under 2**16 pixels count in 16 bits; at 2**16 pixels a
+    # full-mask count no longer fits, and the block counts in 32 bits.
+    for w, h in ((255, 257), (256, 256)):
+        px = np.zeros((h, w), dtype=np.float32)
+        px[:, w // 2 :] = 0.75
+        block = ChiBlock.of(build_chi(record(px), ChiConfig(60, 60, 4)))
+        assert block.counts.dtype == (np.uint16 if w * h < 2**16 else np.uint32)
+        assert bounds_of(block, Roi(0, 0, w, h), ValueRange(0.0, 1.0)) == (w * h, w * h)
+        half = w * h - (w // 2) * h
+        assert bounds_of(block, Roi(0, 0, w, h), ValueRange(0.5, 1.0)) == (half, half)
+        roi = Roi(1, 1, w - 1, h - 1)
+        exact = cp_exact(record(px), roi, ValueRange(0.5, 0.8))
+        lower, upper = bounds_of(block, roi, ValueRange(0.5, 0.8))
+        assert 0 <= lower <= exact <= upper <= roi.area
+
+
+def test_empty_call_returns_empty_brackets():
+    block = ChiBlock.of(build_chi(record(np.zeros((4, 4))), ChiConfig(2, 2, 2)))
+    lower, upper = cp_bounds(block, np.zeros(0, dtype=np.intp),
+                             np.zeros((0, 4), dtype=np.int64), ValueRange(0.2, 0.7))
+    assert lower.shape == upper.shape == (0,) and lower.dtype == upper.dtype == np.int64
 
 
 # -- expression intervals --------------------------------------------------------

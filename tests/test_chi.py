@@ -221,11 +221,11 @@ def test_worked_example_region_histograms(grid_example_index):
 def test_prefix_region_equals_corner_row(grid_example_index):
     (hist,) = _aligned_histogram(grid_example_index, [Roi(0, 0, 4, 4)])
     assert hist[:-1] == grid_example_index.counts[1, 1].tolist()
-    # In the padded block that corner sits one step in on each axis, with
-    # zeros at rank 0 and in the extra top bin.
+    # In the padded bin-major block that corner sits one step in on each
+    # spatial axis, with zeros at rank 0 and in the extra top bin.
     padded = ChiBlock.of(grid_example_index).counts[0]
-    assert padded[2, 2, :-1].tolist() == hist[:-1]
-    assert not padded[0].any() and not padded[:, 0].any() and not padded[..., -1].any()
+    assert padded[:-1, 2, 2].tolist() == hist[:-1]
+    assert not padded[:, 0].any() and not padded[:, :, 0].any() and not padded[-1].any()
 
 
 def test_region_histogram_matches_brute_force_everywhere():
@@ -285,7 +285,9 @@ def test_block_growth_doubles_and_keeps_rows_in_place():
     assert allocations <= int(np.ceil(np.log2(n))) + 1
     block = store.block(7, 10)
     for idx in builds:
-        assert np.array_equal(block.counts[block.row_of[idx.mask_id], 1:, 1:, :-1], idx.counts)
+        assert np.array_equal(
+            block.counts[block.row_of[idx.mask_id], :-1, 1:, 1:].transpose(1, 2, 0), idx.counts
+        )
     store.insert(builds[3])  # a re-inserted id keeps its row
     assert block.row_of[builds[3].mask_id] == 3 and len(block.row_of) == n
 
@@ -330,7 +332,9 @@ def test_concurrent_inserts_land_in_their_own_rows():
         assert sorted(store.block(w, h).row_of.values()) == list(range(n // 2))
     for idx in builds:
         block = store.block(idx.width, idx.height)
-        assert np.array_equal(block.counts[block.row_of[idx.mask_id], 1:, 1:, :-1], idx.counts)
+        assert np.array_equal(
+            block.counts[block.row_of[idx.mask_id], :-1, 1:, 1:].transpose(1, 2, 0), idx.counts
+        )
 
 
 # -- persistence ---------------------------------------------------------------

@@ -305,3 +305,38 @@ def test_repl_stats_command(corpus, monkeypatch, capsys):
     assert code == 0
     assert "no query has run yet" in out
     assert '"masks_targeted": 12' in out
+
+
+def test_repl_rejects_flags_that_conflict_with_warm_index(corpus, monkeypatch, capsys):
+    d, idx = corpus  # built with 8x8 cells and 8 bins
+    before = idx.read_bytes()
+    code, out, err = repl(
+        monkeypatch, capsys, [":persist", ":quit"], str(d), "--index", str(idx),
+        "--bins", "4", "--cell-width", "16", "--cell-height", "16",
+    )
+    assert code == 2
+    assert "ChiConfig(cell_width=16, cell_height=16, bins=4)" in err
+    assert "ChiConfig(cell_width=8, cell_height=8, bins=8)" in err
+    assert "persisted" not in out
+    assert idx.read_bytes() == before
+    code, _, err = repl(monkeypatch, capsys, [":quit"], str(d), "--index", str(idx), "--bins", "16")
+    assert code == 2 and "bins=16" in err and "bins=8" in err
+
+
+def test_repl_flags_that_agree_or_are_absent_keep_the_index_config(
+    corpus, monkeypatch, capsys, tmp_path
+):
+    d, idx = corpus
+    q = "SELECT mask_id FROM MasksDatabaseView WHERE CP(mask, full, (0.5,1.0)) > 500"
+    for flags in (IDX, ["--bins", "8"], []):
+        out_path = tmp_path / f"session-{len(flags)}.chi"
+        code, out, _ = repl(monkeypatch, capsys, [q, f":persist {out_path}", ":quit"],
+                            str(d), "--index", str(idx), *flags)
+        assert code == 0 and "persisted" in out
+        assert load_index(out_path).config == ChiConfig(8, 8, 8)
+    # With no index file to warm from, absent flags fall back to the default.
+    fresh = tmp_path / "fresh.chi"
+    code, _, _ = repl(monkeypatch, capsys, [q, ":persist", ":quit"], str(d), "--index", str(fresh),
+                      "--bins", "4")
+    assert code == 0
+    assert load_index(fresh).config == ChiConfig(28, 28, 4)

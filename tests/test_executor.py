@@ -40,6 +40,8 @@ from conftest import (
     random_range,
     random_roi_in,
     record,
+    roi_array,
+    two_candidate_bounds,
 )
 
 
@@ -108,6 +110,38 @@ def test_load_count_equals_candidate_set(engines):
     r = eng.execute(filter_plan(store.mask_ids(), 130))
     candidates = r.stats.masks_loaded
     assert store.load_calls - before == candidates
+
+
+def test_per_cell_bound_decides_a_filter_the_reference_would_load(tmp_path):
+    # High values fill only the top-left 4x4 cell. The roi [1, 7) x [0, 4)
+    # holds 12 of them and covers no whole cell: per cell the bracket is
+    # [12, 12], while the two-candidate reference gives [8, 16] and would
+    # have to load the mask to decide "> 11".
+    px = np.full((8, 8), 0.1, dtype=np.float32)
+    px[:4, :4] = 0.9
+    store = build_store(tmp_path, [record(px)])
+    index = build_index(store, ChiConfig(4, 4, 2))
+    roi, vr = Roi(1, 0, 7, 4), ValueRange(0.5, 1.0)
+    block, rows = index.block(8, 8), np.zeros(1, dtype=np.intp)
+    ref_lower, ref_upper = two_candidate_bounds(block, rows, roi_array(roi), vr)
+    assert ref_lower[0] <= 11 < ref_upper[0]
+    p = filter_plan([1], 11, t=term(roi, vr))
+    r = Engine(store, index, mode="indexed").execute(p)
+    assert r.stats.masks_loaded == 0 and r.stats.masks_accepted_directly == 1
+    assert r.rows == Engine(store, mode="oracle").execute(p).rows == [(1,)]
+    store.close()
+
+
+def test_indexed_matches_oracle_on_a_pixel_just_below_a_range_end(tmp_path):
+    # Every pixel is the float32 just below the bin edge 5/6 of a 6-bin
+    # index: in bin 4, and outside [5/6, 1.0), which the index prunes.
+    store = build_store(tmp_path, [record(np.full((4, 4), 5 / 6, dtype=np.float32))])
+    index = build_index(store, ChiConfig(2, 2, 6))
+    for vr, rows in ((ValueRange(5 / 6, 1.0), []), (ValueRange(0.5, 5 / 6), [(1,)])):
+        p = filter_plan([1], 0, t=term(Roi(0, 0, 4, 4), vr))
+        assert Engine(store, index, mode="indexed").execute(p).rows == rows
+        assert Engine(store, mode="oracle").execute(p).rows == rows
+    store.close()
 
 
 def test_missing_index_raises(small_corpus):

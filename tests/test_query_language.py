@@ -15,8 +15,10 @@ from chisearch.executor import (
     TopKSpec,
 )
 from chisearch.planner import MissingRoiTable, PlanError, UnknownColumn, plan
-from chisearch.sql import ParseError, parse, pretty
+from chisearch.sql import ParseError, Token, parse, pretty, tokenize
 from chisearch.store import Roi, ValueRange
+
+from conftest import load_repo_module
 
 from conftest import build_index, build_store, record
 from chisearch.chi import ChiConfig, IndexStore
@@ -78,6 +80,114 @@ def test_parse_error_positions(text, line, col):
     with pytest.raises(ParseError) as e:
         parse(text)
     assert (e.value.line, e.value.col) == (line, col)
+
+
+# -- the tokenizer against the per-character loop it replaced --------------------
+
+
+def _loop_tokenize(text: str) -> list[Token]:
+    """The tokenizer as a plain loop over characters; the reference."""
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if c == "-" and text[i : i + 2] == "--":  # line comment
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            seen_dot = False
+            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+                seen_dot = seen_dot or text[j] == "."
+                j += 1
+            tokens.append(Token("number", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("ident", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c in "(),*+-/><=;":
+            tokens.append(Token("sym", c, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.col)
+
+
+LEXER_CASES = [
+    "SELECT FROM MasksDatabaseView",
+    "SELECT mask_id FROM",
+    "SELECT mask_id\nFROM MasksDatabaseView WHERE",
+    "SELECT mask_id FROM v WHERE CP(mask, full (0.1,0.2)) > 5",
+    "SELECT mask_id FROM v LIMIT x",
+    "SELECT mask_id FROM v extra",
+    "SELECT mask_id -- the ids\r\n\tFROM v -- trailing comment, no newline",
+    "SELECT $ FROM v",
+    "SELECT a\n  @b",
+    "x = 1.5.5 + .5 - 2. * 3..4 / _a1 -- -",
+    "WHERE a\u00a0=\x0b1\x1c AND é_1 = 2 AND b = ½",
+    "SELECT ١٢ FROM v",
+    ". 1",
+    "",
+    "--",
+    "a - -b --c\n-",
+]
+
+
+def test_tokenizer_matches_the_per_character_loop():
+    workloads = load_repo_module("perfbench/workloads.py")
+    texts = [
+        q.sql
+        for seed in (1, 2, 3)
+        for name in workloads.WORKLOADS
+        for q in workloads.build(name, seed, workloads.FULL).queries
+    ]
+    assert len(texts) > 1000
+    texts += [EXAMPLE_INTERSECT_QUERY] + LEXER_CASES
+    for text in texts:
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(_loop_tokenize, text), text
+
+
+@given(st.text(alphabet="SELCTabc_019.-() ,*+/<>=;\n\t\r\x0b$½é١", max_size=40))
+def test_tokenizer_matches_the_loop_on_random_text(text):
+    assert _tokens_or_error(tokenize, text) == _tokens_or_error(_loop_tokenize, text)
+
+
+def test_non_decimal_digit_is_an_unexpected_character():
+    # The one departure from the loop, which took "²" into a number that
+    # float() then rejected.
+    assert _loop_tokenize("1²")[0] == Token("number", "1²", 1, 1)
+    with pytest.raises(ParseError) as e:
+        tokenize("1²")
+    assert (e.value.line, e.value.col) == (1, 2) and "'²'" in str(e.value)
 
 
 def test_keywords_case_insensitive():

@@ -1,0 +1,17 @@
+import csv
+
+from conftest import load_repo_module
+
+
+def test_bound_tightness_brackets_every_exact_count(tmp_path, capsys):
+    script = load_repo_module("scripts/bound_tightness.py")
+    out = tmp_path / "bounds.tsv"
+    script.main(["--corpus", str(tmp_path / "corpus"), "--out", str(out),
+                 "--configs", "4:8", "--gen-count", "6", "--sample", "4"])
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh, delimiter="\t"))
+    assert len(rows) == 4
+    assert {r["config"] for r in rows} == {"b4c8"}
+    for r in rows:
+        assert int(r["lower"]) <= int(r["exact"]) <= int(r["upper"])
+    assert "b4c8: mean bracket width" in capsys.readouterr().out

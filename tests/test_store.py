@@ -241,6 +241,18 @@ def test_count_matches_pixel_loop():
         assert cp_exact(rec, roi, vr) == count_pixels_loop(rec.pixels, roi, vr.lo, vr.hi)
 
 
+def test_count_decides_range_ends_exactly():
+    # The float32 nearest 5/6 lies just below it. Compared with each end's
+    # nearest float32, that pixel would count as at or above 5/6.
+    below = np.float32(5 / 6)
+    assert float(below) < 5 / 6
+    rec = record(np.array([[below, np.nextafter(below, np.float32(1))]], dtype=np.float32))
+    roi = Roi(0, 0, 2, 1)
+    for vr, want in ((ValueRange(5 / 6, 1.0), 1), (ValueRange(0.5, 5 / 6), 1),
+                     (ValueRange(float(below), 5 / 6), 1)):
+        assert cp_exact(rec, roi, vr) == count_pixels_loop(rec.pixels, roi, vr.lo, vr.hi) == want
+
+
 def test_count_rejects_out_of_bounds_roi():
     rec = record(np.zeros((4, 4), dtype=np.float32))
     with pytest.raises(RoiOutOfBounds):
