@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -167,6 +168,8 @@ def build_chi(mask: MaskRecord, config: ChiConfig) -> ChiIndex:
     """Build the corner-count array for one mask. Runs in O(width * height)."""
     if mask.width * mask.height >= 2**32:
         raise OverflowDetected("mask pixel count exceeds 32-bit counters")
+    if mask.rows != (0, mask.height):
+        raise ChiError(f"mask {mask.mask_id} holds rows {mask.rows}, not all {mask.height}")
     grid = grid_boundaries(mask.width, mask.height, config)
     n_cx, n_cy, b = len(grid.xs), len(grid.ys), config.bins
 
@@ -263,6 +266,11 @@ class IndexStore:
     def get_or_absent(self, mask_id: int) -> ChiIndex | None:
         """The mask's index, or None when it has not been built yet."""
         return self._entries.get(mask_id)
+
+    def absent(self, mask_ids: Sequence[int]) -> list[int]:
+        """Those of ``mask_ids`` with no index yet, in their order."""
+        entries = self._entries
+        return [m for m in mask_ids if m not in entries]
 
     def block(self, width: int, height: int) -> ChiBlock:
         """The block of every indexed width x height mask."""

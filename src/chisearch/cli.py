@@ -64,14 +64,13 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--rois", help="per-mask roi table for 'object' (default: store's rois.tsv)")
     q.add_argument("--stats-json", help="write ExecStats JSON here instead of stderr")
     q.add_argument("--threads", type=int, default=1)
+    _add_config_flags(q)
 
     r = sub.add_parser("repl", help="interactive query loop with incremental indexing")
     r.add_argument("store_dir")
     r.add_argument("--index", help="warm-start index file; also the :persist default")
     r.add_argument("--rois")
-    r.add_argument("--bins", type=int, help="default 16, or the --index file's")
-    r.add_argument("--cell-width", type=int, help="default 28, or the --index file's")
-    r.add_argument("--cell-height", type=int, help="default 28, or the --index file's")
+    _add_config_flags(r)
     r.add_argument("--threads", type=int, default=1)
 
     w = sub.add_parser("bench", help="run a generated multi-query workload")
@@ -90,6 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--out-dir", required=True, help="report TSV + JSON go here")
     w.add_argument("--session-index", help="persist the incremental session index here")
     return p
+
+
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """The index flags of a session that may warm-start from an --index file."""
+    p.add_argument("--bins", type=int, help="default 16, or the --index file's")
+    p.add_argument("--cell-width", type=int, help="default 28, or the --index file's")
+    p.add_argument("--cell-height", type=int, help="default 28, or the --index file's")
 
 
 def _cmd_gen(args) -> int:
@@ -160,11 +166,22 @@ def _flag_config(args, base: ChiConfig) -> ChiConfig:
     return replace(base, **{k: v for k, v in given.items() if v is not None})
 
 
-def _session_index(path: str | None, config: ChiConfig) -> IndexStore:
-    """An incremental session's index: warm from ``path`` if that file exists."""
-    if path and Path(path).exists():
-        return load_index(path)
-    return IndexStore(config)
+def _check_flags(args, index_store: IndexStore) -> None:
+    """Refuse index flags that disagree with the index the session uses."""
+    wanted = _flag_config(args, index_store.config)
+    if wanted != index_store.config:
+        raise PlanError(f"the flags ask for {wanted}, but {args.index} was built "
+                        f"with {index_store.config}")
+
+
+def _session_index(args) -> IndexStore:
+    """An incremental session's index: warm from --index if that file exists
+    (refusing flags that disagree with it), else empty, configured by the flags."""
+    if args.index and Path(args.index).exists():
+        index_store = load_index(args.index)
+        _check_flags(args, index_store)
+        return index_store
+    return IndexStore(_flag_config(args, DEFAULT_CONFIG))
 
 
 def _cmd_query(args) -> int:
@@ -177,13 +194,16 @@ def _cmd_query(args) -> int:
         ast = parse(text)
         query_plan = plan(ast, store, roi_table)
         if args.oracle:
+            if any(getattr(args, k) is not None for k in ("bins", "cell_width", "cell_height")):
+                raise PlanError("--oracle uses no index; drop --bins, --cell-width, --cell-height")
             engine = Engine(store, mode="oracle", threads=args.threads)
         elif args.incremental:
-            index_store = _session_index(args.index, DEFAULT_CONFIG)
+            index_store = _session_index(args)
             engine = Engine(store, index_store, mode="incremental", threads=args.threads)
         else:
-            engine = Engine(store, load_index(args.index), mode="indexed",
-                            threads=args.threads)
+            index_store = load_index(args.index)
+            _check_flags(args, index_store)
+            engine = Engine(store, index_store, mode="indexed", threads=args.threads)
         result = engine.execute(query_plan)
     if args.incremental and args.index:
         persist_index(index_store, args.index)
@@ -194,11 +214,10 @@ def _cmd_query(args) -> int:
 def _cmd_repl(args) -> int:
     with MaskStore.open(args.store_dir) as store:
         roi_table = _roi_table_for(args, args.store_dir)
-        index_store = _session_index(args.index, _flag_config(args, DEFAULT_CONFIG))
-        wanted = _flag_config(args, index_store.config)
-        if wanted != index_store.config:
-            print(f"config error: the flags ask for {wanted}, but {args.index} was built "
-                  f"with {index_store.config}", file=sys.stderr)
+        try:
+            index_store = _session_index(args)
+        except PlanError as e:
+            print(f"config error: {e}", file=sys.stderr)
             return EXIT_QUERY_ERROR
         engine = Engine(store, index_store, mode="incremental", threads=args.threads)
         last_stats = None

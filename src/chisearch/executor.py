@@ -34,11 +34,12 @@ from .bounds import (
     CpTerm,
     Expr,
     bound_scalar_agg,
+    cp_terms,
     exact_scalar_agg,
     expr_bounds,
     expr_exact,
 )
-from .chi import ChiBlock, ChiIndex, IndexStore, build_chi
+from .chi import ChiBlock, IndexStore, build_chi
 from .store import (
     INT64_MAX,
     INT64_MIN,
@@ -50,6 +51,7 @@ from .store import (
     MaskStore,
     RoiBinding,
     cp_exact,
+    f32_at_or_above,
 )
 
 
@@ -199,7 +201,10 @@ class MaskAggregate:
 
     def apply(self, stack: np.ndarray) -> np.ndarray:
         if self.kind == "intersect":
-            hit = np.all(stack > self.threshold, axis=0)
+            # A float32 pixel is above t exactly when it is at or above the
+            # next float64 after t, so compare against that rounded up.
+            above = f32_at_or_above([np.nextafter(self.threshold, np.inf)])[0]
+            hit = np.all(stack >= above, axis=0)
             return np.where(hit, np.float32(MAX_PIXEL), np.float32(0.0))
         if self.kind == "min":
             return np.min(stack, axis=0)
@@ -321,6 +326,7 @@ class ExecStats:
     masks_pruned: int = 0
     masks_accepted_directly: int = 0
     masks_loaded: int = 0
+    bytes_read: int = 0  # pixel bytes the loads read; a row span reads less than a mask
     phases: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
@@ -336,6 +342,7 @@ class ExecStats:
             "masks_pruned": self.masks_pruned,
             "masks_accepted_directly": self.masks_accepted_directly,
             "masks_loaded": self.masks_loaded,
+            "bytes_read": self.bytes_read,
             "fml": self.fml,
             "phases": dict(self.phases),
             "warnings": list(self.warnings),
@@ -379,7 +386,7 @@ class Engine:
     # -- shared plumbing ---------------------------------------------------
 
     def execute(self, plan: QueryPlan) -> QueryResult:
-        with _QueryCtx(self) as ctx:
+        with _QueryCtx(self, plan) as ctx:
             if isinstance(plan.shape, FilterSpec):
                 return self._execute_filter(ctx, plan)
             if isinstance(plan.shape, TopKSpec):
@@ -398,20 +405,32 @@ class Engine:
             for buf in buffers:
                 self._spare.setdefault(buf.shape, []).append(buf)
 
-    def _index_of(self, mask_id: int) -> ChiIndex | None:
+    def _split_indexed(self, ids: list[int]) -> tuple[list[int], list[int]]:
+        """``ids`` split, each part in order, into those with an index and
+        those without. Indexed mode needs an index of every id: MissingIndex
+        names the first absent one."""
         if self.mode == "oracle":
-            return None
-        idx = self.index_store.get_or_absent(mask_id)
-        if idx is None and self.mode == "indexed":
-            raise MissingIndex(f"mask {mask_id} has no index and mode is 'indexed'")
-        return idx
+            return [], list(ids)
+        absent = self.index_store.absent(ids)
+        if not absent:
+            return ids, []
+        if self.mode == "indexed":
+            raise MissingIndex(f"mask {absent[0]} has no index and mode is 'indexed'")
+        gone = set(absent)
+        return [m for m in ids if m not in gone], absent
 
     def _prefetch(self, ctx: "_QueryCtx", mask_ids: Sequence[int]) -> None:
+        """Load ``mask_ids`` for counting. With several threads they are read
+        here; with one, each is read where it is first counted, while its
+        rows are still in cache, and any never counted when the query closes,
+        so the same masks load either way."""
         todo = [m for m in dict.fromkeys(mask_ids) if m not in ctx.records]
         if not todo:
             return
+        if self.threads == 1:
+            ctx.due.update(dict.fromkeys(todo))
         # Pool startup only pays off for real batches.
-        if self.threads > 1 and len(todo) > 8:
+        elif len(todo) > 8:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
                 for _ in pool.map(ctx.load, todo):
                     pass
@@ -437,11 +456,8 @@ class Engine:
             to_verify = list(targets)
         else:
             verdicts = self._filter_verdicts(ctx, plan.shape.pred, targets)
-            for mid, v in zip(targets, verdicts):
-                if v == _TRUE:
-                    accepted.append(mid)
-                elif v == _UNKNOWN:
-                    to_verify.append(mid)
+            accepted = [targets[i] for i in np.flatnonzero(verdicts == _TRUE).tolist()]
+            to_verify = [targets[i] for i in np.flatnonzero(verdicts == _UNKNOWN).tolist()]
         t_filter = time.perf_counter()
 
         self._prefetch(ctx, to_verify)
@@ -458,24 +474,20 @@ class Engine:
 
     def _filter_verdicts(
         self, ctx: "_QueryCtx", node: PredNode, targets: list[int]
-    ) -> list[int]:
-        """Three-valued verdict per target, from indexes and metadata only.
+    ) -> np.ndarray:
+        """Three-valued verdict per target, from indexes and metadata only,
+        as an int8 array in the order of ``targets``.
 
         In incremental mode masks without an index come back UNKNOWN, which
         routes them to the load-and-verify path where they get indexed.
         """
-        present, absent = [], set()
-        for mid in targets:
-            if self._index_of(mid) is None:
-                absent.add(mid)
-            else:
-                present.append(mid)
-
-        verdict_by_id: dict[int, int] = {mid: _UNKNOWN for mid in absent}
+        present, absent = self._split_indexed(targets)
+        if not absent:
+            return self._node_verdicts_batch(ctx, node, targets)
+        verdict_by_id = dict.fromkeys(absent, _UNKNOWN)
         if present:
-            arrs = self._node_verdicts_batch(ctx, node, present)
-            verdict_by_id.update(zip(present, arrs))
-        return [verdict_by_id[mid] for mid in targets]
+            verdict_by_id.update(zip(present, self._node_verdicts_batch(ctx, node, present)))
+        return np.array([verdict_by_id[mid] for mid in targets], dtype=np.int8)
 
     def _node_verdicts_batch(
         self, ctx: "_QueryCtx", node: PredNode, ids: list[int]
@@ -597,9 +609,9 @@ class Engine:
         if self.mode != "oracle" and not plan.verify_all:
             if spec.pred is not None:
                 verdicts = self._filter_verdicts(ctx, spec.pred, targets)
-                pred_verdicts = dict(zip(targets, verdicts))
+                pred_verdicts = dict(zip(targets, verdicts.tolist()))
                 candidates = [m for m in targets if pred_verdicts[m] != _FALSE]
-            present = [m for m in candidates if self._index_of(m) is not None]
+            present, _ = self._split_indexed(candidates)
             if present:
                 lowers, uppers = self._expr_bounds_many(ctx, spec.expr, present)
                 edge = uppers if spec.descending else lowers
@@ -815,9 +827,7 @@ class Engine:
             return out
         if isinstance(spec.value, ScalarAggSpec):
             member_ids = [m for key in keys for m in groups[key]]
-            present = [m for m in member_ids if self._index_of(m) is not None]
-            present_set = set(present)
-            absent = [m for m in member_ids if m not in present_set]
+            present, absent = self._split_indexed(member_ids)
             bounds_of: dict[int, Bounds] = {}
             if present:
                 lowers, uppers = self._expr_bounds_many(ctx, spec.value.expr, present)
@@ -894,19 +904,52 @@ class Engine:
         return v
 
 
+def _pred_exprs(node: PredNode | None) -> list[Expr]:
+    if isinstance(node, CpComparison):
+        return [node.pred.expr]
+    if isinstance(node, BoolOp):
+        return [e for c in node.children for e in _pred_exprs(c)]
+    return []
+
+
+def _count_bindings(plan: QueryPlan | None) -> tuple[RoiBinding, ...] | None:
+    """The roi bindings of every count term ``plan`` can evaluate on one
+    mask: its predicate, its ranked or aggregated expression and its SELECT
+    expressions. None when its loads read whole masks: without a plan, or
+    for a mask aggregate, whose members are combined pixel by pixel."""
+    if plan is None:
+        return None
+    shape = plan.shape
+    exprs = [it.expr for it in plan.select or () if isinstance(it, ExprItem)]
+    if isinstance(shape, AggSpec):
+        if isinstance(shape.value, MaskAggSpec):
+            return None
+        exprs.append(shape.value.expr)
+    else:
+        exprs += _pred_exprs(shape.pred)
+        if isinstance(shape, TopKSpec):
+            exprs.append(shape.expr)
+    # Keyed by identity: hashing a binding hashes its whole roi table.
+    return tuple({id(t.roi): t.roi for e in exprs for t in cp_terms(e)}.values())
+
+
 class _QueryCtx:
     """Per-query scratch: loaded records (each mask at most once) and stats.
 
-    Records are read into pixel buffers taken from the engine's spares; on
-    leaving the ``with`` block, raising or not, the records are dropped and
-    every buffer goes back, so no pixel array outlives its query.
+    A load reads the rows of the mask that the plan's count terms cover,
+    their union taken up front, so one read serves every count of the
+    query. Records are read into pixel buffers taken from the engine's
+    spares; on leaving the ``with`` block, raising or not, the records are
+    dropped and every buffer goes back, so no pixel array outlives its query.
     """
 
-    def __init__(self, engine: Engine):
+    def __init__(self, engine: Engine, plan: QueryPlan | None = None):
         self.engine = engine
         self.stats = ExecStats()
         self.records: dict[int, MaskRecord] = {}
+        self.due: dict[int, None] = {}  # to load by the end of the query (``_prefetch``)
         self.group_values: dict[int, float] = {}
+        self._bindings = _count_bindings(plan)
         self._buffers: list[np.ndarray] = []
         self._lock = threading.Lock()
 
@@ -918,19 +961,33 @@ class _QueryCtx:
         self.engine._give_back(self._buffers)
         self._buffers = []
 
+    def _rows_to_read(self, mask_id: int, height: int) -> tuple[int, int] | None:
+        """The smallest row span covering every count term's roi on the
+        mask, or None (the whole mask) when no term binds it one."""
+        if self._bindings is None:
+            return None
+        y1, y2 = height, 0
+        for binding in self._bindings:
+            span = binding.row_span(mask_id, height)
+            if span is not None and span[0] < span[1]:
+                y1, y2 = min(y1, span[0]), max(y2, span[1])
+        return (y1, y2) if y1 < y2 else None
+
     def load(self, mask_id: int) -> MaskRecord:
-        entry = self.engine.store.get_meta(mask_id)
-        buf = self.engine._take_buffer((entry.height, entry.width))
+        engine = self.engine
+        entry = engine.store.get_meta(mask_id)
+        buf = engine._take_buffer((entry.height, entry.width))
         with self._lock:
             self._buffers.append(buf)
-        rec = self.engine.store.get_mask(mask_id, out=buf)
-        if (
-            self.engine.mode == "incremental"
-            and self.engine.index_store.get_or_absent(mask_id) is None
-        ):
-            self.engine.index_store.insert(build_chi(rec, self.engine.index_store.config))
+        # A mask indexed on the spot is read whole: its index counts every pixel.
+        build = engine.mode == "incremental" and engine.index_store.get_or_absent(mask_id) is None
+        rows = None if build else self._rows_to_read(mask_id, entry.height)
+        rec = engine.store.get_mask(mask_id, out=buf, rows=rows)
+        if build:
+            engine.index_store.insert(build_chi(rec, engine.index_store.config))
         with self._lock:
             self.records[mask_id] = rec
+            self.stats.bytes_read += rec.pixels.nbytes
         return rec
 
     def record(self, mask_id: int) -> MaskRecord:
@@ -942,6 +999,8 @@ class _QueryCtx:
     def result(self, columns, rows, t_start: float, t_filter: float, accepted=()) -> QueryResult:
         """Close the query's stats and wrap its rows. Every targeted mask is
         loaded, accepted without a load (``accepted`` minus loaded), or pruned."""
+        for mask_id in self.due:
+            self.record(mask_id)
         t_end = time.perf_counter()
         stats = self.stats
         stats.masks_loaded = len(self.records)

@@ -14,6 +14,7 @@ the engine computes is ultimately defined against :func:`cp_exact` here.
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -233,6 +234,16 @@ class RoiBinding:
             raise MissingRoiBinding(f"no roi bound for mask {mask_id}")
         return roi
 
+    def row_span(self, mask_id: int, height: int) -> tuple[int, int] | None:
+        """Rows y1, y2 of the roi bound to ``mask_id``, clipped to a mask
+        ``height`` rows tall, or None when the table binds it none."""
+        if self.kind == self._FULL:
+            return 0, height
+        roi = self._roi if self.kind == self._CONSTANT else self.table.get(mask_id)
+        if roi is None:
+            return None
+        return min(roi.y1, height), min(roi.y2, height)
+
     def resolve_many(
         self, mask_ids: Sequence[int], widths: np.ndarray, heights: np.ndarray
     ) -> np.ndarray:
@@ -299,23 +310,37 @@ class ManifestEntry:
 
 @dataclass
 class MaskRecord:
+    """Rows ``y1 .. y1 + len(pixels)`` of a mask: all of it unless it was
+    read with a row span (see ``MaskStore.get_mask``)."""
+
     meta: MaskMeta
     width: int
     height: int
-    pixels: np.ndarray  # float32, shape (height, width); pixel (x, y) = pixels[y, x]
+    pixels: np.ndarray  # float32, shape (rows held, width); pixel (x, y) = pixels[y - y1, x]
+    y1: int = 0  # the first row held
 
     @property
     def mask_id(self) -> int:
         return self.meta.mask_id
 
+    @property
+    def rows(self) -> tuple[int, int]:
+        """The half-open span of rows whose pixels this record holds."""
+        return self.y1, self.y1 + self.pixels.shape[0]
+
 
 def cp_exact(mask: MaskRecord, roi: Roi, rng: ValueRange) -> int:
     """Count pixels of ``mask`` inside ``roi`` with values in [rng.lo, rng.hi).
 
-    This is the ground truth the index only ever brackets.
+    This is the ground truth the index only ever brackets. A roi reaching
+    outside the rows the record holds raises StoreError: a partial read
+    never counts as if it were whole.
     """
     roi.check_within(mask.width, mask.height)
-    window = mask.pixels[roi.y1 : roi.y2, roi.x1 : roi.x2]
+    y1, y2 = mask.rows
+    if roi.y1 < y1 or roi.y2 > y2:
+        raise StoreError(f"{roi!r} reaches outside rows {y1}..{y2} read of mask {mask.mask_id}")
+    window = mask.pixels[roi.y1 - y1 : roi.y2 - y1, roi.x1 : roi.x2]
     lo, hi = rng.f32_ends
     return int(np.count_nonzero((window >= lo) & (window < hi)))
 
@@ -529,18 +554,32 @@ class MaskStore:
             raise NotFound(f"mask_id {int(ids[np.argmin(found)])} not in manifest")
         return self._id_order[at]
 
-    def get_mask(self, mask_id: int, out: np.ndarray | None = None) -> MaskRecord:
+    def get_mask(
+        self,
+        mask_id: int,
+        out: np.ndarray | None = None,
+        rows: tuple[int, int] | None = None,
+    ) -> MaskRecord:
         """Load one mask's pixels from disk. Counted: this call defines FML.
 
-        Without ``out`` the pixels land in a fresh buffer. With it, they are
-        read into ``out``, which must be a writable, C-contiguous ``<f4``
-        array of shape (height, width), and the record's pixels are a
-        read-only view of it: valid until the caller reuses ``out``.
+        ``rows`` is a half-open span (y1, y2) with 0 <= y1 < y2 <= height;
+        only those rows are read, and the record holds only them (see
+        ``MaskRecord.rows``). None reads the whole mask.
+
+        Without ``out`` the rows land in a fresh buffer. With it, they are
+        read into ``out[y1:y2]``, where ``out`` must be a writable,
+        C-contiguous ``<f4`` array of shape (height, width), and the
+        record's pixels are a read-only view of it: valid until the caller
+        reuses ``out``. A bad ``out`` or ``rows`` raises ValueError before
+        the load is counted.
         """
         entry = self.get_meta(mask_id)
         if self._data_fd is None:
             raise StoreError("store not open for reading (create() stores must be reopened)")
         shape = (entry.height, entry.width)
+        y1, y2 = (0, entry.height) if rows is None else map(operator.index, rows)
+        if not 0 <= y1 < y2 <= entry.height:
+            raise ValueError(f"row span {rows!r} is not within 0..{entry.height}")
         if out is not None and not (
             isinstance(out, np.ndarray)
             and out.dtype == PIXEL_DTYPE
@@ -553,12 +592,15 @@ class MaskStore:
             )
         with self._counter_lock:
             self._load_calls += 1
-        buf = np.empty(shape, PIXEL_DTYPE) if out is None else out
-        if os.preadv(self._data_fd, [buf], entry.byte_offset) != entry.nbytes:
+        if out is None:
+            pixels = np.empty((y2 - y1, entry.width), PIXEL_DTYPE)
+        else:
+            pixels = out[y1:y2]
+        start = entry.byte_offset + y1 * entry.width * PIXEL_DTYPE.itemsize
+        if os.preadv(self._data_fd, [pixels], start) != pixels.nbytes:
             raise StoreError(f"short read for mask {mask_id}")
-        pixels = buf.view()
         pixels.flags.writeable = False
-        return MaskRecord(entry.meta, entry.width, entry.height, pixels)
+        return MaskRecord(entry.meta, entry.width, entry.height, pixels, y1)
 
     @property
     def load_calls(self) -> int:

@@ -70,9 +70,10 @@ class _CachingStore:
         self._store = store
         self._cache: dict[int, object] = {}
 
-    def get_mask(self, mask_id: int, out=None):
-        # ``out`` is ignored: the engine reuses it after the query, so a
-        # cached record must own its pixels and is always read fresh.
+    def get_mask(self, mask_id: int, out=None, rows=None):
+        # ``out`` and ``rows`` are ignored: the engine reuses ``out`` after
+        # the query, so a cached record must own its pixels, and it holds
+        # every row, so it serves any row span. It is always read whole.
         rec = self._cache.get(mask_id)
         if rec is None:
             rec = self._store.get_mask(mask_id)

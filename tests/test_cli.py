@@ -147,6 +147,57 @@ def test_query_stats_json_accounting(corpus, capsys, tmp_path):
     assert s["masks_pruned"] + s["masks_accepted_directly"] + s["masks_loaded"] == s["masks_targeted"]
 
 
+def test_query_stats_count_the_bytes_its_row_spans_read(corpus, capsys, tmp_path):
+    d, idx = corpus
+    q = "SELECT mask_id FROM MasksDatabaseView WHERE CP(mask, object, (0.5,1.0)) > 60"
+    boxes = load_roi_table(d / "rois.tsv")
+    assert all(r.height < 32 for r in boxes.values())
+    for mode in (["--index", str(idx)], ["--oracle"]):
+        stats_path = tmp_path / "stats.json"
+        code, _, _ = run(capsys, "query", str(d), *mode, "-q", q, "--stats-json", str(stats_path))
+        assert code == 0
+        s = json.loads(stats_path.read_text())
+        assert s["masks_loaded"] > 0
+        assert 0 < s["bytes_read"] < s["masks_loaded"] * 32 * 32 * 4
+
+
+def test_query_refuses_index_flags_that_conflict_with_its_index(corpus, capsys, tmp_path):
+    d, idx = corpus  # built with 8x8 cells and 8 bins
+    session = tmp_path / "session.chi"
+    session.write_bytes(idx.read_bytes())
+    for mode in (["--index", str(idx)], ["--incremental", "--index", str(session)]):
+        for flags in (["--bins", "4"], ["--cell-width", "16", "--cell-height", "8"]):
+            code, _, err = run(capsys, "query", str(d), *mode, *flags, "-q", Q_FILTER)
+            assert code == 2
+            assert "ChiConfig(cell_width=8, cell_height=8, bins=8)" in err
+    assert session.read_bytes() == idx.read_bytes()  # a refused session is not persisted
+    code, _, err = run(capsys, "query", str(d), "--oracle", "--bins", "8", "-q", Q_FILTER)
+    assert code == 2 and "--oracle" in err
+
+
+def test_query_index_flags_that_agree_or_are_absent_keep_the_index_config(
+    corpus, capsys, tmp_path
+):
+    d, idx = corpus
+    want = run(capsys, "query", str(d), "--oracle", "-q", Q_FILTER)[1]
+    for flags in (IDX, ["--bins", "8"], []):
+        assert run(capsys, "query", str(d), "--index", str(idx), *flags, "-q", Q_FILTER)[1] == want
+        session = tmp_path / f"session-{len(flags)}.chi"
+        session.write_bytes(idx.read_bytes())
+        code, out, _ = run(capsys, "query", str(d), "--incremental", "--index", str(session),
+                           *flags, "-q", Q_FILTER)
+        assert code == 0 and out == want
+        assert load_index(session).config == ChiConfig(8, 8, 8)
+    # A cold session takes its config from the flags, and the default for the rest.
+    for flags, config in ((["--bins", "4", "--cell-width", "16"], ChiConfig(16, 28, 4)),
+                          ([], ChiConfig(28, 28, 16))):
+        cold = tmp_path / f"cold-{len(flags)}.chi"
+        code, out, _ = run(capsys, "query", str(d), "--incremental", "--index", str(cold),
+                           *flags, "-q", Q_FILTER)
+        assert code == 0 and out == want
+        assert load_index(cold).config == config
+
+
 def test_query_incremental_warm_starts_from_index(corpus, capsys, tmp_path):
     d, _ = corpus
     session = tmp_path / "session.chi"
@@ -305,6 +356,7 @@ def test_repl_stats_command(corpus, monkeypatch, capsys):
     assert code == 0
     assert "no query has run yet" in out
     assert '"masks_targeted": 12' in out
+    assert '"bytes_read": 0' in out  # a metadata filter reads no pixels
 
 
 def test_repl_rejects_flags_that_conflict_with_warm_index(corpus, monkeypatch, capsys):

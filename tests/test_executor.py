@@ -428,6 +428,24 @@ def test_mask_aggregation_min_max(engines):
         assert eng.execute(p).rows == oracle.execute(p).rows
 
 
+@pytest.mark.parametrize("t", [0.5, 0.3])  # representable in float32, and not
+def test_intersect_threshold_compares_pixels_exactly(tmp_path, t):
+    at = np.float32(t)
+    row = [np.nextafter(at, np.float32(0)), at, np.nextafter(at, np.float32(1))]
+    above = [float(p) > t for p in row]  # float32(0.3) lies above 0.3; float32(0.5) does not
+    assert above == [False, t == 0.3, True]
+    hit = MaskAggregate("intersect", t).apply(np.array([row, row], np.float32))
+    assert (hit > 0).tolist() == above
+    pixels = np.array([row * 2] * 2, np.float32)  # a 6x2 mask, each row twice over
+    store = build_store(tmp_path / "s", [record(pixels, mask_id=m, model_id=m) for m in (1, 2)])
+    spec = MaskAggSpec(MaskAggregate("intersect", t), CpTerm(RoiBinding.full(), ValueRange(0.5, 1.0)))
+    plan = QueryPlan([1, 2], AggSpec("image_id", spec))
+    rows = [(1, 4.0 * sum(above))]
+    assert Engine(store, build_index(store, ChiConfig(2, 2, 4))).execute(plan).rows == rows
+    assert Engine(store, mode="oracle").execute(plan).rows == rows
+    store.close()
+
+
 def test_group_dimension_mismatch(tmp_path):
     from chisearch.store import DimensionMismatch
 
@@ -579,7 +597,9 @@ def test_repeated_queries_read_into_the_same_buffers(engines, monkeypatch):
     outs = []
     get_mask = store.get_mask
     monkeypatch.setattr(
-        store, "get_mask", lambda m, out=None: outs.append(out) or get_mask(m, out=out)
+        store,
+        "get_mask",
+        lambda m, out=None, rows=None: outs.append(out) or get_mask(m, out=out, rows=rows),
     )
     loaded = [eng.execute(p).stats.masks_loaded for p in plans]
     assert all(o is not None for o in outs)
@@ -599,9 +619,14 @@ def test_query_raising_mid_verify_gives_buffers_back(engines, threads):
     table = {m: Roi(2, 2, 20, 20) for m in ids if m != 25}
     bad = CpTerm(RoiBinding.per_mask(table), VR)
     plan = QueryPlan(ids, FilterSpec(CpComparison(Predicate(bad, ">", 100))), verify_all=True)
+    loads = store.load_calls
     with pytest.raises(MissingRoiBinding):
         eng.execute(plan)
-    assert _spare_count(eng) == {(24, 24): len(ids)}  # every load was given back
+    loaded = store.load_calls - loads
+    # The pool reads every mask up front; one thread reads each where it is
+    # counted, so it stops at mask 25, whose count raises.
+    assert loaded == (len(ids) if threads > 1 else 25)
+    assert _spare_count(eng) == {(24, 24): loaded}  # every load was given back
     for p in (filter_plan(ids, 130), QueryPlan(ids, TopKSpec(term(), 5, False))):
         assert eng.execute(p).rows == oracle.execute(p).rows
 
@@ -727,3 +752,61 @@ def test_expression_predicate_with_difference(engines):
     diff = BinOp("-", term(), CpTerm(RoiBinding.constant(Roi(0, 0, 12, 12)), ValueRange(0.2, 0.6)))
     p = QueryPlan(ids, FilterSpec(CpComparison(Predicate(diff, ">", 10))))
     assert eng.execute(p).rows == oracle.execute(p).rows
+
+
+# -- row spans -------------------------------------------------------------------------
+
+
+def _record_spans(store, monkeypatch) -> list:
+    spans = []
+    get_mask = store.get_mask
+
+    def recording(m, out=None, rows=None):
+        spans.append(rows)
+        return get_mask(m, out=out, rows=rows)
+
+    monkeypatch.setattr(store, "get_mask", recording)
+    return spans
+
+
+TOP = term(Roi(2, 1, 20, 5))
+BOTTOM = term(Roi(4, 17, 22, 23), ValueRange(0.2, 0.6))
+
+
+@pytest.mark.parametrize("shape", ["or", "and", "difference", "select", "topk"])
+def test_count_terms_on_disjoint_row_bands_read_their_union(engines, monkeypatch, shape):
+    store, eng, oracle = engines
+    ids = store.mask_ids()
+    top, bottom = CpComparison(Predicate(TOP, ">", 28)), CpComparison(Predicate(BOTTOM, "<", 40))
+    plan = {
+        "or": QueryPlan(ids, FilterSpec(BoolOp("or", (top, bottom)))),
+        "and": QueryPlan(ids, FilterSpec(BoolOp("and", (top, bottom)))),
+        "difference": QueryPlan(ids, FilterSpec(
+            CpComparison(Predicate(BinOp("-", TOP, BOTTOM), ">", -10)))),
+        "select": QueryPlan(ids, FilterSpec(top), select=(Column("mask_id"), ExprItem("v", BOTTOM))),
+        "topk": QueryPlan(ids, TopKSpec(BinOp("+", TOP, BOTTOM), 5, True)),
+    }[shape]
+    spans = _record_spans(store, monkeypatch)
+    got, want = eng.execute(plan), oracle.execute(plan)
+    assert got.rows == want.rows
+    assert got.stats.masks_loaded > 0
+    assert set(spans) == {(1, 23)}  # one read per mask, rows 1..23 of 24
+    for stats in (got.stats, want.stats):
+        assert stats.bytes_read == stats.masks_loaded * 22 * 24 * 4
+
+
+def test_mask_aggregates_and_masks_indexed_on_the_spot_read_whole(engines, monkeypatch):
+    store, eng, oracle = engines
+    ids = store.mask_ids()
+    spans = _record_spans(store, monkeypatch)
+    agg = QueryPlan(ids, AggSpec("image_id", MaskAggSpec(MaskAggregate("min"), TOP), None, True, 3))
+    assert eng.execute(agg).rows == oracle.execute(agg).rows
+    assert set(spans) == {None}
+    spans.clear()
+    inc = Engine(store, IndexStore(eng.index_store.config), mode="incremental")
+    cold = inc.execute(filter_plan(ids, 130, t=TOP))  # no index yet: every mask loads whole
+    assert spans == [None] * len(ids) and cold.stats.bytes_read == len(ids) * 24 * 24 * 4
+    spans.clear()
+    warm = inc.execute(filter_plan(ids, 130, t=TOP))
+    assert warm.rows == cold.rows and set(spans) <= {(1, 5)}
+    assert warm.stats.bytes_read == warm.stats.masks_loaded * 4 * 24 * 4

@@ -32,7 +32,9 @@ from chisearch.store import (
     write_roi_table,
 )
 
-from conftest import count_pixels_loop, random_range, random_roi_in, record
+from chisearch.chi import ChiConfig, ChiError, build_chi
+
+from conftest import build_store, count_pixels_loop, random_range, random_roi_in, record
 
 
 def make_store(tmp_path):
@@ -365,6 +367,73 @@ def test_get_mask_into_out_fills_it_and_returns_read_only_pixels(tmp_path):
     assert not fresh.pixels.flags.writeable
     assert fresh.pixels.tobytes() == pixels.tobytes()
     assert store.load_calls == 2
+    store.close()
+
+
+# -- row spans -----------------------------------------------------------------
+
+
+def _tall_mask_store(tmp_path):
+    """One 7x13 mask: 13 rows is no multiple of a 4-row index cell."""
+    pixels = np.random.default_rng(8).random((13, 7), dtype=np.float32)
+    return build_store(tmp_path / "tall", [record(pixels)]), pixels
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [(0, 1), (12, 13), (6, 7), (0, 13), (8, 13), (3, 9)],
+    ids=["first-row", "last-row", "one-row", "full-height", "partial-last-cell", "middle"],
+)
+def test_row_span_read_equals_full_read_on_covered_rows(tmp_path, rows):
+    store, pixels = _tall_mask_store(tmp_path)
+    y1, y2 = rows
+    whole = store.get_mask(1)
+    out = np.full((13, 7), 7.0, PIXEL_DTYPE)
+    for rec in (store.get_mask(1, rows=rows), store.get_mask(1, out=out, rows=rows)):
+        assert rec.rows == rows
+        assert (rec.width, rec.height, rec.mask_id) == (7, 13, 1)
+        assert rec.pixels.tobytes() == whole.pixels[y1:y2].tobytes() == pixels[y1:y2].tobytes()
+        assert not rec.pixels.flags.writeable
+        roi, vr = Roi(1, y1, 6, y2), ValueRange(0.2, 0.7)
+        assert cp_exact(rec, roi, vr) == cp_exact(whole, roi, vr)
+        assert cp_exact(rec, roi, vr) == count_pixels_loop(pixels, roi, vr.lo, vr.hi)
+    assert np.shares_memory(rec.pixels, out[y1:y2])
+    assert (out[:y1] == 7.0).all() and (out[y2:] == 7.0).all()  # only the span is written
+    assert store.load_calls == 3
+    store.close()
+
+
+def test_cp_exact_refuses_a_roi_outside_the_rows_read(tmp_path):
+    store, _ = _tall_mask_store(tmp_path)
+    rec = store.get_mask(1, rows=(4, 9))
+    vr = ValueRange(0.0, 1.0)
+    assert cp_exact(rec, Roi(0, 4, 7, 9), vr) == 35
+    for roi in (Roi(0, 3, 7, 9), Roi(0, 4, 7, 10), Roi(0, 0, 7, 2), Roi(0, 10, 7, 13)):
+        with pytest.raises(StoreError, match="outside rows 4..9"):
+            cp_exact(rec, roi, vr)
+    with pytest.raises(RoiOutOfBounds):
+        cp_exact(rec, Roi(0, 4, 7, 14), vr)  # past the mask still says so
+    store.close()
+
+
+def test_bad_row_span_raises_before_the_load_counts(tmp_path):
+    store, _ = _tall_mask_store(tmp_path)
+    out = np.empty((13, 7), PIXEL_DTYPE)
+    for rows in [(-1, 3), (3, 3), (5, 2), (0, 14), (13, 14), (0,), (0, 1, 2)]:
+        for kwargs in ({}, {"out": out}):
+            with pytest.raises(ValueError):
+                store.get_mask(1, rows=rows, **kwargs)
+    with pytest.raises(TypeError):
+        store.get_mask(1, rows=(0.5, 3))
+    assert store.load_calls == 0
+    store.close()
+
+
+def test_index_build_refuses_a_partial_record(tmp_path):
+    store, _ = _tall_mask_store(tmp_path)
+    with pytest.raises(ChiError, match="rows"):
+        build_chi(store.get_mask(1, rows=(0, 12)), ChiConfig(4, 4, 2))
+    assert build_chi(store.get_mask(1, rows=(0, 13)), ChiConfig(4, 4, 2)).height == 13
     store.close()
 
 
