@@ -20,7 +20,9 @@ All functions here are pure: they only read their inputs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -242,6 +244,13 @@ def cp_terms(expr: Expr) -> list[CpTerm]:
 _SCALAR_AGGS = ("SUM", "AVG", "MIN", "MAX")
 
 
+def _sum_in_order(values):
+    """``values`` added one by one, first to last, like ``sum`` before
+    Python 3.12 (which compensates). In-order rounding is monotone, so a sum
+    of lower bounds never passes the sum of the values they bound."""
+    return reduce(operator.add, values, 0)
+
+
 def bound_scalar_agg(agg: str, items: Sequence[Bounds]) -> Bounds:
     """Bracket a scalar aggregate of exact values given per-item brackets."""
     if not items:
@@ -250,9 +259,9 @@ def bound_scalar_agg(agg: str, items: Sequence[Bounds]) -> Bounds:
     lowers = [b.lower for b in items]
     uppers = [b.upper for b in items]
     if agg == "SUM":
-        return Bounds(sum(lowers), sum(uppers))
+        return Bounds(_sum_in_order(lowers), _sum_in_order(uppers))
     if agg == "AVG":
-        return Bounds(sum(lowers) / len(items), sum(uppers) / len(items))
+        return Bounds(_sum_in_order(lowers) / len(items), _sum_in_order(uppers) / len(items))
     if agg == "MIN":
         return Bounds(min(lowers), min(uppers))
     if agg == "MAX":
@@ -260,14 +269,51 @@ def bound_scalar_agg(agg: str, items: Sequence[Bounds]) -> Bounds:
     raise NonMonotoneOperator(f"unknown scalar aggregate {agg!r}")
 
 
+def bound_scalar_aggs(agg: str, lowers: np.ndarray, uppers: np.ndarray, sizes: Sequence[int]):
+    """``bound_scalar_agg`` of many groups at once, bit for bit: group g's
+    items are the next ``sizes[g]`` of the float arrays ``lowers`` and
+    ``uppers``. Returns float arrays (lower, upper), one entry per group.
+
+    A sum adds each group's items in order, as ``_sum_in_order`` does: row j
+    of a zero-padded (largest size, groups) matrix holds every group's j-th
+    item, and the rows are added one after another. ``np.add.reduceat``
+    (pairwise past 8 items) or differences of a cumulative sum would round
+    differently, so a bracket could fall an ulp inside the exact AVG.
+    """
+    lowers, uppers = np.asarray(lowers, np.float64), np.asarray(uppers, np.float64)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if (sizes < 1).any():
+        raise EmptyGroup(f"{agg} over an empty group")
+    agg = agg.upper()
+    if agg not in _SCALAR_AGGS:
+        raise NonMonotoneOperator(f"unknown scalar aggregate {agg!r}")
+    if len(sizes) == 0:
+        return np.zeros(0), np.zeros(0)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    if agg in ("MIN", "MAX"):
+        reduce_at = (np.minimum if agg == "MIN" else np.maximum).reduceat
+        return reduce_at(lowers, starts), reduce_at(uppers, starts)
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    place = np.arange(len(group)) - starts[group]  # each item's place in its group
+    out = []
+    for items in (lowers, uppers):
+        padded = np.zeros((int(sizes.max()), len(sizes)))
+        padded[place, group] = items
+        total = np.zeros(len(sizes))
+        for row in padded:
+            total += row
+        out.append(total / sizes if agg == "AVG" else total)
+    return out[0], out[1]
+
+
 def exact_scalar_agg(agg: str, values: Sequence[float]) -> float:
     if not values:
         raise EmptyGroup(f"{agg} over an empty group")
     agg = agg.upper()
     if agg == "SUM":
-        return sum(values)
+        return _sum_in_order(values)
     if agg == "AVG":
-        return sum(values) / len(values)
+        return _sum_in_order(values) / len(values)
     if agg == "MIN":
         return min(values)
     if agg == "MAX":

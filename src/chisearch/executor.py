@@ -24,6 +24,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -33,7 +34,8 @@ from .bounds import (
     Bounds,
     CpTerm,
     Expr,
-    bound_scalar_agg,
+    bound_scalar_agg,  # noqa: F401  (perfbench's tracer times it by this name)
+    bound_scalar_aggs,
     cp_terms,
     exact_scalar_agg,
     expr_bounds,
@@ -50,6 +52,7 @@ from .store import (
     MaskRecord,
     MaskStore,
     RoiBinding,
+    StoreError,
     cp_exact,
     f32_at_or_above,
 )
@@ -199,18 +202,38 @@ class MaskAggregate:
     def fingerprint(self) -> tuple:
         return (self.kind, self.threshold)
 
-    def apply(self, stack: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _above(self) -> np.float32:
+        # A float32 pixel is above t exactly when it is at or above the
+        # next float64 after t, so compare against that rounded up.
+        return f32_at_or_above([np.nextafter(self.threshold, np.inf)])[0]
+
+    def fold(self, acc: np.ndarray | None, pixels: np.ndarray) -> np.ndarray:
+        """``acc`` with one more member's ``pixels`` folded in, in place;
+        None starts the fold. ``pixels`` is only read, so it may be a buffer
+        the caller reuses."""
         if self.kind == "intersect":
-            # A float32 pixel is above t exactly when it is at or above the
-            # next float64 after t, so compare against that rounded up.
-            above = f32_at_or_above([np.nextafter(self.threshold, np.inf)])[0]
-            hit = np.all(stack >= above, axis=0)
-            return np.where(hit, np.float32(MAX_PIXEL), np.float32(0.0))
-        if self.kind == "min":
-            return np.min(stack, axis=0)
-        if self.kind == "max":
-            return np.max(stack, axis=0)
+            if acc is None:
+                return pixels >= self._above
+            return np.logical_and(acc, pixels >= self._above, out=acc)
+        if self.kind in ("min", "max"):
+            if acc is None:
+                return pixels.copy()
+            return (np.minimum if self.kind == "min" else np.maximum)(acc, pixels, out=acc)
         raise ExecError(f"unknown mask aggregate {self.kind!r}")
+
+    def finish(self, acc: np.ndarray) -> np.ndarray:
+        """The pseudo-mask's float32 pixels from a finished fold."""
+        if self.kind == "intersect":
+            return np.where(acc, np.float32(MAX_PIXEL), np.float32(0.0))
+        return acc
+
+    def apply(self, stack: np.ndarray) -> np.ndarray:
+        """The pseudo-mask of the masks stacked along the first axis."""
+        acc = None
+        for pixels in stack:
+            acc = self.fold(acc, pixels)
+        return self.finish(acc)
 
 
 MASK_AGG_REGISTRY: dict[str, object] = {}
@@ -379,31 +402,28 @@ class Engine:
         self.mode = mode
         self.threads = max(1, threads)
         self._agg_chi_cache: dict[tuple, ChiBlock] = {}
-        # Pixel buffers given back by finished queries, per (height, width).
-        self._spare: dict[tuple[int, int], list[np.ndarray]] = {}
-        self._spare_lock = threading.Lock()
+        # Each reading thread's pixel buffer per (height, width); see ``_hot_buffer``.
+        self._hot = threading.local()
 
     # -- shared plumbing ---------------------------------------------------
 
     def execute(self, plan: QueryPlan) -> QueryResult:
-        with _QueryCtx(self, plan) as ctx:
-            if isinstance(plan.shape, FilterSpec):
-                return self._execute_filter(ctx, plan)
-            if isinstance(plan.shape, TopKSpec):
-                return self._execute_topk(ctx, plan)
-            return self._execute_aggregation(ctx, plan)
+        ctx = _QueryCtx(self, plan)
+        if isinstance(plan.shape, FilterSpec):
+            return self._execute_filter(ctx, plan)
+        if isinstance(plan.shape, TopKSpec):
+            return self._execute_topk(ctx, plan)
+        return self._execute_aggregation(ctx, plan)
 
-    def _take_buffer(self, shape: tuple[int, int]) -> np.ndarray:
-        with self._spare_lock:
-            spare = self._spare.get(shape)
-            if spare:
-                return spare.pop()
-        return np.empty(shape, dtype=PIXEL_DTYPE)
-
-    def _give_back(self, buffers: list[np.ndarray]) -> None:
-        with self._spare_lock:
-            for buf in buffers:
-                self._spare.setdefault(buf.shape, []).append(buf)
+    def _hot_buffer(self, height: int, width: int) -> np.ndarray:
+        """The calling thread's one buffer for masks of this size. Every read
+        of the thread lands in it and is counted before the next, so it stays
+        in cache; an engine holds one per (size, reading thread)."""
+        mine = vars(self._hot)
+        buf = mine.get((height, width))
+        if buf is None:
+            buf = mine[height, width] = np.empty((height, width), dtype=PIXEL_DTYPE)
+        return buf
 
     def _split_indexed(self, ids: list[int]) -> tuple[list[int], list[int]]:
         """``ids`` split, each part in order, into those with an index and
@@ -421,13 +441,14 @@ class Engine:
 
     def _prefetch(self, ctx: "_QueryCtx", mask_ids: Sequence[int]) -> None:
         """Load ``mask_ids`` for counting. With several threads they are read
-        here; with one, each is read where it is first counted, while its
-        rows are still in cache, and any never counted when the query closes,
-        so the same masks load either way."""
-        todo = [m for m in dict.fromkeys(mask_ids) if m not in ctx.records]
+        and counted here; with one, each is read where it is first counted,
+        and any never counted when the query closes, so the same masks load
+        either way."""
+        todo = [m for m in dict.fromkeys(mask_ids) if m not in ctx.counts]
         if not todo:
             return
-        if self.threads == 1:
+        # Whole-mask reads (mask aggregates) are folded where they are read.
+        if self.threads == 1 or ctx.terms is None:
             ctx.due.update(dict.fromkeys(todo))
         # Pool startup only pays off for real batches.
         elif len(todo) > 8:
@@ -552,18 +573,15 @@ class Engine:
         return np.full(len(ids), lo, dtype=np.float64), np.full(len(ids), hi, dtype=np.float64)
 
     def _expr_exact_for(self, ctx: "_QueryCtx", mask_id: int, expr: Expr) -> float:
-        rec = ctx.record(mask_id)
+        counts = ctx.counts_of(mask_id)
         if type(expr) is CpTerm:  # the common single-count case, kept lean
-            return cp_exact(rec, expr.roi.resolve(mask_id, rec.width, rec.height), expr.rng)
-
-        def term_exact(term: CpTerm):
-            roi = term.roi.resolve(mask_id, rec.width, rec.height)
-            return cp_exact(rec, roi, term.rng)
+            return ctx.count(counts, expr)
+        entry = self.store.get_meta(mask_id)
 
         def area_value(binding: RoiBinding):
-            return float(binding.resolve(mask_id, rec.width, rec.height).area)
+            return float(binding.resolve(mask_id, entry.width, entry.height).area)
 
-        return expr_exact(expr, term_exact, area_value)
+        return expr_exact(expr, lambda term: ctx.count(counts, term), area_value)
 
     def _pred_exact(self, ctx: "_QueryCtx", node: PredNode, mask_id: int) -> bool:
         if isinstance(node, MetaComparison):
@@ -603,19 +621,20 @@ class Engine:
             columns, rows = self._render_value_rows(ctx, plan, [], "mask")
             return ctx.result(columns, rows, t_start, t_start)
 
-        bound_of: dict[int, float] = {}
         pred_verdicts: dict[int, int] = {}
-        candidates = targets
+        candidates, present = targets, []
         if self.mode != "oracle" and not plan.verify_all:
             if spec.pred is not None:
                 verdicts = self._filter_verdicts(ctx, spec.pred, targets)
                 pred_verdicts = dict(zip(targets, verdicts.tolist()))
                 candidates = [m for m in targets if pred_verdicts[m] != _FALSE]
             present, _ = self._split_indexed(candidates)
-            if present:
-                lowers, uppers = self._expr_bounds_many(ctx, spec.expr, present)
-                edge = uppers if spec.descending else lowers
-                bound_of = dict(zip(present, edge))
+        edges = np.full(len(candidates), np.nan)
+        if present:
+            lowers, uppers = self._expr_bounds_many(ctx, spec.expr, present)
+            # Both lists ascend, so each present id's slot is a binary search.
+            at = np.searchsorted(np.asarray(candidates, dtype=np.int64), present)
+            edges[at] = uppers if spec.descending else lowers
         t_filter = time.perf_counter()
 
         if self.mode == "oracle":
@@ -627,7 +646,7 @@ class Engine:
                     return None
             return float(self._expr_exact_for(ctx, mid, spec.expr))
 
-        ranked = self._select_ranked(candidates, k, spec.descending, bound_of, exact)
+        ranked = self._select_ranked(candidates, k, spec.descending, edges, exact)
         columns, rows = self._render_value_rows(ctx, plan, ranked, "mask")
         return ctx.result(columns, rows, t_start, t_filter)
 
@@ -639,32 +658,33 @@ class Engine:
         extra loads, never a different answer."""
         return heap[0] if len(heap) >= k else None
 
-    def _select_ranked(self, ids, k: int, descending: bool, edge_of: dict, exact):
+    def _select_ranked(self, ids, k: int, descending: bool, edges: np.ndarray, exact):
         """The k best ``(value, id)`` pairs among ``ids``, best first.
 
         A higher value wins for DESC and a lower one for ASC; equal values
         keep the lower id. Both rules live in one key, ``(±value, -id)``,
-        where larger is better. ``edge_of`` maps an id to the edge of its
-        bracket that could win (the upper bound for DESC, the lower for ASC);
-        ids without one are visited first. ``exact(id)`` returns the exact
-        value, or None when an exact WHERE or HAVING check rejects the id.
+        where larger is better. ``edges[j]`` is the edge of ``ids[j]``'s
+        bracket that could win (the upper bound for DESC, the lower for ASC),
+        NaN where it has none; those ids are visited first. ``exact(id)``
+        returns the exact value, or None when an exact WHERE or HAVING check
+        rejects the id.
 
-        Ids are visited in descending bound key, so the loop stops at the
-        first whose bound key does not beat the k-th kept key: no later id
-        can beat it either (the threshold stop of Fagin, Lotem and Naor).
+        Ids are visited in descending bound key, ``(±edge, -id)`` with +inf
+        standing in for a missing edge, so the loop stops at the first whose
+        bound key does not beat the k-th kept key: no later id can beat it
+        either (the threshold stop of Fagin, Lotem and Naor).
         """
         if k == 0:
             return []
         sign = 1.0 if descending else -1.0
-
-        def bound_key(i: int) -> tuple:
-            edge = edge_of.get(i)
-            return (np.inf if edge is None else sign * edge, -i)
-
+        ids = np.asarray(ids, dtype=np.int64)
+        keys = sign * np.asarray(edges, dtype=np.float64)
+        keys[np.isnan(keys)] = np.inf
+        order = np.lexsort((ids, -keys))  # key descending, then id ascending
         heap: list[tuple[float, int]] = []
-        for i in sorted(ids, key=bound_key, reverse=True):
+        for key, i in zip(keys[order].tolist(), ids[order].tolist()):
             threshold = self._topk_threshold(heap, k)
-            if threshold is not None and bound_key(i) <= threshold:
+            if threshold is not None and (key, -i) <= threshold:
                 break
             v = exact(i)
             if v is None:
@@ -717,17 +737,16 @@ class Engine:
 
         if self.mode == "oracle":
             self._prefetch(ctx, targets)  # everything loads anyway
-        group_bounds = self._group_bounds(ctx, spec, groups, keys)
+        lowers, uppers = self._group_bounds(ctx, spec, groups, keys)
         t_filter = time.perf_counter()
 
         survivors: list[int] = []
         unknown: list[int] = []  # having verdict needs exact values
-        for key in keys:
+        for key, lo, hi in zip(keys, lowers.tolist(), uppers.tolist()):
             if spec.having is None:
                 survivors.append(key)
                 continue
-            b = group_bounds.get(key)
-            verdict = _having_verdict(spec.having, b) if b is not None else _UNKNOWN
+            verdict = _UNKNOWN if math.isnan(lo) else _having_verdict(spec.having, Bounds(lo, hi))
             if verdict == _FALSE:
                 continue  # whole group pruned
             (survivors if verdict == _TRUE else unknown).append(key)
@@ -755,9 +774,9 @@ class Engine:
         else:
             descending = True if spec.descending is None else spec.descending
             k = spec.limit if spec.limit is not None else len(groups)
-            edge_of = {
-                key: b.upper if descending else b.lower for key, b in group_bounds.items()
-            }
+            ranked_keys = survivors + unknown
+            at = np.searchsorted(np.asarray(keys, dtype=np.int64), ranked_keys)
+            edges = (uppers if descending else lowers)[at]
             needs_exact_having = set(unknown)
 
             def exact(key: int) -> float | None:
@@ -766,7 +785,7 @@ class Engine:
                     return None
                 return v
 
-            ranked = self._select_ranked(survivors + unknown, k, descending, edge_of, exact)
+            ranked = self._select_ranked(ranked_keys, k, descending, edges, exact)
             columns, rows = self._render_group_rows(plan, spec, ranked, True)
             accepted = []  # ranked queries have no accept-without-load case
         return ctx.result(columns, rows, t_start, t_filter, accepted)
@@ -805,8 +824,7 @@ class Engine:
             fp = self._agg_fingerprint(spec.value, members)
             if fp in self._agg_chi_cache:
                 continue
-            with _QueryCtx(self) as ctx:
-                pseudo = self._materialize_group(ctx, spec.value, key, members)
+            pseudo = self._materialize_group(_QueryCtx(self), spec.value, key, members)
             self._agg_chi_cache[fp] = ChiBlock.of(build_chi(pseudo, self.index_store.config))
             built += 1
         return built
@@ -820,58 +838,58 @@ class Engine:
         members = np.split(np.asarray(targets, dtype=np.int64)[order], first[1:])
         return {k: m.tolist() for k, m in zip(uniq.tolist(), members)}
 
-    def _group_bounds(self, ctx, spec: AggSpec, groups, keys) -> dict[int, Bounds]:
-        """Bracket each group's aggregate without loading where possible."""
-        out: dict[int, Bounds] = {}
+    def _group_bounds(self, ctx, spec: AggSpec, groups, keys) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) bracket of each group's aggregate, in the order of
+        ``keys``, without loading where possible; NaN where a group has none."""
+        lowers, uppers = np.full(len(keys), np.nan), np.full(len(keys), np.nan)
         if self.mode == "oracle":
-            return out
+            return lowers, uppers
         if isinstance(spec.value, ScalarAggSpec):
+            expr = spec.value.expr
             member_ids = [m for key in keys for m in groups[key]]
             present, absent = self._split_indexed(member_ids)
-            bounds_of: dict[int, Bounds] = {}
-            if present:
-                lowers, uppers = self._expr_bounds_many(ctx, spec.value.expr, present)
-                for m, lo, hi in zip(present, lowers, uppers):
-                    bounds_of[m] = Bounds(float(lo), float(hi))
-            if absent and self.mode == "incremental":
-                # Index-less members get loaded (and indexed) right away;
-                # their exact values enter the group bracket as points.
+            if not absent:
+                member_lo, member_hi = self._expr_bounds_many(ctx, expr, member_ids)
+            else:
+                member_lo, member_hi = np.empty(len(member_ids)), np.empty(len(member_ids))
+                is_absent = np.isin(member_ids, absent)
+                if present:
+                    bounds = self._expr_bounds_many(ctx, expr, present)
+                    member_lo[~is_absent], member_hi[~is_absent] = bounds
+                # Index-less members (incremental mode) get loaded and indexed
+                # right away; their exact values enter the group bracket as points.
                 self._prefetch(ctx, absent)
-                for m in absent:
-                    v = float(self._expr_exact_for(ctx, m, spec.value.expr))
-                    bounds_of[m] = Bounds(v, v)
-            for key in keys:
-                members = groups[key]
-                if all(m in bounds_of for m in members):
-                    out[key] = bound_scalar_agg(
-                        spec.value.fn, [bounds_of[m] for m in members]
-                    )
-        else:
-            for key in keys:
-                block = self._agg_chi_cache.get(self._agg_fingerprint(spec.value, groups[key]))
-                if block is not None:
-                    # A one-row call; the pseudo-mask's rois resolve as its lowest member's.
-                    rep = np.array([min(groups[key])], dtype=np.int64)
-                    row = np.zeros(1, dtype=np.intp)
-                    lo, hi = self._block_bounds(block, row, rep, spec.value.expr)
-                    out[key] = Bounds(float(lo[0]), float(hi[0]))
-        return out
+                exact = [float(self._expr_exact_for(ctx, m, expr)) for m in absent]
+                member_lo[is_absent] = member_hi[is_absent] = exact
+            sizes = [len(groups[key]) for key in keys]
+            return bound_scalar_aggs(spec.value.fn, member_lo, member_hi, sizes)
+        for g, key in enumerate(keys):
+            block = self._agg_chi_cache.get(self._agg_fingerprint(spec.value, groups[key]))
+            if block is not None:
+                # A one-row call; the pseudo-mask's rois resolve as its lowest member's.
+                rep = np.array([min(groups[key])], dtype=np.int64)
+                row = np.zeros(1, dtype=np.intp)
+                lo, hi = self._block_bounds(block, row, rep, spec.value.expr)
+                lowers[g], uppers[g] = lo[0], hi[0]
+        return lowers, uppers
 
     def _agg_fingerprint(self, spec: MaskAggSpec, members: list[int]) -> tuple:
         return spec.agg.fingerprint() + (tuple(sorted(members)),)
 
     def _materialize_group(self, ctx, spec: MaskAggSpec, key, members) -> MaskRecord:
-        self._prefetch(ctx, members)
-        recs = [ctx.record(m) for m in sorted(members)]
-        dims = {(r.width, r.height) for r in recs}
+        """The group's pseudo-mask: each member read whole into the hot
+        buffer and folded into one accumulator, lowest id first."""
+        members = sorted(members)
+        pos = self.store.positions(members)
+        widths, heights = self.store.columns["width"][pos], self.store.columns["height"][pos]
+        dims = set(zip(widths.tolist(), heights.tolist()))
         if len(dims) != 1:
             raise DimensionMismatch(f"group {key} mixes mask dimensions {dims}")
-        stack = np.stack([r.pixels for r in recs])
-        agg_pixels = spec.agg.apply(stack).astype(np.float32)
-        rep = recs[0]
-        return MaskRecord(
-            MaskMeta(rep.mask_id, key, 0, 0), rep.width, rep.height, agg_pixels
-        )
+        acc = None
+        for m in members:
+            acc = spec.agg.fold(acc, ctx.read(m).pixels)
+        width, height = dims.pop()
+        return MaskRecord(MaskMeta(members[0], key, 0, 0), width, height, spec.agg.finish(acc))
 
     def _group_exact(self, ctx, spec: AggSpec, key, members: list[int]) -> float:
         cached = ctx.group_values.get(key)
@@ -912,11 +930,11 @@ def _pred_exprs(node: PredNode | None) -> list[Expr]:
     return []
 
 
-def _count_bindings(plan: QueryPlan | None) -> tuple[RoiBinding, ...] | None:
-    """The roi bindings of every count term ``plan`` can evaluate on one
-    mask: its predicate, its ranked or aggregated expression and its SELECT
-    expressions. None when its loads read whole masks: without a plan, or
-    for a mask aggregate, whose members are combined pixel by pixel."""
+def _count_exprs(plan: QueryPlan | None) -> list[Expr] | None:
+    """Every expression ``plan`` counts on one mask: its predicate, its
+    ranked or aggregated expression and its SELECT expressions. None when
+    its loads read whole masks and count nothing: without a plan, or for a
+    mask aggregate, whose members are combined pixel by pixel."""
     if plan is None:
         return None
     shape = plan.shape
@@ -929,43 +947,44 @@ def _count_bindings(plan: QueryPlan | None) -> tuple[RoiBinding, ...] | None:
         exprs += _pred_exprs(shape.pred)
         if isinstance(shape, TopKSpec):
             exprs.append(shape.expr)
-    # Keyed by identity: hashing a binding hashes its whole roi table.
-    return tuple({id(t.roi): t.roi for e in exprs for t in cp_terms(e)}.values())
+    return exprs
 
 
 class _QueryCtx:
-    """Per-query scratch: loaded records (each mask at most once) and stats.
+    """Per-query scratch: the counts of every loaded mask, and stats.
 
     A load reads the rows of the mask that the plan's count terms cover,
-    their union taken up front, so one read serves every count of the
-    query. Records are read into pixel buffers taken from the engine's
-    spares; on leaving the ``with`` block, raising or not, the records are
-    dropped and every buffer goes back, so no pixel array outlives its query.
+    their union taken up front, into the engine's hot buffer for the mask's
+    size, and counts every term there at once, while the rows are still in
+    cache. The query keeps only the counts, one per term, so a mask is read
+    at most once and no pixels outlive their load. A term that cannot be
+    counted on a mask (its roi is missing or out of bounds) keeps its error
+    in place of the count; the error is raised where that count is used.
     """
 
     def __init__(self, engine: Engine, plan: QueryPlan | None = None):
         self.engine = engine
         self.stats = ExecStats()
-        self.records: dict[int, MaskRecord] = {}
+        self.counts: dict[int, list] = {}  # mask id -> a count or an error per term, once loaded
         self.due: dict[int, None] = {}  # to load by the end of the query (``_prefetch``)
         self.group_values: dict[int, float] = {}
-        self._bindings = _count_bindings(plan)
-        self._buffers: list[np.ndarray] = []
+        exprs = _count_exprs(plan)
+        # The plan's count terms, one per (roi binding, value range), and the
+        # slot of each term object in them. Bindings are keyed by identity:
+        # hashing one hashes its whole roi table.
+        self.terms: list[CpTerm] | None = None if exprs is None else []
+        self._slot: dict[int, int] = {}
+        slots: dict[tuple, int] = {}
+        for t in (t for e in exprs or () for t in cp_terms(e)):
+            j = self._slot[id(t)] = slots.setdefault((id(t.roi), t.rng), len(slots))
+            if j == len(self.terms):
+                self.terms.append(t)
+        self._bindings = {id(t.roi): t.roi for t in self.terms or ()}.values()
         self._lock = threading.Lock()
-
-    def __enter__(self) -> "_QueryCtx":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.records.clear()
-        self.engine._give_back(self._buffers)
-        self._buffers = []
 
     def _rows_to_read(self, mask_id: int, height: int) -> tuple[int, int] | None:
         """The smallest row span covering every count term's roi on the
         mask, or None (the whole mask) when no term binds it one."""
-        if self._bindings is None:
-            return None
         y1, y2 = height, 0
         for binding in self._bindings:
             span = binding.row_span(mask_id, height)
@@ -973,38 +992,58 @@ class _QueryCtx:
                 y1, y2 = min(y1, span[0]), max(y2, span[1])
         return (y1, y2) if y1 < y2 else None
 
-    def load(self, mask_id: int) -> MaskRecord:
+    def read(self, mask_id: int) -> MaskRecord:
+        """Load ``mask_id`` into the calling thread's hot buffer, counted as
+        loaded with no counts yet. The record is valid until the thread's
+        next read of a mask of that size."""
         engine = self.engine
         entry = engine.store.get_meta(mask_id)
-        buf = engine._take_buffer((entry.height, entry.width))
-        with self._lock:
-            self._buffers.append(buf)
         # A mask indexed on the spot is read whole: its index counts every pixel.
         build = engine.mode == "incremental" and engine.index_store.get_or_absent(mask_id) is None
         rows = None if build else self._rows_to_read(mask_id, entry.height)
+        buf = engine._hot_buffer(entry.height, entry.width)
         rec = engine.store.get_mask(mask_id, out=buf, rows=rows)
         if build:
             engine.index_store.insert(build_chi(rec, engine.index_store.config))
         with self._lock:
-            self.records[mask_id] = rec
+            self.counts[mask_id] = []
             self.stats.bytes_read += rec.pixels.nbytes
         return rec
 
-    def record(self, mask_id: int) -> MaskRecord:
-        rec = self.records.get(mask_id)
-        if rec is None:
-            rec = self.load(mask_id)
-        return rec
+    def load(self, mask_id: int) -> list:
+        """Read ``mask_id`` and count every term of the plan on it."""
+        rec = self.read(mask_id)
+        counts = []
+        for t in self.terms or ():
+            try:
+                counts.append(cp_exact(rec, t.roi.resolve(mask_id, rec.width, rec.height), t.rng))
+            except StoreError as e:
+                counts.append(e)
+        self.counts[mask_id] = counts
+        return counts
+
+    def counts_of(self, mask_id: int) -> list:
+        counts = self.counts.get(mask_id)
+        return self.load(mask_id) if counts is None else counts
+
+    def count(self, counts: list, term: CpTerm) -> int:
+        """``term``'s count among a mask's ``counts``; raises the error kept
+        in its place."""
+        v = counts[self._slot[id(term)]]
+        if type(v) is not int:
+            raise v
+        return v
 
     def result(self, columns, rows, t_start: float, t_filter: float, accepted=()) -> QueryResult:
         """Close the query's stats and wrap its rows. Every targeted mask is
         loaded, accepted without a load (``accepted`` minus loaded), or pruned."""
         for mask_id in self.due:
-            self.record(mask_id)
+            if mask_id not in self.counts:
+                self.read(mask_id)
         t_end = time.perf_counter()
         stats = self.stats
-        stats.masks_loaded = len(self.records)
-        stats.masks_accepted_directly = sum(1 for m in accepted if m not in self.records)
+        stats.masks_loaded = len(self.counts)
+        stats.masks_accepted_directly = sum(1 for m in accepted if m not in self.counts)
         stats.masks_pruned = (
             stats.masks_targeted - stats.masks_loaded - stats.masks_accepted_directly
         )

@@ -131,6 +131,7 @@ def test_criterion_2_aligned_exactness():
     print(f"\n[criterion 2] PASS aligned exactness: {checked} queries, all exact")
 
 
+@pytest.mark.slow
 def test_criterion_3_oracle_equivalence(corpus224):
     _, store, index, rois = corpus224
     t0 = time.perf_counter()
@@ -205,6 +206,7 @@ def test_criterion_5_index_sizing(corpus224, tmp_path):
           "(16 bins, 28x28 cells, 224x224 masks)")
 
 
+@pytest.mark.slow
 def test_criterion_6_speedup_and_fml_correlation(corpus224):
     store_dir, store, _, rois = corpus224
     queries = _suite(store, rois, "filter", 500, seed=61)

@@ -12,6 +12,7 @@ from chisearch.bounds import (
     EmptyGroup,
     NonMonotoneOperator,
     bound_scalar_agg,
+    bound_scalar_aggs,
     cp_bounds,
     exact_scalar_agg,
     expr_bounds,
@@ -440,6 +441,44 @@ def test_scalar_agg_brackets_exact_randomized():
             b = bound_scalar_agg(agg, items)
             v = exact_scalar_agg(agg, list(exact))
             assert b.lower <= v <= b.upper
+
+
+def test_group_brackets_equal_one_group_at_a_time():
+    """``bound_scalar_aggs`` is ``bound_scalar_agg`` per group, bit for bit,
+    from one member up to 600; on exact members it brackets the exact value."""
+    rng = np.random.default_rng(61)
+    sizes = [1, 2, 7, 8, 9, 17, 600] + rng.integers(1, 40, size=40).tolist()
+    rng.shuffle(sizes)
+    n = sum(sizes)
+    exact = rng.uniform(-1e3, 1e3, n) * rng.choice([1e-6, 1.0, 1e6], n)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    for lowers, uppers in (
+        (exact - rng.uniform(0, 5, n), exact + rng.uniform(0, 5, n)),
+        (exact, exact),
+    ):
+        for agg in ("SUM", "AVG", "MIN", "MAX"):
+            lo, hi = bound_scalar_aggs(agg, lowers, uppers, sizes)
+            assert lo.shape == hi.shape == (len(sizes),)
+            for g, (start, size) in enumerate(zip(starts, sizes)):
+                part = slice(start, start + size)
+                items = [Bounds(float(a), float(b)) for a, b in zip(lowers[part], uppers[part])]
+                want = bound_scalar_agg(agg, items)
+                assert (float(lo[g]).hex(), float(hi[g]).hex()) == (
+                    want.lower.hex(), want.upper.hex()), (agg, size)
+                assert lo[g] <= exact_scalar_agg(agg, exact[part].tolist()) <= hi[g]
+    # Pairwise summation rounds differently: the in-order sums above are not
+    # what np.add.reduceat would give.
+    lo, _ = bound_scalar_aggs("SUM", exact, exact, sizes)
+    assert (lo != np.add.reduceat(exact, starts)).any()
+
+
+def test_group_brackets_of_no_groups_and_empty_groups():
+    lo, hi = bound_scalar_aggs("AVG", np.zeros(0), np.zeros(0), [])
+    assert lo.shape == hi.shape == (0,)
+    with pytest.raises(EmptyGroup):
+        bound_scalar_aggs("SUM", np.ones(2), np.ones(2), [2, 0])
+    with pytest.raises(NonMonotoneOperator):
+        bound_scalar_aggs("MEDIAN", np.ones(2), np.ones(2), [2])
 
 
 def test_empty_group_raises():

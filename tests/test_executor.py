@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,11 @@ from chisearch.executor import (
     QueryPlan,
     ScalarAggSpec,
     TopKSpec,
+    _QueryCtx,
 )
 from chisearch import planner, sql
 from chisearch.store import (
+    MAX_PIXEL,
     MissingRoiBinding,
     Roi,
     RoiBinding,
@@ -271,6 +275,31 @@ def test_topk_stale_threshold_only_costs_loads(engines):
         assert lagged.stats.masks_loaded >= fresh.stats.masks_loaded
 
 
+def test_ranked_visit_order_matches_the_bound_key(engines):
+    """Candidates are visited in descending ``(±edge, -id)``, edge-less ids
+    first, on ties, infinities and missing edges alike."""
+    _, eng, _ = engines
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(1, 50))
+        ids = rng.choice(10**6, size=n, replace=False).tolist()
+        values = [-np.inf, np.inf, 0.0, -0.0, 1.5, -2.0] + rng.normal(size=3).tolist()
+        edges = rng.choice(values, size=n)
+        edges[rng.random(n) < 0.25] = np.nan  # no bracket
+        edge_of = {i: e for i, e in zip(ids, edges.tolist()) if e == e}
+        for descending in (True, False):
+            sign = 1.0 if descending else -1.0
+
+            def bound_key(i):
+                edge = edge_of.get(i)
+                return (np.inf if edge is None else sign * edge, -i)
+
+            visited = []
+            # Rejecting every id keeps the heap empty, so every id is visited.
+            eng._select_ranked(ids, n, descending, edges, lambda i: visited.append(i))
+            assert visited == sorted(ids, key=bound_key, reverse=True)
+
+
 def test_topk_bound_order_matches_oracle_rows(engines):
     store, eng, oracle = engines
     ids = store.mask_ids()
@@ -461,6 +490,25 @@ def test_group_dimension_mismatch(tmp_path):
     store.close()
 
 
+def test_mask_aggregate_fold_is_bit_identical_to_stacking(engines):
+    store, eng, oracle = engines
+    members = store.mask_ids()[:7]
+    stack = np.stack([store.get_mask(m).pixels for m in members])
+    above = stack >= np.nextafter(np.float32(0.5), np.float32(1))  # pixel > 0.5
+    want = {
+        "intersect": np.where(above.all(axis=0), np.float32(MAX_PIXEL), np.float32(0)),
+        "min": np.min(stack, axis=0),
+        "max": np.max(stack, axis=0),
+    }
+    for kind, pixels in want.items():
+        spec = MaskAggSpec(MaskAggregate(kind, 0.5), term())
+        for e in (eng, oracle):
+            got = e._materialize_group(_QueryCtx(e), spec, 1, members[::-1])
+            assert got.pixels.dtype == np.float32 and got.mask_id == members[0]
+            assert got.pixels.tobytes() == pixels.tobytes(), (kind, e.mode)
+        assert MaskAggregate(kind, 0.5).apply(stack).tobytes() == pixels.tobytes()
+
+
 # -- incremental mode ------------------------------------------------------------------
 
 
@@ -519,8 +567,27 @@ def test_incremental_aggregation_matches(small_corpus):
 # -- reused pixel buffers ---------------------------------------------------------------
 
 
-def _spare_count(engine: Engine) -> dict:
-    return {shape: len(bufs) for shape, bufs in engine._spare.items() if bufs}
+def _watch_buffers(monkeypatch) -> list:
+    """Every buffer an engine reads into, as (engine, reading thread, buffer).
+    The list holds all three, so no id is reused while it lives."""
+    seen = []
+    hot_buffer = Engine._hot_buffer
+
+    def watched(self, height, width):
+        buf = hot_buffer(self, height, width)
+        seen.append((self, threading.current_thread(), buf))
+        return buf
+
+    monkeypatch.setattr(Engine, "_hot_buffer", watched)
+    return seen
+
+
+def _buffers_held(seen) -> dict:
+    """(engine, thread, shape) -> how many distinct buffers it read into."""
+    held = {}
+    for engine, thread, buf in seen:
+        held.setdefault((engine, thread, buf.shape), set()).add(id(buf))
+    return {key: len(ids) for key, ids in held.items()}
 
 
 def _mixed_size_corpus(tmp_path):
@@ -565,13 +632,15 @@ def _mixed_plans(rng, ids):
 
 
 @pytest.mark.parametrize("threads", [1, 4])
-def test_warm_engine_reusing_buffers_matches_oracle(tmp_path, threads):
+def test_warm_engine_reusing_buffers_matches_oracle(tmp_path, monkeypatch, threads):
     store, index = _mixed_size_corpus(tmp_path)
     ids = store.mask_ids()
     eng = Engine(store, index, mode="indexed", threads=threads)
     inc = Engine(store, IndexStore(index.config), mode="incremental", threads=threads)
     oracle = Engine(store, mode="oracle")
     plans = _mixed_plans(np.random.default_rng(5), ids)
+    seen = _watch_buffers(monkeypatch)
+    rounds = []
     for rnd in range(2):
         for i, plan in enumerate(plans):
             expected = oracle.execute(plan)
@@ -579,13 +648,16 @@ def test_warm_engine_reusing_buffers_matches_oracle(tmp_path, threads):
                 got = e.execute(plan)
                 assert got.rows == expected.rows, (rnd, i, e.mode)
                 assert got.columns == expected.columns
-    # The oracle's first query loads every mask: its spares are the buffers
-    # that query held, one per mask, and no more.
-    sizes = {}
-    for m in ids:
-        shape = (store.get_meta(m).height, store.get_meta(m).width)
-        sizes[shape] = sizes.get(shape, 0) + 1
-    assert _spare_count(oracle) == sizes
+        rounds.append(len(seen))
+    # Each engine reads every mask of a size, in one thread, into one buffer,
+    # whatever its queries load: the oracle holds one per size, no more.
+    assert set(_buffers_held(seen).values()) == {1}
+    sizes = {(store.get_meta(m).height, store.get_meta(m).width) for m in ids}
+    assert {shape for e, _, shape in _buffers_held(seen) if e is oracle} == sizes
+    # Warm, the calling thread allocates no new buffer.
+    main = threading.current_thread()
+    first = {id(b) for _, t, b in seen[: rounds[0]] if t is main}
+    assert {id(b) for _, t, b in seen[rounds[0]:] if t is main} <= first
     store.close()
 
 
@@ -602,23 +674,26 @@ def test_repeated_queries_read_into_the_same_buffers(engines, monkeypatch):
         lambda m, out=None, rows=None: outs.append(out) or get_mask(m, out=out, rows=rows),
     )
     loaded = [eng.execute(p).stats.masks_loaded for p in plans]
-    assert all(o is not None for o in outs)
+    assert all(o is not None for o in outs) and max(loaded) > 1
     first = {id(o) for o in outs}
-    assert _spare_count(eng) == {(24, 24): max(loaded)}
+    assert len(first) == 1  # one buffer for every load of the 24x24 masks
     outs.clear()
     for p in plans:
         eng.execute(p)
-    assert {id(o) for o in outs} <= first  # no new buffer once warm
+    assert {id(o) for o in outs} == first  # no new buffer once warm
 
 
 @pytest.mark.parametrize("threads", [1, 4])
-def test_query_raising_mid_verify_gives_buffers_back(engines, threads):
+def test_query_raising_mid_verify_gives_buffers_back(engines, monkeypatch, threads):
+    """A query that raises leaves its engine as it found it: still one
+    buffer per (size, reading thread), and the next queries right."""
     store, eng, oracle = engines
     eng = Engine(store, eng.index_store, mode="indexed", threads=threads)
     ids = store.mask_ids()
     table = {m: Roi(2, 2, 20, 20) for m in ids if m != 25}
     bad = CpTerm(RoiBinding.per_mask(table), VR)
     plan = QueryPlan(ids, FilterSpec(CpComparison(Predicate(bad, ">", 100))), verify_all=True)
+    seen = _watch_buffers(monkeypatch)
     loads = store.load_calls
     with pytest.raises(MissingRoiBinding):
         eng.execute(plan)
@@ -626,9 +701,12 @@ def test_query_raising_mid_verify_gives_buffers_back(engines, threads):
     # The pool reads every mask up front; one thread reads each where it is
     # counted, so it stops at mask 25, whose count raises.
     assert loaded == (len(ids) if threads > 1 else 25)
-    assert _spare_count(eng) == {(24, 24): loaded}  # every load was given back
+    raised = len(seen)
     for p in (filter_plan(ids, 130), QueryPlan(ids, TopKSpec(term(), 5, False))):
         assert eng.execute(p).rows == oracle.execute(p).rows
+    assert set(_buffers_held(seen).values()) == {1}
+    if threads == 1:
+        assert {id(b) for e, _, b in seen[raised:] if e is eng} == {id(seen[0][2])}
 
 
 # -- per-mask roi tables ---------------------------------------------------------------
@@ -688,6 +766,28 @@ def test_roi_past_the_mask_edge_raises_in_vectorised_path(small_corpus, binding)
         with pytest.raises(RoiOutOfBounds, match="exceeds mask 24x24"):
             eng.execute(plan)
     assert store.load_calls == loads
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_count_errors_raise_only_where_the_count_is_used(engines, threads):
+    """Every term is counted at read, but a term that cannot be counted on a
+    mask raises only where a query uses that count, as a full scan would."""
+    store, _, _ = engines
+    oracle = Engine(store, mode="oracle", threads=threads)
+    ids = store.mask_ids()
+    everywhere = CpComparison(Predicate(term(), ">", -1))
+    missing = CpTerm(RoiBinding.per_mask({m: Roi(2, 2, 20, 20) for m in ids if m != 7}), VR)
+    outside = CpTerm(RoiBinding.constant(Roi(0, 20, 10, 25)), VR)  # masks are 24x24
+    for bad, error in ((missing, MissingRoiBinding), (outside, RoiOutOfBounds)):
+        unused = CpComparison(Predicate(bad, ">", 100))
+        lazy = QueryPlan(ids, FilterSpec(BoolOp("or", (everywhere, unused))))
+        assert oracle.execute(lazy).rows == [(m,) for m in ids]
+        used = QueryPlan(ids, FilterSpec(BoolOp("or", (unused, everywhere))))
+        with pytest.raises(error):
+            oracle.execute(used)
+        first_only = QueryPlan(ids, FilterSpec(BoolOp("and", (
+            CpComparison(Predicate(term(), "<", -1)), unused))))
+        assert oracle.execute(first_only).rows == []
 
 
 # -- determinism -----------------------------------------------------------------------
