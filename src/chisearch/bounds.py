@@ -15,11 +15,14 @@ exact. Only the boundary cells carry slack, each its own.
 ``cp_bounds`` is the one bound kernel: it brackets many masks of one size
 at once, reading the bin-major rows of their ``ChiBlock``.
 
-All functions here are pure: they only read their inputs.
+All functions here are pure: they only read their inputs and return
+fresh arrays. ``cp_bounds`` works in the calling thread's scratch buffers
+(``chi.scratch``), so repeated calls take no fresh pages.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -27,7 +30,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .chi import ChiBlock
+from .chi import ChiBlock, scratch
 from .store import RoiBinding, ValueRange
 
 
@@ -59,41 +62,63 @@ def cp_bounds(block: ChiBlock, rows: np.ndarray, rois: np.ndarray, rng: ValueRan
     """Bracket the count of pixels with values in [rng.lo, rng.hi) inside
     ``rois[i]`` of the mask at row ``rows[i]`` of ``block``, for every i.
 
-    ``rows`` is an int array (n,) and ``rois`` an int array (n, 4) of x1,
-    y1, x2, y2. Returns int64 arrays (lower, upper). One mask is a one-row
-    call.
+    ``rows`` is an int array (n,) of rows in use and ``rois`` an int array
+    (n, 4) of x1, y1, x2, y2. Returns int64 arrays (lower, upper). One mask
+    is a one-row call.
     """
     n = len(rows)
     if n == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    counts = block.counts
+    if rows.min() < 0 or rows.max() >= block.n:
+        raise IndexError(f"rows outside the {block.n} in use")
     lo, hi = block.config.outer_bin_span(rng)
     a, z = block.config.inner_bin_span(rng)
     k = 2 if a < z else 1  # count [lo, hi), and [a, z) unless it is empty
 
-    # Each cell's count over [lo, hi), then over [a, z): differences of the
-    # reverse-cumulative bins, then of the prefix corners along x and y, in
-    # place over one flat array. Slot (i, j) of a plane then holds cell
-    # (i, j)'s count, except the last slot along either axis, where the
-    # differences straddle two planes or two corner rows and hold no cell.
-    # The unsigned arithmetic wraps, but each true count lies in [0, width *
-    # height], inside the block's dtype, so every difference comes out exact.
-    cells = block.counts[rows, np.array([lo, a][:k])[:, None]]  # (k, n, slots x, slots y)
-    caps = block.counts[rows, np.array([hi, z][:k])[:, None]]
+    # Gather plane (row, bin) of each mask and bin edge into the calling
+    # thread's scratch, by its index in the (rows * planes) stack of planes;
+    # the take cannot clip, as rows were checked, and ``mode="raise"`` would
+    # buffer ``out``. Then each cell's count over [lo, hi), then over [a, z):
+    # differences of the reverse-cumulative bins, then of the prefix corners
+    # along x and y, in place over one flat array. Slot (i, j) of a plane
+    # then holds cell (i, j)'s count, except the last slot along either
+    # axis, where the differences straddle two planes or two corner rows and
+    # hold no cell. The unsigned arithmetic wraps, but each true count lies
+    # in [0, width * height], inside the block's dtype, so every difference
+    # comes out exact.
+    shape = (k, n) + counts.shape[2:]  # (k, n, slots x, slots y)
+    dtype = counts.dtype
+    planes_of = scratch("bounds_planes", math.prod(shape), dtype, dtype)
+    cells, caps = (b.reshape(shape) for b in planes_of)
+    planes = counts.reshape((-1,) + counts.shape[2:])
+    first = rows * counts.shape[1]
+    planes.take(first + np.array([lo, a][:k])[:, None], axis=0, out=cells, mode="clip")
+    planes.take(first + np.array([hi, z][:k])[:, None], axis=0, out=caps, mode="clip")
     np.subtract(cells, caps, out=cells)
     flat, ny = cells.reshape(-1), cells.shape[3]
     np.subtract(flat[ny:], flat[:-ny], out=flat[:-ny])
     np.subtract(flat[1:], flat[:-1], out=flat[:-1])
+
+    # How much of each slot the roi spans along x and along y, in the
+    # dtype: the rois lie within the mask, so every end fits it, and ending
+    # each span at max(min(x2, slot end), its start) keeps the unsigned
+    # difference from wrapping where the roi misses a slot.
+    span_shape = (n,) + block.slot_lo.shape  # (n, axis, slot)
+    spans = scratch("bounds_spans", math.prod(span_shape), dtype, dtype)
+    start, span = (b.reshape(span_shape) for b in spans)
+    np.maximum(rois[:, :2].astype(dtype)[:, :, None], block.slot_lo, out=start)
+    np.minimum(rois[:, 2:].astype(dtype)[:, :, None], block.slot_hi, out=span)
+    np.maximum(span, start, out=span)
+    np.subtract(span, start, out=span)
 
     # caps, reused, gets each cell's overlap with the roi, a_c = ax * ay, and
     # the upper bound sums min(U_c, a_c). For the lower bound, caps[1] gets
     # the cell's area outside the roi, A_c - a_c, and the lower bound sums
     # max(L_c, A_c - a_c) - (A_c - a_c). The empty slots have a_c = 0 and
     # A_c = the dtype's maximum (see ``ChiBlock``), so they add 0 to both.
-    dtype = block.counts.dtype
-    x1, y1, x2, y2 = (c[:, None] for c in rois.T)
-    ax = np.maximum(np.minimum(x2, block.slot_x1) - np.maximum(x1, block.slot_x0), 0)
-    ay = np.maximum(np.minimum(y2, block.slot_y1) - np.maximum(y1, block.slot_y0), 0)
-    np.multiply(ax.astype(dtype)[:, :, None], ay.astype(dtype)[:, None, :], out=caps[0])
+    ax, ay = span[:, 0, : shape[2], None], span[:, 1, None, : shape[3]]
+    np.multiply(ax, ay, out=caps[0])
     if k == 2:
         np.subtract(block.slot_area, caps[0], out=caps[1])
         np.maximum(cells[1], caps[1], out=cells[1])

@@ -12,7 +12,9 @@ dimensions are not multiples of the cell size simply get narrower edge
 cells; every formula below holds unchanged on the extended boundary set.
 
 An ``IndexStore`` keeps, per mask size, one zero-padded block holding every
-such mask's counts as one row; bounds are computed from the blocks.
+such mask's counts as one row, beside an int64 column of their mask ids;
+the blocks are the only copy of the index, and bounds are computed from
+them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .store import PIXEL_DTYPE, PIXEL_MAX, PIXEL_MIN, MaskRecord, ValueRange, f32_at_or_above
+from .store import (
+    INT64_MAX,
+    PIXEL_DTYPE,
+    PIXEL_MAX,
+    PIXEL_MIN,
+    MaskRecord,
+    ValueRange,
+    f32_at_or_above,
+    find_sorted,
+)
 
 CHI_MAGIC = b"MCHI1\n"
 CHI_VERSION = 1
@@ -148,6 +159,36 @@ class ChiIndex:
         return self.counts.nbytes
 
 
+# Scratch buffers larger than this are not kept between calls.
+_SCRATCH_MAX_BYTES = 1 << 23
+
+# Each thread's scratch buffers by name; see ``scratch``.
+_scratch = threading.local()
+
+
+def scratch(name: str, count: int, *dtypes) -> list[np.ndarray]:
+    """One array of ``count`` items per dtype of ``dtypes``, side by side in
+    the calling thread's scratch buffer ``name``, valid until the thread's
+    next request for that name.
+
+    Each buffer grows to the largest request and is kept, so a kernel called
+    again and again on same-size inputs takes no fresh pages; a request over
+    ``_SCRATCH_MAX_BYTES`` gets a fresh buffer that is not kept.
+    """
+    # Each array starts on a 16-byte boundary, so every dtype is aligned.
+    sizes = [-(-count * np.dtype(d).itemsize // 16) * 16 for d in dtypes]
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.nbytes < sum(sizes):
+        buf = np.empty(sum(sizes), dtype=np.uint8)
+        if buf.nbytes <= _SCRATCH_MAX_BYTES:
+            setattr(_scratch, name, buf)
+    arrays, start = [], 0
+    for d, size in zip(dtypes, sizes):
+        arrays.append(buf[start : start + size].view(d)[:count])
+        start += size
+    return arrays
+
+
 @lru_cache(maxsize=16)
 def _cell_base(width: int, height: int, config: ChiConfig) -> np.ndarray:
     """Per pixel, row-major, the flat offset of its cell's bin 0.
@@ -165,7 +206,8 @@ def _cell_base(width: int, height: int, config: ChiConfig) -> np.ndarray:
 
 
 def build_chi(mask: MaskRecord, config: ChiConfig) -> ChiIndex:
-    """Build the corner-count array for one mask. Runs in O(width * height)."""
+    """Build the corner-count array for one mask. Runs in O(width * height),
+    with its per-pixel arrays in the calling thread's scratch."""
     if mask.width * mask.height >= 2**32:
         raise OverflowDetected("mask pixel count exceeds 32-bit counters")
     if mask.rows != (0, mask.height):
@@ -175,21 +217,38 @@ def build_chi(mask: MaskRecord, config: ChiConfig) -> ChiIndex:
 
     # Bin of each pixel: the largest edge at or below its value, against
     # the float32 image of the shared edges (see ``bin_edges_f32``), so the
-    # pixels are compared as they are, with no float64 copy. The floor of
-    # the float32 product v * bins is the value's bin or one above it: an
-    # edge sits within 2**-52 of i / bins, and the product rounds to the
-    # nearest float32, which holds every integer up to MAX_BINS. So it can
-    # only overshoot, at a value just below an edge (at most to ``bins``,
-    # whose edge 1.0 is above every pixel), and one step down settles it.
+    # pixels are compared as they are, with no float64 copy. The float32
+    # product v * bins, cast to an integer, is the value's bin or one above
+    # it: an edge sits within 2**-52 of i / bins, and the product rounds to
+    # the nearest float32, which holds every integer up to MAX_BINS; the
+    # cast truncates, which is the floor here, as no pixel is below 0 (a
+    # -0.0 pixel gives bin 0). So it can only overshoot, at a value just
+    # below an edge (at most to ``bins``, whose edge 1.0 is above every
+    # pixel), and one step down settles it. The take cannot clip, as every
+    # bin is in [0, bins]; ``mode="raise"`` would buffer ``out``.
     pixels = np.asarray(mask.pixels, dtype=PIXEL_DTYPE).ravel()
-    flat = (pixels * np.float32(b)).astype(np.intp)
-    flat -= pixels < config.bin_edges_f32.take(flat)
-    flat += _cell_base(mask.width, mask.height, config)
+    values, flat, below = scratch("build", len(pixels), PIXEL_DTYPE, np.intp, np.bool_)
+    np.multiply(pixels, np.float32(b), out=values)
+    flat[:] = values
+    config.bin_edges_f32.take(flat, out=values, mode="clip")
+    np.less(pixels, values, out=below)
+    np.subtract(flat, below, out=flat)
+    np.add(flat, _cell_base(mask.width, mask.height, config), out=flat)
     per_cell = np.bincount(flat, minlength=n_cx * n_cy * b).reshape(n_cx, n_cy, b)
 
     rev = np.cumsum(per_cell[:, :, ::-1], axis=2)[:, :, ::-1]
     prefix = np.cumsum(np.cumsum(rev, axis=0), axis=1)
     return ChiIndex(mask.mask_id, mask.width, mask.height, config, prefix.astype(np.uint32))
+
+
+# Rows a block appends before it sorts its ids again; ``ChiBlock.find``
+# scans them one by one.
+_UNSORTED_MAX = 256
+
+# Least size of a grown block's counts. ``np.zeros`` maps pages this large
+# untouched, so rows take memory only once written, and a block that stays
+# within it is never copied again.
+_GROWN_BYTES = 1 << 22
 
 
 class ChiBlock:
@@ -201,76 +260,149 @@ class ChiBlock:
     counts of one bin edge are one contiguous plane. Any aligned
     rectangle's or cell's histogram is then four lookups with no special
     case. The dtype is uint16 for masks of fewer than 2**16 pixels and
-    uint32 otherwise. Rows are appended and capacity doubles when full, so
-    rows only move when the block grows.
+    uint32 otherwise. Rows are appended and capacity doubles when full
+    (see ``_GROWN_BYTES``), so rows only move when the block grows.
+
+    ``ids[row]`` is the mask id of each of the first ``n`` rows. Lookups
+    binary-search a sorted copy of that column, made again once enough rows
+    have been appended since (``rows_of`` re-sorts on any appended row).
     """
 
     def __init__(self, width: int, height: int, config: ChiConfig):
         grid = grid_boundaries(width, height, config)
         self.width, self.height, self.config = width, height, config
+        self.n_cx, self.n_cy = len(grid.xs), len(grid.ys)
         # No count exceeds width * height, so smaller masks fit in 16 bits,
         # which halves what the bound kernel reads.
         dtype = np.uint16 if width * height < 2**16 else np.uint32
-        self.counts = np.zeros((1, config.bins + 1, len(grid.xs) + 1, len(grid.ys) + 1), dtype)
-        # The bound kernel's geometry, one slot per boundary rank: slot i
-        # spans grid column i, [slot_x0[i], slot_x1[i]), and the last slot is
-        # empty; likewise along y. slot_area holds each cell's real area (edge
+        self.counts = np.zeros((1, config.bins + 1, self.n_cx + 1, self.n_cy + 1), dtype)
+        self.ids = np.zeros(1, dtype=np.int64)
+        self.n = 0
+        # Rows [0, m) ordered by id: (m, their ids ascending, their rows).
+        self._sorted = (0, self.ids[:0], np.zeros(0, dtype=np.intp))
+        # The bound kernel's geometry, in the block's dtype, one slot per
+        # boundary rank, along x in row 0 and along y in row 1: slot i spans
+        # grid column i, [slot_lo[0, i], slot_hi[0, i]), and likewise row i.
+        # The last slot along each axis is empty, and so are the slots that
+        # pad the shorter axis. slot_area holds each cell's real area (edge
         # cells are narrower), and the dtype's maximum in the empty slots.
-        xs, ys = np.array((0,) + grid.xs), np.array((0,) + grid.ys)
-        self.slot_x0, self.slot_x1 = xs, np.append(xs[1:], width)
-        self.slot_y0, self.slot_y1 = ys, np.append(ys[1:], height)
-        area = np.outer(self.slot_x1 - xs, self.slot_y1 - ys)
-        area[-1, :] = area[:, -1] = np.iinfo(dtype).max
-        self.slot_area = area.astype(dtype)
-        self.row_of: dict[int, int] = {}
+        # Every coordinate and area fits the dtype.
+        n_slots = max(self.n_cx, self.n_cy) + 1
+        ends = [
+            (0,) + bounds + (extent,) * (n_slots - len(bounds))
+            for bounds, extent in ((grid.xs, width), (grid.ys, height))
+        ]
+        ends = np.array(ends, dtype)
+        self.slot_lo, self.slot_hi = ends[:, :-1], ends[:, 1:]
+        span = self.slot_hi - self.slot_lo
+        self.slot_area = np.outer(span[0, : self.n_cx + 1], span[1, : self.n_cy + 1])
+        self.slot_area[-1, :] = self.slot_area[:, -1] = np.iinfo(dtype).max
 
     @classmethod
     def of(cls, index: ChiIndex) -> "ChiBlock":
         """A one-row block holding ``index`` alone."""
         block = cls(index.width, index.height, index.config)
-        block.put(index)
+        block.put(index.mask_id, index.counts)
         return block
 
-    def put(self, index: ChiIndex) -> None:
-        """Write ``index`` into its mask's row, appending a row for a new id.
+    def mask_ids(self) -> np.ndarray:
+        """The mask id of each row in use, in row order."""
+        n = self.n
+        return self.ids[:n]
 
-        Callers serialize puts. Readers need no lock: a row is written, and
-        a grown array swapped in, before the row is published in ``row_of``.
+    def corners(self, row: int) -> np.ndarray:
+        """The counts of ``row`` laid out as ``ChiIndex.counts``, a view."""
+        return self.counts[row, :-1, 1:, 1:].transpose(1, 2, 0)
+
+    def _sort(self, n: int) -> tuple:
+        rows = np.argsort(self.ids[:n], kind="stable")
+        self._sorted = entry = (n, self.ids[rows], rows)
+        return entry
+
+    def rows_of(self, mask_ids: np.ndarray) -> np.ndarray:
+        """The row of each of ``mask_ids`` (int64), -1 where the block has none."""
+        n, (m, keys, rows) = self.n, self._sorted
+        if m < n:
+            m, keys, rows = self._sort(n)
+        if m == 0:
+            return np.full(len(mask_ids), -1, dtype=np.intp)
+        at, found = find_sorted(keys, mask_ids)
+        return np.where(found, rows[at], -1)
+
+    def find(self, mask_id: int) -> int:
+        """The row of one mask id, or -1 where the block has none."""
+        if not 0 <= mask_id <= INT64_MAX:
+            return -1
+        n, (m, keys, rows) = self.n, self._sorted
+        if n - m > _UNSORTED_MAX:
+            m, keys, rows = self._sort(n)
+        i = keys.searchsorted(mask_id)
+        if i < m and keys[i] == mask_id:
+            return int(rows[i])
+        if m < n:  # a short list scans faster than one numpy call
+            appended = self.ids[m:n].tolist()
+            if mask_id in appended:
+                return m + appended.index(mask_id)
+        return -1
+
+    def put(self, mask_id: int, counts: np.ndarray) -> None:
+        """Write one mask's corner counts, laid out as ``ChiIndex.counts``,
+        into its row, appending a row for a new id.
+
+        Callers serialize puts. Readers need no lock: a row and its id are
+        written, and grown arrays swapped in, before ``n`` takes the row in.
         """
-        row = self.row_of.get(index.mask_id, len(self.row_of))
-        counts = self.counts
-        if row == len(counts):
-            counts = np.zeros((2 * row,) + counts.shape[1:], counts.dtype)
-            counts[:row] = self.counts
-        counts[row, :-1, 1:, 1:] = index.counts.transpose(2, 0, 1)
-        self.counts = counts
-        self.row_of[index.mask_id] = row
+        row = self.find(mask_id)
+        if row < 0:
+            row = self.n
+        if row == len(self.ids):
+            capacity = max(2 * row, _GROWN_BYTES // self.counts[0].nbytes)
+            grown = np.zeros((capacity,) + self.counts.shape[1:], self.counts.dtype)
+            grown[:row] = self.counts
+            ids = np.zeros(capacity, dtype=np.int64)
+            ids[:row] = self.ids
+            self.counts, self.ids = grown, ids
+        self.counts[row, :-1, 1:, 1:] = counts.transpose(2, 0, 1)
+        self.ids[row] = mask_id
+        self.n = max(self.n, row + 1)
 
 
 class IndexStore:
     """In-memory collection of per-mask indexes sharing one config.
 
-    Each inserted index also lands in the ``ChiBlock`` of its mask size,
-    which is what bounds read. Reads are lock-free; insertion takes a lock
-    so parallel workers indexing distinct masks stay linearizable.
+    The indexes live only as rows of one ``ChiBlock`` per mask size, which
+    is what bounds read. Reads are lock-free; insertion takes a lock so
+    parallel workers indexing distinct masks stay linearizable.
     Re-inserting the same mask id is harmless (both builds are identical,
     and the id keeps its row), last write wins.
     """
 
     def __init__(self, config: ChiConfig):
         self.config = config
-        self._entries: dict[int, ChiIndex] = {}
         self._blocks: dict[tuple[int, int], ChiBlock] = {}
         self._lock = threading.Lock()
 
-    def get_or_absent(self, mask_id: int) -> ChiIndex | None:
-        """The mask's index, or None when it has not been built yet."""
-        return self._entries.get(mask_id)
+    def blocks(self) -> list[ChiBlock]:
+        """Every block, one per indexed mask size."""
+        return list(self._blocks.values())
 
-    def absent(self, mask_ids: Sequence[int]) -> list[int]:
-        """Those of ``mask_ids`` with no index yet, in their order."""
-        entries = self._entries
-        return [m for m in mask_ids if m not in entries]
+    def get_or_absent(self, mask_id: int) -> ChiIndex | None:
+        """The mask's index, rebuilt from its block row, or None when it has
+        not been built yet."""
+        for block in self.blocks():
+            row = block.find(mask_id)
+            if row >= 0:
+                counts = block.corners(row).astype(np.uint32, order="C")
+                return ChiIndex(mask_id, block.width, block.height, self.config, counts)
+        return None
+
+    def has(self, mask_ids: Sequence[int]) -> np.ndarray:
+        """Boolean array: which of ``mask_ids`` have an index."""
+        ids = np.asarray(mask_ids, dtype=np.int64)
+        out = np.zeros(len(ids), dtype=bool)
+        for block in self.blocks():
+            out |= block.rows_of(ids) >= 0
+        return out
 
     def block(self, width: int, height: int) -> ChiBlock:
         """The block of every indexed width x height mask."""
@@ -279,38 +411,64 @@ class IndexStore:
     def insert(self, index: ChiIndex) -> None:
         if index.config != self.config:
             raise ConfigMismatch("index built with a different config")
-        dims = (index.width, index.height)
+        self._put(index.mask_id, index.width, index.height, index.counts)
+
+    def _put(self, mask_id: int, width: int, height: int, counts: np.ndarray) -> None:
+        """Write one mask's ``ChiIndex.counts``-shaped corner counts into the
+        block of its size."""
+        if not 0 <= mask_id <= INT64_MAX:
+            raise ChiError(f"mask_id {mask_id} outside [0, 2**63)")
         with self._lock:
-            block = self._blocks.get(dims)
-            if block is None:
-                block = self._blocks[dims] = ChiBlock(index.width, index.height, self.config)
-            block.put(index)
-            self._entries[index.mask_id] = index
+            block = self._blocks.get((width, height))
+            for other in self._blocks.values():
+                if other is not block and other.find(mask_id) >= 0:
+                    raise ChiError(
+                        f"mask {mask_id} is indexed as {other.width}x{other.height},"
+                        f" not {width}x{height}"
+                    )
+            block = block or ChiBlock(width, height, self.config)
+            block.put(mask_id, counts)
+            # A new block is published with its first row in place.
+            self._blocks[(width, height)] = block
 
     def mask_ids(self) -> list[int]:
-        return sorted(self._entries)
+        ids = [block.mask_ids() for block in self.blocks()]
+        return np.sort(np.concatenate(ids)).tolist() if ids else []
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(block.n for block in self.blocks())
 
     def __contains__(self, mask_id: int) -> bool:
-        return mask_id in self._entries
+        for block in self.blocks():
+            if block.find(mask_id) >= 0:
+                return True
+        return False
 
     def payload_bytes(self) -> int:
-        return sum(e.payload_bytes for e in self._entries.values())
+        """Bytes of every index's uint32 counts, as ``persist_index`` writes them."""
+        return sum(4 * b.n * b.n_cx * b.n_cy * self.config.bins for b in self.blocks())
 
 
 def persist_index(store: IndexStore, path: str | Path) -> None:
     """Write the store to one file; see load_index for the inverse.
 
-    The bytes go to a fresh file beside ``path``, which is flushed, fsynced
-    and then renamed over ``path``, and the directory is fsynced after the
-    rename: a crash mid-write leaves the old file whole and, at worst, a
-    stray temp file behind.
+    Records go out in ascending mask id, each mask's counts copied from its
+    block row through one uint32 buffer per mask size. The bytes go to a
+    fresh file beside ``path``, which is flushed, fsynced and then renamed
+    over ``path``, and the directory is fsynced after the rename: a crash
+    mid-write leaves the old file whole and, at worst, a stray temp file
+    behind.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     cfg = store.config
+    blocks = store.blocks()
+    records = sorted(
+        (mask_id, i, row)
+        for i, block in enumerate(blocks)
+        for row, mask_id in enumerate(block.mask_ids().tolist())
+    )
+    bufs = [np.empty((b.n_cx, b.n_cy, cfg.bins), dtype="<u4") for b in blocks]
     fh = open(tmp, "xb")
     try:
         with fh:
@@ -323,13 +481,14 @@ def persist_index(store: IndexStore, path: str | Path) -> None:
                     cfg.cell_height,
                     PIXEL_MIN,
                     PIXEL_MAX,
-                    len(store),
+                    len(records),
                 )
             )
-            for mask_id in store.mask_ids():
-                idx = store.get_or_absent(mask_id)
-                fh.write(_RECORD.pack(mask_id, idx.width, idx.height, idx.n_cx, idx.n_cy))
-                fh.write(np.ascontiguousarray(idx.counts, dtype="<u4").tobytes())
+            for mask_id, i, row in records:
+                block, buf = blocks[i], bufs[i]
+                fh.write(_RECORD.pack(mask_id, block.width, block.height, block.n_cx, block.n_cy))
+                np.copyto(buf, block.corners(row))
+                fh.write(buf)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -345,45 +504,51 @@ def persist_index(store: IndexStore, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> IndexStore:
-    raw = Path(path).read_bytes()
-    if raw[: len(CHI_MAGIC)] != CHI_MAGIC:
-        raise CorruptIndex(f"{path}: bad magic")
-    off = len(CHI_MAGIC)
-    try:
-        version, bins, cw, ch, lo, hi, count = _HEADER.unpack_from(raw, off)
-    except struct.error as e:
-        raise CorruptIndex(f"{path}: truncated header") from e
-    if version != CHI_VERSION:
-        raise CorruptIndex(f"{path}: unsupported version {version}")
-    if (lo, hi) != (PIXEL_MIN, PIXEL_MAX):
-        raise CorruptIndex(f"{path}: value domain [{lo}, {hi}) is not [0, 1)")
-    off += _HEADER.size
-    try:
-        config = ChiConfig(cw, ch, bins)
-    except ValueError as e:
-        raise CorruptIndex(f"{path}: {e}") from e
-    store = IndexStore(config)
-    for _ in range(count):
+    """Read a file ``persist_index`` wrote, record by record, into the
+    blocks of a new store."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(CHI_MAGIC)) != CHI_MAGIC:
+            raise CorruptIndex(f"{path}: bad magic")
         try:
-            mask_id, width, height, n_cx, n_cy = _RECORD.unpack_from(raw, off)
+            version, bins, cw, ch, lo, hi, count = _HEADER.unpack(fh.read(_HEADER.size))
         except struct.error as e:
-            raise CorruptIndex(f"{path}: truncated record table") from e
-        off += _RECORD.size
-        nbytes = n_cx * n_cy * bins * 4
-        if off + nbytes > len(raw):
-            raise CorruptIndex(f"{path}: truncated counts for mask {mask_id}")
-        grid = grid_boundaries(width, height, config)
-        if (len(grid.xs), len(grid.ys)) != (n_cx, n_cy):
-            raise CorruptIndex(f"{path}: grid shape mismatch for mask {mask_id}")
-        counts = (
-            np.frombuffer(raw, dtype="<u4", count=n_cx * n_cy * bins, offset=off)
-            .reshape(n_cx, n_cy, bins)
-            .copy()
-        )
-        off += nbytes
-        store.insert(ChiIndex(mask_id, width, height, config, counts))
-    if off != len(raw):
-        raise CorruptIndex(f"{path}: {len(raw) - off} trailing bytes")
+            raise CorruptIndex(f"{path}: truncated header") from e
+        if version != CHI_VERSION:
+            raise CorruptIndex(f"{path}: unsupported version {version}")
+        if (lo, hi) != (PIXEL_MIN, PIXEL_MAX):
+            raise CorruptIndex(f"{path}: value domain [{lo}, {hi}) is not [0, 1)")
+        off = len(CHI_MAGIC) + _HEADER.size
+        try:
+            config = ChiConfig(cw, ch, bins)
+        except ValueError as e:
+            raise CorruptIndex(f"{path}: {e}") from e
+        store = IndexStore(config)
+        bufs: dict[tuple[int, int], np.ndarray] = {}  # one counts buffer per grid shape
+        for _ in range(count):
+            try:
+                mask_id, width, height, n_cx, n_cy = _RECORD.unpack(fh.read(_RECORD.size))
+            except struct.error as e:
+                raise CorruptIndex(f"{path}: truncated record table") from e
+            off += _RECORD.size
+            nbytes = n_cx * n_cy * bins * 4
+            if off + nbytes > size:
+                raise CorruptIndex(f"{path}: truncated counts for mask {mask_id}")
+            grid = grid_boundaries(width, height, config)
+            if (len(grid.xs), len(grid.ys)) != (n_cx, n_cy):
+                raise CorruptIndex(f"{path}: grid shape mismatch for mask {mask_id}")
+            buf = bufs.get((n_cx, n_cy))
+            if buf is None:
+                buf = bufs[n_cx, n_cy] = np.empty((n_cx, n_cy, bins), dtype="<u4")
+            if fh.readinto(buf) != nbytes:
+                raise CorruptIndex(f"{path}: truncated counts for mask {mask_id}")
+            off += nbytes
+            try:
+                store._put(mask_id, width, height, buf)
+            except ChiError as e:
+                raise CorruptIndex(f"{path}: {e}") from e
+    if off != size:
+        raise CorruptIndex(f"{path}: {size - off} trailing bytes")
     return store
 
 
@@ -393,6 +558,7 @@ def merge_index(dst: IndexStore, src: IndexStore) -> IndexStore:
         raise ConfigMismatch(
             f"cannot merge {src.config} into store with {dst.config}"
         )
-    for mask_id in src.mask_ids():
-        dst.insert(src.get_or_absent(mask_id))
+    for block in src.blocks():
+        for row, mask_id in enumerate(block.mask_ids().tolist()):
+            dst._put(mask_id, block.width, block.height, block.corners(row))
     return dst

@@ -22,6 +22,7 @@ import heapq
 import math
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -404,6 +405,9 @@ class Engine:
         self._agg_chi_cache: dict[tuple, ChiBlock] = {}
         # Each reading thread's pixel buffer per (height, width); see ``_hot_buffer``.
         self._hot = threading.local()
+        # Started on the first batch read with threads > 1; see ``_reader_pool``.
+        self._pool: ThreadPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -425,19 +429,28 @@ class Engine:
             buf = mine[height, width] = np.empty((height, width), dtype=PIXEL_DTYPE)
         return buf
 
-    def _split_indexed(self, ids: list[int]) -> tuple[list[int], list[int]]:
-        """``ids`` split, each part in order, into those with an index and
-        those without. Indexed mode needs an index of every id: MissingIndex
-        names the first absent one."""
+    def _has_index(self, ids: Sequence[int]) -> np.ndarray:
+        """Boolean array: which of ``ids`` have an index. Indexed mode needs
+        an index of every id: MissingIndex names the first absent one."""
         if self.mode == "oracle":
-            return [], list(ids)
-        absent = self.index_store.absent(ids)
-        if not absent:
-            return ids, []
-        if self.mode == "indexed":
-            raise MissingIndex(f"mask {absent[0]} has no index and mode is 'indexed'")
-        gone = set(absent)
-        return [m for m in ids if m not in gone], absent
+            return np.zeros(len(ids), dtype=bool)
+        has = self.index_store.has(ids)
+        if self.mode == "indexed" and not has.all():
+            first = ids[int(np.argmin(has))]
+            raise MissingIndex(f"mask {first} has no index and mode is 'indexed'")
+        return has
+
+    def _reader_pool(self) -> ThreadPoolExecutor:
+        """The engine's one pool of reading threads, so that each keeps its
+        hot buffers and build scratch from batch to batch. It is shut down
+        when the engine is collected."""
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.threads, thread_name_prefix="chisearch-read"
+                )
+                weakref.finalize(self, self._pool.shutdown, wait=False)
+            return self._pool
 
     def _prefetch(self, ctx: "_QueryCtx", mask_ids: Sequence[int]) -> None:
         """Load ``mask_ids`` for counting. With several threads they are read
@@ -450,11 +463,10 @@ class Engine:
         # Whole-mask reads (mask aggregates) are folded where they are read.
         if self.threads == 1 or ctx.terms is None:
             ctx.due.update(dict.fromkeys(todo))
-        # Pool startup only pays off for real batches.
+        # Handing work to the pool only pays off for real batches.
         elif len(todo) > 8:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                for _ in pool.map(ctx.load, todo):
-                    pass
+            for _ in self._reader_pool().map(ctx.load, todo):
+                pass
         else:
             for mid in todo:
                 ctx.load(mid)
@@ -502,13 +514,14 @@ class Engine:
         In incremental mode masks without an index come back UNKNOWN, which
         routes them to the load-and-verify path where they get indexed.
         """
-        present, absent = self._split_indexed(targets)
-        if not absent:
+        has = self._has_index(targets)
+        if has.all():
             return self._node_verdicts_batch(ctx, node, targets)
-        verdict_by_id = dict.fromkeys(absent, _UNKNOWN)
-        if present:
-            verdict_by_id.update(zip(present, self._node_verdicts_batch(ctx, node, present)))
-        return np.array([verdict_by_id[mid] for mid in targets], dtype=np.int8)
+        out = np.full(len(targets), _UNKNOWN, dtype=np.int8)
+        if has.any():
+            present = np.asarray(targets, dtype=np.int64)[has].tolist()
+            out[has] = self._node_verdicts_batch(ctx, node, present)
+        return out
 
     def _node_verdicts_batch(
         self, ctx: "_QueryCtx", node: PredNode, ids: list[int]
@@ -551,8 +564,7 @@ class Engine:
             sel = np.flatnonzero(group_of == g)
             group = ids[sel]
             block = self.index_store.block(int(widths[sel[0]]), int(heights[sel[0]]))
-            rows = np.array([block.row_of[m] for m in group.tolist()])
-            lowers[sel], uppers[sel] = self._block_bounds(block, rows, group, expr)
+            lowers[sel], uppers[sel] = self._block_bounds(block, block.rows_of(group), group, expr)
         return lowers, uppers
 
     def _block_bounds(self, block: ChiBlock, rows: np.ndarray, ids: np.ndarray, expr: Expr):
@@ -621,27 +633,27 @@ class Engine:
             columns, rows = self._render_value_rows(ctx, plan, [], "mask")
             return ctx.result(columns, rows, t_start, t_start)
 
-        pred_verdicts: dict[int, int] = {}
-        candidates, present = targets, []
+        passed: set[int] = set()  # targets whose WHERE holds by its bracket alone
+        candidates, has = targets, np.zeros(len(targets), dtype=bool)
         if self.mode != "oracle" and not plan.verify_all:
             if spec.pred is not None:
                 verdicts = self._filter_verdicts(ctx, spec.pred, targets)
-                pred_verdicts = dict(zip(targets, verdicts.tolist()))
-                candidates = [m for m in targets if pred_verdicts[m] != _FALSE]
-            present, _ = self._split_indexed(candidates)
+                ids = np.asarray(targets, dtype=np.int64)
+                passed = set(ids[verdicts == _TRUE].tolist())
+                candidates = ids[verdicts != _FALSE].tolist()
+            has = self._has_index(candidates)
         edges = np.full(len(candidates), np.nan)
-        if present:
+        if has.any():
+            present = np.asarray(candidates, dtype=np.int64)[has]
             lowers, uppers = self._expr_bounds_many(ctx, spec.expr, present)
-            # Both lists ascend, so each present id's slot is a binary search.
-            at = np.searchsorted(np.asarray(candidates, dtype=np.int64), present)
-            edges[at] = uppers if spec.descending else lowers
+            edges[has] = uppers if spec.descending else lowers
         t_filter = time.perf_counter()
 
         if self.mode == "oracle":
             self._prefetch(ctx, candidates)  # everything loads anyway
 
         def exact(mid: int) -> float | None:
-            if spec.pred is not None and pred_verdicts.get(mid, _UNKNOWN) != _TRUE:
+            if spec.pred is not None and mid not in passed:
                 if not self._pred_exact(ctx, spec.pred, mid):
                     return None
             return float(self._expr_exact_for(ctx, mid, spec.expr))
@@ -835,8 +847,9 @@ class Engine:
         keys = self.store.columns[group_key][self.store.positions(targets)]
         order = np.argsort(keys, kind="stable")
         uniq, first = np.unique(keys[order], return_index=True)
-        members = np.split(np.asarray(targets, dtype=np.int64)[order], first[1:])
-        return {k: m.tolist() for k, m in zip(uniq.tolist(), members)}
+        members = np.asarray(targets, dtype=np.int64)[order].tolist()
+        ends = first.tolist()[1:] + [len(members)]
+        return {k: members[a:b] for k, a, b in zip(uniq.tolist(), first.tolist(), ends)}
 
     def _group_bounds(self, ctx, spec: AggSpec, groups, keys) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) bracket of each group's aggregate, in the order of
@@ -847,20 +860,21 @@ class Engine:
         if isinstance(spec.value, ScalarAggSpec):
             expr = spec.value.expr
             member_ids = [m for key in keys for m in groups[key]]
-            present, absent = self._split_indexed(member_ids)
-            if not absent:
+            has = self._has_index(member_ids)
+            if has.all():
                 member_lo, member_hi = self._expr_bounds_many(ctx, expr, member_ids)
             else:
                 member_lo, member_hi = np.empty(len(member_ids)), np.empty(len(member_ids))
-                is_absent = np.isin(member_ids, absent)
-                if present:
-                    bounds = self._expr_bounds_many(ctx, expr, present)
-                    member_lo[~is_absent], member_hi[~is_absent] = bounds
+                ids = np.asarray(member_ids, dtype=np.int64)
+                if has.any():
+                    bounds = self._expr_bounds_many(ctx, expr, ids[has])
+                    member_lo[has], member_hi[has] = bounds
                 # Index-less members (incremental mode) get loaded and indexed
                 # right away; their exact values enter the group bracket as points.
+                absent = ids[~has].tolist()
                 self._prefetch(ctx, absent)
                 exact = [float(self._expr_exact_for(ctx, m, expr)) for m in absent]
-                member_lo[is_absent] = member_hi[is_absent] = exact
+                member_lo[~has] = member_hi[~has] = exact
             sizes = [len(groups[key]) for key in keys]
             return bound_scalar_aggs(spec.value.fn, member_lo, member_hi, sizes)
         for g, key in enumerate(keys):
@@ -999,7 +1013,7 @@ class _QueryCtx:
         engine = self.engine
         entry = engine.store.get_meta(mask_id)
         # A mask indexed on the spot is read whole: its index counts every pixel.
-        build = engine.mode == "incremental" and engine.index_store.get_or_absent(mask_id) is None
+        build = engine.mode == "incremental" and mask_id not in engine.index_store
         rows = None if build else self._rows_to_read(mask_id, entry.height)
         buf = engine._hot_buffer(entry.height, entry.width)
         rec = engine.store.get_mask(mask_id, out=buf, rows=rows)

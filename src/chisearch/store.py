@@ -143,7 +143,7 @@ FULL_RANGE = ValueRange(PIXEL_MIN, PIXEL_MAX)
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _find(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def find_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each of ``ids`` sits in ``sorted_ids``, and whether it is there."""
     at = np.minimum(np.searchsorted(sorted_ids, ids), max(len(sorted_ids) - 1, 0))
     found = sorted_ids[at] == ids if len(sorted_ids) else np.zeros(len(ids), bool)
@@ -169,7 +169,7 @@ class RoiTable(Mapping[int, Roi]):
     def rois_of(self, mask_ids: Sequence[int]) -> np.ndarray:
         """(n, 4) rois of ``mask_ids``; MissingRoiBinding names the first absent id."""
         ids = np.asarray(mask_ids, dtype=np.int64)
-        at, found = _find(self._ids, ids)
+        at, found = find_sorted(self._ids, ids)
         if not found.all():
             raise MissingRoiBinding(f"no roi bound for mask {int(ids[np.argmin(found)])}")
         return self._rois[at]
@@ -549,7 +549,7 @@ class MaskStore:
         except OverflowError:
             bad = next(m for m in mask_ids if not INT64_MIN <= m <= INT64_MAX)
             raise NotFound(f"mask_id {bad} not in manifest") from None
-        at, found = _find(self._sorted_ids, ids)
+        at, found = find_sorted(self._sorted_ids, ids)
         if not found.all():
             raise NotFound(f"mask_id {int(ids[np.argmin(found)])} not in manifest")
         return self._id_order[at]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -486,3 +488,40 @@ def test_empty_group_raises():
         bound_scalar_agg("SUM", [])
     with pytest.raises(EmptyGroup):
         exact_scalar_agg("AVG", [])
+
+
+def test_cp_bounds_gathers_into_scratch_once_warm():
+    # 1,000 rows of 224x224 masks at 28x28 cells and 16 bins: the gathered
+    # planes alone are two 324 KB arrays, which live in the thread's scratch
+    # after the first call.
+    cfg = ChiConfig(28, 28, 16)
+    rng = np.random.default_rng(12)
+    builds = [build_chi(record(rng.random((224, 224), dtype=np.float32)), cfg) for _ in range(4)]
+    store = IndexStore(cfg)
+    for m in range(1000):
+        b = builds[m % 4]
+        store.insert(type(b)(m, b.width, b.height, cfg, b.counts))
+    block = store.block(224, 224)
+    rows = block.rows_of(np.arange(1000))
+    x1, y1 = rng.integers(0, 224, size=(2, 1000))
+    rois = np.stack([x1, y1, rng.integers(x1 + 1, 225), rng.integers(y1 + 1, 225)], axis=1)
+    vr = ValueRange(0.3, 0.7)
+    warm = cp_bounds(block, rows, rois, vr)
+    tracemalloc.start()
+    try:
+        again = cp_bounds(block, rows, rois, vr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+    assert all(np.array_equal(a, b) for a, b in zip(warm, again))
+    ref = two_candidate_bounds(block, rows, rois, vr)
+    assert (ref[0] <= again[0]).all() and (again[1] <= ref[1]).all()
+
+
+def test_cp_bounds_refuses_rows_not_in_use():
+    block = ChiBlock.of(build_chi(record(np.zeros((4, 4))), ChiConfig(2, 2, 2)))
+    roi = roi_array(Roi(0, 0, 4, 4))
+    for row in (-1, 1):
+        with pytest.raises(IndexError):
+            cp_bounds(block, np.array([row]), roi, ValueRange(0.0, 0.5))

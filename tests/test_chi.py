@@ -3,16 +3,19 @@ import stat
 import struct
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chisearch import chi
 from chisearch.bounds import cp_bounds
 from chisearch.chi import (
     CHI_MAGIC,
     ChiBlock,
+    ChiError,
     ChiConfig,
     ConfigMismatch,
     CorruptIndex,
@@ -195,6 +198,47 @@ def test_full_mask_always_available():
         assert _is_aligned(Roi(0, 0, w, h), w, h, ChiConfig(cw, ch, 2))
 
 
+def test_negative_zero_pixels_bin_with_zero():
+    # validate_pixels accepts -0.0 and cp_exact counts it in [0, hi); the
+    # build's float-to-int cast must put it in bin 0 like +0.0.
+    rng = np.random.default_rng(31)
+    px = rng.random((11, 13), dtype=np.float32)
+    px[::2, ::3] = -0.0
+    rec, cfg = record(px), ChiConfig(4, 3, 5)
+    assert np.signbit(rec.pixels).sum() == 6 * 5
+    idx = build_chi(rec, cfg)
+    assert np.array_equal(idx.counts, build_chi(record(np.abs(px)), cfg).counts)
+    whole = Roi(0, 0, 13, 11)
+    (hist,) = _aligned_histogram(idx, [whole])
+    assert hist == region_hist_loop(rec.pixels, whole, cfg.bin_edges)
+    for roi in (whole, Roi(1, 1, 7, 10), Roi(0, 0, 3, 2), Roi(5, 2, 13, 5)):
+        for vr in (ValueRange(0.0, 0.1), ValueRange(0.0, 0.5), ValueRange(0.0, 1.0)):
+            lower, upper = bounds_of(idx, roi, vr)
+            exact = cp_exact(rec, roi, vr)
+            assert exact == count_pixels_loop(rec.pixels, roi, vr.lo, vr.hi)
+            assert lower <= exact <= upper
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced bytes of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_chi_takes_no_per_pixel_arrays_once_warm():
+    # A 224x224 build bins 50,176 pixels; its per-pixel arrays (about 650
+    # KiB) live in the thread's scratch after the first call.
+    rec = record(np.random.default_rng(2).random((224, 224), dtype=np.float32))
+    cfg = ChiConfig(28, 28, 16)
+    warm = build_chi(rec, cfg)
+    assert _peak_bytes(lambda: build_chi(rec, cfg)) < 128 * 1024
+    assert np.array_equal(build_chi(rec, cfg).counts, warm.counts)
+
+
 # -- region histograms ----------------------------------------------------------
 
 
@@ -285,11 +329,35 @@ def test_block_growth_doubles_and_keeps_rows_in_place():
     assert allocations <= int(np.ceil(np.log2(n))) + 1
     block = store.block(7, 10)
     for idx in builds:
+        (row,) = block.rows_of(np.array([idx.mask_id]))
         assert np.array_equal(
-            block.counts[block.row_of[idx.mask_id], :-1, 1:, 1:].transpose(1, 2, 0), idx.counts
+            block.counts[row, :-1, 1:, 1:].transpose(1, 2, 0), idx.counts
         )
     store.insert(builds[3])  # a re-inserted id keeps its row
-    assert block.row_of[builds[3].mask_id] == 3 and len(block.row_of) == n
+    assert block.rows_of(np.array([builds[3].mask_id]))[0] == 3 and block.n == n
+
+
+def test_block_lookups_mix_sorted_ids_and_rows_appended_since():
+    # Ids arrive out of order, and lookups come between appends: each one
+    # reads the sorted copy of the id column plus the rows appended since,
+    # and a long enough run of appends sorts the column again.
+    cfg = ChiConfig(4, 4, 2)
+    counts = build_chi(record(np.zeros((4, 4), dtype=np.float32)), cfg).counts
+    ids = np.random.default_rng(3).permutation(2000)[:700] * 3
+    store = IndexStore(cfg)
+    for i, m in enumerate(ids.tolist()):
+        store.insert(chi.ChiIndex(m, 4, 4, cfg, counts))
+        if i % 97 == 0:
+            assert store.has(ids[: i + 1]).all() and not store.has(ids[: i + 1] + 1).any()
+    block = store.block(4, 4)
+    for m in ids[::50].tolist():  # a re-inserted id keeps its row
+        store.insert(chi.ChiIndex(m, 4, 4, cfg, counts))
+    assert block.n == len(store) == 700
+    assert block.rows_of(ids).tolist() == list(range(700))
+    assert [block.find(m) for m in ids.tolist()] == list(range(700))
+    assert (block.rows_of(ids + 1) == -1).all()
+    assert not any(m + 1 in store for m in ids.tolist()) and -1 not in store
+    assert store.mask_ids() == sorted(ids.tolist())
 
 
 def test_concurrent_inserts_land_in_their_own_rows():
@@ -329,11 +397,14 @@ def test_concurrent_inserts_land_in_their_own_rows():
     assert errors == []
     assert store.mask_ids() == list(range(n))
     for h, w in dims:
-        assert sorted(store.block(w, h).row_of.values()) == list(range(n // 2))
+        block = store.block(w, h)
+        ids = np.array([idx.mask_id for idx in builds if (idx.width, idx.height) == (w, h)])
+        assert sorted(block.rows_of(ids).tolist()) == list(range(n // 2))
     for idx in builds:
         block = store.block(idx.width, idx.height)
+        (row,) = block.rows_of(np.array([idx.mask_id]))
         assert np.array_equal(
-            block.counts[block.row_of[idx.mask_id], :-1, 1:, 1:].transpose(1, 2, 0), idx.counts
+            block.counts[row, :-1, 1:, 1:].transpose(1, 2, 0), idx.counts
         )
 
 
@@ -431,16 +502,16 @@ def test_failed_persist_keeps_old_file(tmp_path, monkeypatch):
     before = path.read_bytes()
 
     bigger = _store_with_masks(seed=5, n=6)
-    get = bigger.get_or_absent
     calls = []
 
-    def fail_on_third(mask_id):
-        calls.append(mask_id)
-        if len(calls) == 3:
-            raise OSError("disk full")
-        return get(mask_id)
+    class FailOnThirdRecord(struct.Struct):
+        def pack(self, *fields):
+            calls.append(fields[0])
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return super().pack(*fields)
 
-    monkeypatch.setattr(bigger, "get_or_absent", fail_on_third)
+    monkeypatch.setattr(chi, "_RECORD", FailOnThirdRecord(chi._RECORD.format))
     with pytest.raises(OSError, match="disk full"):
         persist_index(bigger, path)
     assert path.read_bytes() == before
@@ -448,6 +519,59 @@ def test_failed_persist_keeps_old_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     persist_index(bigger, path)  # a later persist still replaces it
     assert load_index(path).mask_ids() == bigger.mask_ids()
+
+
+def test_persist_writes_v1_records_from_block_rows(tmp_path):
+    # Mixed sizes, inserted out of id order; 256x256 masks count in a
+    # uint32 block, the others in uint16 ones. The file holds the v1
+    # records of the built indexes in ascending id, byte for byte.
+    cfg = ChiConfig(16, 16, 3)
+    rng = np.random.default_rng(41)
+    sizes = {5: (17, 9), 2: (256, 256), 9: (8, 8), 1: (17, 9), 7: (256, 256), 3: (8, 8)}
+    builds = [
+        build_chi(record(rng.random((h, w), dtype=np.float32), mask_id=m), cfg)
+        for m, (w, h) in sizes.items()
+    ]
+    store = IndexStore(cfg)
+    for idx in builds:
+        store.insert(idx)
+    assert store.block(256, 256).counts.dtype == np.uint32
+    assert store.block(17, 9).counts.dtype == np.uint16
+    expected = CHI_MAGIC + struct.pack("<IIIIffQ", 1, cfg.bins, cfg.cell_width,
+                                       cfg.cell_height, 0.0, 1.0, len(builds))
+    for idx in sorted(builds, key=lambda i: i.mask_id):
+        expected += struct.pack("<QIIII", idx.mask_id, idx.width, idx.height, idx.n_cx, idx.n_cy)
+        expected += idx.counts.astype("<u4").tobytes()
+    path = tmp_path / "mixed.chi"
+    persist_index(store, path)
+    assert path.read_bytes() == expected
+    loaded = load_index(path)
+    assert loaded.mask_ids() == sorted(sizes) and len(loaded) == len(builds)
+    for idx in builds:
+        assert np.array_equal(loaded.get_or_absent(idx.mask_id).counts, idx.counts)
+    persist_index(loaded, tmp_path / "again.chi")
+    assert (tmp_path / "again.chi").read_bytes() == expected
+
+
+def test_load_rejects_a_record_id_past_int64(tmp_path):
+    store = _store_with_masks(n=2)
+    path = tmp_path / "idx.chi"
+    persist_index(store, path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<Q", raw, len(CHI_MAGIC) + 32, 2**63)  # the first record's id
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptIndex, match="outside"):
+        load_index(path)
+
+
+def test_an_id_indexed_at_one_size_is_refused_at_another():
+    cfg = ChiConfig(4, 4, 3)
+    rng = np.random.default_rng(8)
+    store = IndexStore(cfg)
+    store.insert(build_chi(record(rng.random((8, 8), dtype=np.float32), mask_id=4), cfg))
+    with pytest.raises(ChiError, match="indexed as 8x8"):
+        store.insert(build_chi(record(rng.random((6, 8), dtype=np.float32), mask_id=4), cfg))
+    assert store.mask_ids() == [4] and len(store.blocks()) == 1
 
 
 def test_persist_fsyncs_directory_after_rename(tmp_path, monkeypatch):
@@ -504,5 +628,7 @@ def test_get_or_absent():
     rng = np.random.default_rng(0)
     idx = build_chi(record(rng.random((8, 8), dtype=np.float32), mask_id=1), cfg)
     store.insert(idx)
-    assert store.get_or_absent(1) is idx
+    got = store.get_or_absent(1)
+    assert (got.mask_id, got.width, got.height, got.config) == (1, 8, 8, cfg)
+    assert got.counts.dtype == np.uint32 and np.array_equal(got.counts, idx.counts)
     assert 1 in store and 2 not in store

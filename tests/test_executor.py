@@ -1,3 +1,4 @@
+import gc
 import threading
 
 import numpy as np
@@ -145,6 +146,32 @@ def test_indexed_matches_oracle_on_a_pixel_just_below_a_range_end(tmp_path):
         p = filter_plan([1], 0, t=term(Roi(0, 0, 4, 4), vr))
         assert Engine(store, index, mode="indexed").execute(p).rows == rows
         assert Engine(store, mode="oracle").execute(p).rows == rows
+    store.close()
+
+
+def test_indexed_matches_oracle_on_negative_zero_pixels(tmp_path):
+    # The store keeps -0.0 as written; the index bins it with 0.0, and
+    # every count range from 0 includes it.
+    rng = np.random.default_rng(61)
+    records = []
+    for i in range(12):
+        px = rng.random((16, 16), dtype=np.float32)
+        px[rng.random((16, 16)) < 0.3] = -0.0
+        records.append(record(px, mask_id=i + 1, image_id=1 + i // 3))
+    store = build_store(tmp_path, records)
+    assert np.signbit(store.get_mask(1).pixels).any()
+    index = build_index(store, ChiConfig(4, 4, 4))
+    ids = store.mask_ids()
+    plans = []
+    for vr in (ValueRange(0.0, 0.25), ValueRange(0.0, 0.6), ValueRange(0.0, 1.0)):
+        t = term(Roi(1, 2, 15, 13), vr)
+        plans += [filter_plan(ids, x, t=t) for x in (30, 60, 90)]
+        plans += [QueryPlan(ids, TopKSpec(t, 4, d)) for d in (True, False)]
+    for p in plans:
+        expected = Engine(store, mode="oracle").execute(p).rows
+        assert Engine(store, index, mode="indexed").execute(p).rows == expected
+        cold = Engine(store, IndexStore(index.config), mode="incremental")
+        assert cold.execute(p).rows == expected
     store.close()
 
 
@@ -707,6 +734,39 @@ def test_query_raising_mid_verify_gives_buffers_back(engines, monkeypatch, threa
     assert set(_buffers_held(seen).values()) == {1}
     if threads == 1:
         assert {id(b) for e, _, b in seen[raised:] if e is eng} == {id(seen[0][2])}
+
+
+def test_threaded_engine_keeps_one_pool_of_readers(engines, monkeypatch):
+    """With threads > 1 the engine keeps one pool: its workers stay at most
+    ``threads``, keep their hot buffers from query to query, and are gone
+    once the engine is dropped."""
+    store, eng, oracle = engines
+    before = set(threading.enumerate())
+
+    def readers():
+        return [
+            t for t in threading.enumerate()
+            if t not in before and t.name.startswith("chisearch-read")
+        ]
+
+    eng = Engine(store, eng.index_store, mode="indexed", threads=4)
+    seen = _watch_buffers(monkeypatch)
+    ids = store.mask_ids()
+    for i in range(20):
+        p = filter_plan(ids, 100 + 3 * i)
+        p.verify_all = True  # a batch of 40 loads, read by the pool
+        assert eng.execute(p).rows == oracle.execute(p).rows
+        assert len(readers()) <= 4
+    workers = {t for e, t, _ in seen if e is eng}
+    assert 1 < len(workers) <= 4 and threading.current_thread() not in workers
+    assert len({id(b) for e, _, b in seen if e is eng}) == len(workers)  # one buffer each
+    workers = readers()
+    seen.clear()
+    del eng
+    gc.collect()
+    for t in workers:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in workers)
 
 
 # -- per-mask roi tables ---------------------------------------------------------------
