@@ -41,10 +41,16 @@ from .store import (
 )
 
 CHI_MAGIC = b"MCHI1\n"
-CHI_VERSION = 1
+CHI_VERSION = 2
 
 _HEADER = struct.Struct("<IIIIffQ")  # version, bins, cell_w, cell_h, domain lo, hi, count
-_RECORD = struct.Struct("<QIIII")  # mask_id, width, height, n_cx, n_cy
+_SECTION = struct.Struct("<IIQ")  # width, height, n: one section per mask size
+
+# Most bytes of rows that ``persist_index`` and ``load_index`` copy at a
+# time (one row, where a row is larger). The buffers are made per call and
+# stay under glibc's default mmap threshold (128 KiB), so they come from the
+# heap, not from fresh pages.
+_COPY_BYTES = 1 << 15
 
 
 class ChiError(Exception):
@@ -145,14 +151,6 @@ class ChiIndex:
     height: int
     config: ChiConfig
     counts: np.ndarray  # uint32, shape (n_cx, n_cy, bins), bin innermost
-
-    @property
-    def n_cx(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def n_cy(self) -> int:
-        return self.counts.shape[1]
 
     @property
     def payload_bytes(self) -> int:
@@ -319,12 +317,17 @@ class ChiBlock:
         self._sorted = entry = (n, self.ids[rows], rows)
         return entry
 
-    def rows_of(self, mask_ids: np.ndarray) -> np.ndarray:
-        """The row of each of ``mask_ids`` (int64), -1 where the block has none."""
+    def sorted_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, rows) of every row in use, ordered by id."""
         n, (m, keys, rows) = self.n, self._sorted
         if m < n:
-            m, keys, rows = self._sort(n)
-        if m == 0:
+            _, keys, rows = self._sort(n)
+        return keys, rows
+
+    def rows_of(self, mask_ids: np.ndarray) -> np.ndarray:
+        """The row of each of ``mask_ids`` (int64), -1 where the block has none."""
+        keys, rows = self.sorted_rows()
+        if len(keys) == 0:
             return np.full(len(mask_ids), -1, dtype=np.intp)
         at, found = find_sorted(keys, mask_ids)
         return np.where(found, rows[at], -1)
@@ -356,15 +359,21 @@ class ChiBlock:
         if row < 0:
             row = self.n
         if row == len(self.ids):
-            capacity = max(2 * row, _GROWN_BYTES // self.counts[0].nbytes)
-            grown = np.zeros((capacity,) + self.counts.shape[1:], self.counts.dtype)
-            grown[:row] = self.counts
-            ids = np.zeros(capacity, dtype=np.int64)
-            ids[:row] = self.ids
-            self.counts, self.ids = grown, ids
+            self.reserve(max(2 * row, _GROWN_BYTES // self.counts[0].nbytes))
         self.counts[row, :-1, 1:, 1:] = counts.transpose(2, 0, 1)
         self.ids[row] = mask_id
         self.n = max(self.n, row + 1)
+
+    def reserve(self, capacity: int) -> None:
+        """Make room for ``capacity`` rows; the rows in use move along."""
+        n = self.n
+        if capacity <= len(self.ids):
+            return
+        grown = np.zeros((capacity,) + self.counts.shape[1:], self.counts.dtype)
+        grown[:n] = self.counts[:n]
+        ids = np.zeros(capacity, dtype=np.int64)
+        ids[:n] = self.ids[:n]
+        self.counts, self.ids = grown, ids
 
 
 class IndexStore:
@@ -452,43 +461,40 @@ class IndexStore:
 def persist_index(store: IndexStore, path: str | Path) -> None:
     """Write the store to one file; see load_index for the inverse.
 
-    Records go out in ascending mask id, each mask's counts copied from its
-    block row through one uint32 buffer per mask size. The bytes go to a
-    fresh file beside ``path``, which is flushed, fsynced and then renamed
-    over ``path``, and the directory is fsynced after the rename: a crash
-    mid-write leaves the old file whole and, at worst, a stray temp file
-    behind.
+    After the header come the blocks, one section per mask size in
+    ascending (width, height): the section header, the block's mask ids
+    ascending as ``<u8``, then each id's row as ``<u4``
+    ``counts[row, :bins, 1:, 1:]``, the bin-major row without its zero
+    padding. The bytes go to a fresh file beside ``path``, which is
+    flushed, fsynced and then renamed over ``path``, and the directory is
+    fsynced after the rename: a crash mid-write leaves the old file whole
+    and, at worst, a stray temp file behind.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     cfg = store.config
-    blocks = store.blocks()
-    records = sorted(
-        (mask_id, i, row)
-        for i, block in enumerate(blocks)
-        for row, mask_id in enumerate(block.mask_ids().tolist())
-    )
-    bufs = [np.empty((b.n_cx, b.n_cy, cfg.bins), dtype="<u4") for b in blocks]
+    blocks = sorted(store.blocks(), key=lambda b: (b.width, b.height))
+    order = [block.sorted_rows() for block in blocks]
+    header = (CHI_VERSION, cfg.bins, cfg.cell_width, cfg.cell_height, PIXEL_MIN, PIXEL_MAX)
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(CHI_MAGIC)
-            fh.write(
-                _HEADER.pack(
-                    CHI_VERSION,
-                    cfg.bins,
-                    cfg.cell_width,
-                    cfg.cell_height,
-                    PIXEL_MIN,
-                    PIXEL_MAX,
-                    len(records),
-                )
-            )
-            for mask_id, i, row in records:
-                block, buf = blocks[i], bufs[i]
-                fh.write(_RECORD.pack(mask_id, block.width, block.height, block.n_cx, block.n_cy))
-                np.copyto(buf, block.corners(row))
-                fh.write(buf)
+            fh.write(CHI_MAGIC + _HEADER.pack(*header, sum(len(ids) for ids, _ in order)))
+            for block, (ids, rows) in zip(blocks, order):
+                fh.write(_SECTION.pack(block.width, block.height, len(ids)))
+                fh.write(ids.astype("<u8"))
+                # Rows go out in id order: taken into a buffer of the block's
+                # dtype, then copied without their padding into a <u4 one.
+                row_bytes = 4 * cfg.bins * block.n_cx * block.n_cy
+                chunk = max(1, _COPY_BYTES // max(row_bytes, block.counts[0].nbytes))
+                padded = np.empty((chunk,) + block.counts.shape[1:], block.counts.dtype)
+                out = np.empty((chunk, cfg.bins, block.n_cx, block.n_cy), "<u4")
+                for a in range(0, len(rows), chunk):
+                    k = min(chunk, len(rows) - a)
+                    # mode="clip" takes straight into ``padded``; "raise" would buffer.
+                    np.take(block.counts, rows[a : a + k], axis=0, out=padded[:k], mode="clip")
+                    np.copyto(out[:k], padded[:k, :-1, 1:, 1:])
+                    fh.write(out[:k])
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -503,52 +509,71 @@ def persist_index(store: IndexStore, path: str | Path) -> None:
         os.close(dir_fd)
 
 
+def _read(fh, size: int, where) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise CorruptIndex(f"{where}: truncated")
+    return data
+
+
 def load_index(path: str | Path) -> IndexStore:
-    """Read a file ``persist_index`` wrote, record by record, into the
-    blocks of a new store."""
+    """Read a file ``persist_index`` wrote into a new store: one block per
+    section, its id column set once and its rows copied a chunk at a time.
+    Each size and count is checked before it is used, so a file that does
+    not hold what its headers say raises ``CorruptIndex``."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(CHI_MAGIC)) != CHI_MAGIC:
             raise CorruptIndex(f"{path}: bad magic")
-        try:
-            version, bins, cw, ch, lo, hi, count = _HEADER.unpack(fh.read(_HEADER.size))
-        except struct.error as e:
-            raise CorruptIndex(f"{path}: truncated header") from e
+        version, bins, cw, ch, lo, hi, count = _HEADER.unpack(_read(fh, _HEADER.size, path))
         if version != CHI_VERSION:
-            raise CorruptIndex(f"{path}: unsupported version {version}")
+            raise CorruptIndex(f"{path}: index format version {version}, not {CHI_VERSION};"
+                               " rebuild the index with `chisearch index`")
         if (lo, hi) != (PIXEL_MIN, PIXEL_MAX):
             raise CorruptIndex(f"{path}: value domain [{lo}, {hi}) is not [0, 1)")
-        off = len(CHI_MAGIC) + _HEADER.size
         try:
             config = ChiConfig(cw, ch, bins)
         except ValueError as e:
             raise CorruptIndex(f"{path}: {e}") from e
         store = IndexStore(config)
-        bufs: dict[tuple[int, int], np.ndarray] = {}  # one counts buffer per grid shape
-        for _ in range(count):
-            try:
-                mask_id, width, height, n_cx, n_cy = _RECORD.unpack(fh.read(_RECORD.size))
-            except struct.error as e:
-                raise CorruptIndex(f"{path}: truncated record table") from e
-            off += _RECORD.size
-            nbytes = n_cx * n_cy * bins * 4
-            if off + nbytes > size:
-                raise CorruptIndex(f"{path}: truncated counts for mask {mask_id}")
-            grid = grid_boundaries(width, height, config)
-            if (len(grid.xs), len(grid.ys)) != (n_cx, n_cy):
-                raise CorruptIndex(f"{path}: grid shape mismatch for mask {mask_id}")
-            buf = bufs.get((n_cx, n_cy))
-            if buf is None:
-                buf = bufs[n_cx, n_cy] = np.empty((n_cx, n_cy, bins), dtype="<u4")
-            if fh.readinto(buf) != nbytes:
-                raise CorruptIndex(f"{path}: truncated counts for mask {mask_id}")
-            off += nbytes
-            try:
-                store._put(mask_id, width, height, buf)
-            except ChiError as e:
-                raise CorruptIndex(f"{path}: {e}") from e
-    if off != size:
-        raise CorruptIndex(f"{path}: {size - off} trailing bytes")
+        seen, last = 0, (0, 0)
+        while seen < count:
+            width, height, n = _SECTION.unpack(_read(fh, _SECTION.size, path))
+            where = f"{path}: section {width}x{height}"
+            # Checked before any grid or block is made for this size.
+            if not 1 <= width * height < 2**32:
+                raise CorruptIndex(f"{where}: mask size outside [1, 2**32) pixels")
+            if (width, height) <= last:
+                raise CorruptIndex(f"{where}: sections not in ascending size")
+            if not 1 <= n <= count - seen:
+                raise CorruptIndex(f"{where}: {n} masks, {count - seen} left of {count}")
+            n_cx, n_cy = -(-width // cw), -(-height // ch)
+            row_bytes = 4 * bins * n_cx * n_cy
+            if n * (8 + row_bytes) > size - fh.tell():
+                raise CorruptIndex(f"{where}: {n} masks past the end of the file")
+            ids = np.frombuffer(_read(fh, 8 * n, where), dtype="<u8")
+            if ids.max() > INT64_MAX or (ids[1:] <= ids[:-1]).any():
+                raise CorruptIndex(f"{where}: mask ids not ascending or outside [0, 2**63)")
+            if store.has(ids).any():
+                raise CorruptIndex(f"{where}: a mask id also in an earlier section")
+            block = ChiBlock(width, height, config)
+            block.reserve(n)
+            chunk = max(1, _COPY_BYTES // row_bytes)
+            buf = np.empty((chunk, bins, n_cx, n_cy), "<u4")
+            for a in range(0, n, chunk):
+                part = buf[: min(chunk, n - a)]
+                if fh.readinto(part) != part.nbytes:
+                    raise CorruptIndex(f"{where}: truncated")
+                # A count above the pixel count would wrap in a uint16 block,
+                # and it makes every bracket unsound.
+                if part.max() > width * height:
+                    raise CorruptIndex(f"{where}: a count above {width * height} pixels")
+                block.counts[a : a + len(part), :-1, 1:, 1:] = part
+            block.ids[:n], block.n = ids, n
+            store._blocks[width, height] = block
+            seen, last = seen + n, (width, height)
+        if fh.tell() != size:
+            raise CorruptIndex(f"{path}: {size - fh.tell()} trailing bytes")
     return store
 
 

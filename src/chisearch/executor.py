@@ -32,7 +32,6 @@ import numpy as np
 
 from . import bounds as bnd
 from .bounds import (
-    Bounds,
     CpTerm,
     Expr,
     bound_scalar_agg,  # noqa: F401  (perfbench's tracer times it by this name)
@@ -161,33 +160,30 @@ PredNode = Union[CpComparison, MetaComparison, BoolOp]
 _TRUE, _FALSE, _UNKNOWN = 1, 0, -1
 
 
-def _compare_bounds(b: Bounds, comparator: str, threshold: float) -> int:
-    """Three-valued verdict from a bracket: certain pass, certain fail, or not yet."""
+def _verdicts(lowers: np.ndarray, uppers: np.ndarray, comparator: str, threshold: float):
+    """Three-valued verdict per bracket, as int8: certain pass, certain fail,
+    or not yet. A NaN bracket (no bound) is not yet."""
+    out = np.full(len(lowers), _UNKNOWN, dtype=np.int8)
     if comparator == ">":
-        if b.upper <= threshold:
-            return _FALSE
-        if b.lower > threshold:
-            return _TRUE
+        out[uppers <= threshold] = _FALSE
+        out[lowers > threshold] = _TRUE
     else:
-        if b.upper < threshold:
-            return _TRUE
-        if b.lower >= threshold:
-            return _FALSE
-    return _UNKNOWN
+        out[uppers < threshold] = _TRUE
+        out[lowers >= threshold] = _FALSE
+    return out
 
 
-def _combine(op: str, verdicts: Sequence[int]) -> int:
+def _combine(op: str, children: list[np.ndarray]) -> np.ndarray:
+    """'and' or 'or' of verdict arrays, element by element."""
+    stack = np.stack(children)
+    out = np.full(stack.shape[1], _UNKNOWN, dtype=np.int8)
     if op == "and":
-        if any(v == _FALSE for v in verdicts):
-            return _FALSE
-        if all(v == _TRUE for v in verdicts):
-            return _TRUE
+        out[np.all(stack == _TRUE, axis=0)] = _TRUE
+        out[np.any(stack == _FALSE, axis=0)] = _FALSE
     else:
-        if any(v == _TRUE for v in verdicts):
-            return _TRUE
-        if all(v == _FALSE for v in verdicts):
-            return _FALSE
-    return _UNKNOWN
+        out[np.all(stack == _FALSE, axis=0)] = _FALSE
+        out[np.any(stack == _TRUE, axis=0)] = _TRUE
+    return out
 
 
 # -- aggregation specs -------------------------------------------------------
@@ -277,18 +273,16 @@ class HavingBool:
 HavingNode = Union[HavingCmp, HavingBool]
 
 
-def _having_verdict(node: HavingNode, b: Bounds) -> int:
+def _having_verdicts(node: HavingNode, lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
+    """Verdict of ``node`` per group bracket; see ``_verdicts``."""
     if isinstance(node, HavingCmp):
-        return _compare_bounds(b, node.comparator, node.threshold)
-    return _combine(node.op, [_having_verdict(c, b) for c in node.children])
+        return _verdicts(lowers, uppers, node.comparator, node.threshold)
+    return _combine(node.op, [_having_verdicts(c, lowers, uppers) for c in node.children])
 
 
 def _having_exact(node: HavingNode, v: float) -> bool:
-    if isinstance(node, HavingCmp):
-        return v > node.threshold if node.comparator == ">" else v < node.threshold
-    if node.op == "and":
-        return all(_having_exact(c, v) for c in node.children)
-    return any(_having_exact(c, v) for c in node.children)
+    point = np.array([v])  # a bracket of width 0 gives the exact verdict
+    return _having_verdicts(node, point, point)[0] == _TRUE
 
 
 # -- plans -------------------------------------------------------------------
@@ -530,26 +524,11 @@ class Engine:
             holds = node.holds(self.store.columns, self.store.positions(ids))
             return np.where(holds, _TRUE, _FALSE).astype(np.int8)
         if isinstance(node, BoolOp):
-            child = [self._node_verdicts_batch(ctx, c, ids) for c in node.children]
-            stack = np.stack(child)
-            out = np.full(len(ids), _UNKNOWN, dtype=np.int8)
-            if node.op == "and":
-                out[np.all(stack == _TRUE, axis=0)] = _TRUE
-                out[np.any(stack == _FALSE, axis=0)] = _FALSE
-            else:
-                out[np.all(stack == _FALSE, axis=0)] = _FALSE
-                out[np.any(stack == _TRUE, axis=0)] = _TRUE
-            return out
+            children = [self._node_verdicts_batch(ctx, c, ids) for c in node.children]
+            return _combine(node.op, children)
         pred = node.pred
         lowers, uppers = self._expr_bounds_many(ctx, pred.expr, ids)
-        out = np.full(len(ids), _UNKNOWN, dtype=np.int8)
-        if pred.comparator == ">":
-            out[uppers <= pred.threshold] = _FALSE
-            out[lowers > pred.threshold] = _TRUE
-        else:
-            out[uppers < pred.threshold] = _TRUE
-            out[lowers >= pred.threshold] = _FALSE
-        return out
+        return _verdicts(lowers, uppers, pred.comparator, pred.threshold)
 
     def _expr_bounds_many(self, ctx: "_QueryCtx", expr: Expr, ids: list[int]):
         """(lower, upper) float arrays of ``expr`` for masks with indexes;
@@ -752,16 +731,11 @@ class Engine:
         lowers, uppers = self._group_bounds(ctx, spec, groups, keys)
         t_filter = time.perf_counter()
 
-        survivors: list[int] = []
-        unknown: list[int] = []  # having verdict needs exact values
-        for key, lo, hi in zip(keys, lowers.tolist(), uppers.tolist()):
-            if spec.having is None:
-                survivors.append(key)
-                continue
-            verdict = _UNKNOWN if math.isnan(lo) else _having_verdict(spec.having, Bounds(lo, hi))
-            if verdict == _FALSE:
-                continue  # whole group pruned
-            (survivors if verdict == _TRUE else unknown).append(key)
+        survivors, unknown = keys, []  # unknown: the having verdict needs exact values
+        if spec.having is not None:
+            verdicts = _having_verdicts(spec.having, lowers, uppers)
+            survivors = [k for k, v in zip(keys, verdicts.tolist()) if v == _TRUE]
+            unknown = [k for k, v in zip(keys, verdicts.tolist()) if v == _UNKNOWN]
 
         ranked_query = spec.limit is not None or spec.descending is not None
         if not ranked_query:

@@ -376,7 +376,7 @@ def _row_problem(mask_id, image_id, model_id, mask_type, width, height) -> str |
     """Why a manifest row cannot describe a mask, or None when it can.
 
     Every field must fit an int64 column; the mask id must also fit the
-    unsigned 64-bit id of an index record, and the sizes, positive, its
+    unsigned 64-bit id of an index file, and the sizes, positive, its
     unsigned 32-bit width and height.
     """
     if not (0 < width < 2**32 and 0 < height < 2**32):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import struct
 import sys
 from pathlib import Path
 
@@ -179,6 +180,25 @@ def grid_example_index(grid_example) -> "build_chi":
 
 
 # -- small on-disk corpora ----------------------------------------------------
+
+
+def index_file_bytes(config: ChiConfig, builds, version: int = 2) -> bytes:
+    """An index file packed by hand from ``ChiIndex`` builds, in format 2
+    (one section per mask size) or in the per-mask records of format 1."""
+    raw = b"MCHI1\n" + struct.pack("<IIIIffQ", version, config.bins, config.cell_width,
+                                    config.cell_height, 0.0, 1.0, len(builds))
+    if version == 1:
+        for idx in sorted(builds, key=lambda i: i.mask_id):
+            n_cx, n_cy, _ = idx.counts.shape
+            raw += struct.pack("<QIIII", idx.mask_id, idx.width, idx.height, n_cx, n_cy)
+            raw += idx.counts.astype("<u4").tobytes()
+        return raw
+    for size in sorted({(i.width, i.height) for i in builds}):
+        section = sorted((i for i in builds if (i.width, i.height) == size), key=lambda i: i.mask_id)
+        raw += struct.pack("<IIQ", *size, len(section))
+        raw += b"".join(struct.pack("<Q", i.mask_id) for i in section)
+        raw += b"".join(i.counts.transpose(2, 0, 1).astype("<u4").tobytes() for i in section)
+    return raw
 
 
 def build_store(tmp_path, records) -> MaskStore:

@@ -200,8 +200,8 @@ def test_criterion_5_index_sizing(corpus224, tmp_path):
     single.insert(index.get_or_absent(1))
     path = tmp_path / "one.chi"
     persist_index(single, path)
-    header, per_record = 6 + 32, 24
-    assert path.stat().st_size - header - per_record == 4096
+    header, section, per_mask_id = 6 + 32, 16, 8
+    assert path.stat().st_size - header - section - per_mask_id == 4096
     print("\n[criterion 5] PASS index sizing: 4096 payload bytes per mask "
           "(16 bins, 28x28 cells, 224x224 masks)")
 

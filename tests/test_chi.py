@@ -33,6 +33,7 @@ from chisearch.store import MAX_PIXEL, MaskMeta, MaskRecord, Roi, ValueRange, cp
 from conftest import (
     bounds_of,
     count_pixels_loop,
+    index_file_bytes,
     record,
     region_hist_loop,
     roi_array,
@@ -442,8 +443,9 @@ def test_persisted_payload_size_formula(tmp_path):
     path = tmp_path / "one.chi"
     persist_index(store, path)
     header = len(CHI_MAGIC) + 32  # version, bins, cell dims, domain, count
-    per_record = 24  # id + dims + grid shape
-    assert path.stat().st_size == header + per_record + 4096
+    section = 16  # width, height, mask count
+    per_mask_id = 8
+    assert path.stat().st_size == header + section + per_mask_id + 4096
 
 
 def test_load_rejects_corruption(tmp_path):
@@ -502,16 +504,20 @@ def test_failed_persist_keeps_old_file(tmp_path, monkeypatch):
     before = path.read_bytes()
 
     bigger = _store_with_masks(seed=5, n=6)
+    rng = np.random.default_rng(5)
+    for m, w in ((7, 5), (8, 9)):  # two more mask sizes, so three sections
+        px = rng.random((9, w), dtype=np.float32)
+        bigger.insert(build_chi(record(px, mask_id=m), bigger.config))
     calls = []
 
-    class FailOnThirdRecord(struct.Struct):
+    class FailOnThirdSection(struct.Struct):
         def pack(self, *fields):
             calls.append(fields[0])
             if len(calls) == 3:
                 raise OSError("disk full")
             return super().pack(*fields)
 
-    monkeypatch.setattr(chi, "_RECORD", FailOnThirdRecord(chi._RECORD.format))
+    monkeypatch.setattr(chi, "_SECTION", FailOnThirdSection(chi._SECTION.format))
     with pytest.raises(OSError, match="disk full"):
         persist_index(bigger, path)
     assert path.read_bytes() == before
@@ -521,10 +527,10 @@ def test_failed_persist_keeps_old_file(tmp_path, monkeypatch):
     assert load_index(path).mask_ids() == bigger.mask_ids()
 
 
-def test_persist_writes_v1_records_from_block_rows(tmp_path):
+def test_persist_writes_v2_sections_from_block_rows(tmp_path):
     # Mixed sizes, inserted out of id order; 256x256 masks count in a
-    # uint32 block, the others in uint16 ones. The file holds the v1
-    # records of the built indexes in ascending id, byte for byte.
+    # uint32 block, the others in uint16 ones. The file holds one v2
+    # section per size, ids ascending, of the built indexes, byte for byte.
     cfg = ChiConfig(16, 16, 3)
     rng = np.random.default_rng(41)
     sizes = {5: (17, 9), 2: (256, 256), 9: (8, 8), 1: (17, 9), 7: (256, 256), 3: (8, 8)}
@@ -537,11 +543,8 @@ def test_persist_writes_v1_records_from_block_rows(tmp_path):
         store.insert(idx)
     assert store.block(256, 256).counts.dtype == np.uint32
     assert store.block(17, 9).counts.dtype == np.uint16
-    expected = CHI_MAGIC + struct.pack("<IIIIffQ", 1, cfg.bins, cfg.cell_width,
-                                       cfg.cell_height, 0.0, 1.0, len(builds))
-    for idx in sorted(builds, key=lambda i: i.mask_id):
-        expected += struct.pack("<QIIII", idx.mask_id, idx.width, idx.height, idx.n_cx, idx.n_cy)
-        expected += idx.counts.astype("<u4").tobytes()
+    expected = index_file_bytes(cfg, builds)
+    assert len(expected) == len(CHI_MAGIC) + 32 + 3 * 16 + sum(8 + i.counts.nbytes for i in builds)
     path = tmp_path / "mixed.chi"
     persist_index(store, path)
     assert path.read_bytes() == expected
@@ -558,10 +561,112 @@ def test_load_rejects_a_record_id_past_int64(tmp_path):
     path = tmp_path / "idx.chi"
     persist_index(store, path)
     raw = bytearray(path.read_bytes())
-    struct.pack_into("<Q", raw, len(CHI_MAGIC) + 32, 2**63)  # the first record's id
+    struct.pack_into("<Q", raw, len(CHI_MAGIC) + 32 + 16, 2**63)  # the first section's first id
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptIndex, match="outside"):
         load_index(path)
+
+
+def test_load_refuses_a_v1_file_and_says_to_rebuild(tmp_path):
+    store = _store_with_masks()
+    path = tmp_path / "v1.chi"
+    builds = [store.get_or_absent(m) for m in store.mask_ids()]
+    path.write_bytes(index_file_bytes(store.config, builds, version=1))
+    with pytest.raises(CorruptIndex, match=r"version 1\b.*rebuild"):
+        load_index(path)
+
+
+def test_load_rejects_a_corrupt_mask_size_before_allocating(tmp_path):
+    store = _store_with_masks()  # 17x9 masks, 4x4 cells, 3 bins
+    path = tmp_path / "idx.chi"
+    persist_index(store, path)
+    raw = path.read_bytes()
+    section = len(CHI_MAGIC) + 32
+    assert struct.unpack_from("<II", raw, section) == (17, 9)
+    # 17 x 2**31 pixels overflow 32-bit counts; 1 x 2**31 would fit them,
+    # but its rows (2**29 cells tall) run far past the end of the file.
+    for width, height in ((17, 2**31), (1, 2**31)):
+        bad = bytearray(raw)
+        struct.pack_into("<II", bad, section, width, height)
+        path.write_bytes(bytes(bad))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptIndex, match="pixels|past the end"):
+                load_index(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (width, height, peak)
+
+
+def test_load_rejects_a_count_a_uint16_block_would_wrap(tmp_path):
+    cfg = ChiConfig(4, 4, 3)
+    store = IndexStore(cfg)
+    store.insert(build_chi(record(np.zeros((8, 8), dtype=np.float32), mask_id=3), cfg))
+    path = tmp_path / "idx.chi"
+    persist_index(store, path)
+    raw = bytearray(path.read_bytes())
+    first_count = len(CHI_MAGIC) + 32 + 16 + 8  # bin 0 at the first corner
+    assert struct.unpack_from("<I", raw, first_count) == (16,)
+    struct.pack_into("<I", raw, first_count, 65_539)  # 3 in 16 bits
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptIndex, match="count above 64"):
+        load_index(path)
+
+
+def test_load_rejects_sections_out_of_order_or_sharing_ids(tmp_path):
+    cfg = ChiConfig(4, 4, 3)  # widths 5, 6 and 7 all take two cells
+    rng = np.random.default_rng(12)
+
+    def build(m, w):
+        return build_chi(record(rng.random((9, w), dtype=np.float32), mask_id=m), cfg)
+
+    a, b, c = build(1, 5), build(2, 5), build(3, 7)
+    path = tmp_path / "idx.chi"
+    good = index_file_bytes(cfg, [a, b, c])
+    path.write_bytes(good)
+    assert load_index(path).mask_ids() == [1, 2, 3]
+    sections = (len(CHI_MAGIC) + 32, len(CHI_MAGIC) + 32 + 16 + 2 * (8 + a.counts.nbytes))
+    swapped_ids = bytearray(good)
+    struct.pack_into("<QQ", swapped_ids, sections[0] + 16, 2, 1)
+    same_size = bytearray(good)
+    for at in sections:
+        struct.pack_into("<I", same_size, at, 6)
+    cases = {
+        "not ascending or outside": swapped_ids,
+        "not in ascending size": same_size,
+        "also in an earlier section": index_file_bytes(cfg, [a, b, build(2, 7)]),
+    }
+    for message, raw in cases.items():
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptIndex, match=message):
+            load_index(path)
+
+
+def test_persisted_bytes_do_not_depend_on_how_the_store_was_filled(tmp_path):
+    # Three sizes, 256x256 in a uint32 block; stores filled by shuffled
+    # inserts, by merging two halves and by loading a file persist alike.
+    cfg = ChiConfig(16, 16, 3)
+    rng = np.random.default_rng(43)
+    sizes = [(17, 9), (256, 256), (8, 8)] * 4
+    ids = (rng.permutation(40)[: len(sizes)] * 7 + 3).tolist()
+    builds = [
+        build_chi(record(rng.random((h, w), dtype=np.float32), mask_id=m), cfg)
+        for m, (w, h) in zip(ids, sizes)
+    ]
+    shuffled = IndexStore(cfg)
+    for i in rng.permutation(len(builds)).tolist():
+        shuffled.insert(builds[i])
+    halves = [IndexStore(cfg), IndexStore(cfg)]
+    for i, idx in enumerate(builds):
+        halves[i % 2].insert(idx)
+    persist_index(shuffled, tmp_path / "shuffled.chi")
+    persist_index(merge_index(*halves), tmp_path / "merged.chi")
+    persist_index(load_index(tmp_path / "shuffled.chi"), tmp_path / "loaded.chi")
+    expected = index_file_bytes(cfg, builds)
+    assert shuffled.block(256, 256).counts.dtype == np.uint32
+    for name in ("shuffled", "merged", "loaded"):
+        assert (tmp_path / f"{name}.chi").read_bytes() == expected, name
 
 
 def test_an_id_indexed_at_one_size_is_refused_at_another():
@@ -577,13 +682,7 @@ def test_an_id_indexed_at_one_size_is_refused_at_another():
 def test_persist_fsyncs_directory_after_rename(tmp_path, monkeypatch):
     store = _store_with_masks()
     path = tmp_path / "idx.chi"
-    cfg = store.config
-    expected = CHI_MAGIC + struct.pack("<IIIIffQ", 1, cfg.bins, cfg.cell_width,
-                                       cfg.cell_height, 0.0, 1.0, len(store))
-    for mid in store.mask_ids():
-        idx = store.get_or_absent(mid)
-        expected += struct.pack("<QIIII", mid, idx.width, idx.height, idx.n_cx, idx.n_cy)
-        expected += idx.counts.astype("<u4").tobytes()
+    expected = index_file_bytes(store.config, [store.get_or_absent(m) for m in store.mask_ids()])
 
     synced = []  # (is a directory, target in place, temp files left)
     real_fsync = os.fsync

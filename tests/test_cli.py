@@ -5,13 +5,13 @@ import struct
 import numpy as np
 import pytest
 
-from chisearch.cli import main
+from chisearch.cli import EXIT_IO_ERROR, main
 from chisearch.chi import CHI_MAGIC, ChiConfig, load_index, persist_index
 from chisearch.corpus import generate_corpus
 from chisearch.executor import Engine
 from chisearch.store import MaskStore, Roi, ValueRange, cp_exact, load_roi_table
 
-from conftest import build_index, build_store, record
+from conftest import build_index, build_store, index_file_bytes, record
 
 GEN = ["--count", "24", "--width", "32", "--height", "32", "--seed", "11"]
 IDX = ["--bins", "8", "--cell-width", "8", "--cell-height", "8"]
@@ -253,6 +253,19 @@ def test_bad_index_file_exit_code(corpus, tmp_path, capsys):
     bad.write_bytes(bytes(zero_bins))
     code, _, err = run(capsys, "query", str(d), "--index", str(bad), "-q", Q_FILTER)
     assert code == 3, err
+
+
+def test_query_refuses_a_v1_index_and_leaves_it_as_it_was(corpus, capsys, tmp_path):
+    d, idx = corpus
+    index = load_index(idx)
+    v1 = tmp_path / "v1.chi"
+    builds = [index.get_or_absent(m) for m in index.mask_ids()]
+    v1.write_bytes(index_file_bytes(index.config, builds, version=1))
+    before = v1.read_bytes()
+    for flags in (["--index", str(v1)], ["--incremental", "--index", str(v1)]):
+        code, _, err = run(capsys, "query", str(d), *flags, "-q", Q_FILTER)
+        assert code == EXIT_IO_ERROR and "rebuild" in err, (flags, err)
+        assert v1.read_bytes() == before
 
 
 def test_query_file_and_rois_flags(corpus, capsys, tmp_path):
