@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from chisearch.bounds import cp_bounds
-from chisearch.chi import ChiBlock, ChiConfig, build_chi
+from chisearch.chi import ChiConfig, IndexStore, build_chi
 from chisearch.corpus import generate_corpus
 from chisearch.store import MaskStore, ValueRange, cp_exact, load_roi_table
 
@@ -55,19 +55,20 @@ def main(argv=None) -> None:
         bins, cell = (int(x) for x in part.split(":"))
         configs.append(ChiConfig(cell, cell, bins))
 
+    exact = {mid: cp_exact(store.get_mask(mid), rois[mid], vr) for mid in ids}
     with open(args.out, "w") as fh:
         fh.write("config\trank\tmask_id\tlower\tupper\texact\n")
         for config in configs:
             tag = f"b{config.bins}c{config.cell_width}"
-            rows = []
+            index = IndexStore(config)
             for mid in ids:
-                rec = store.get_mask(mid)
-                r = rois[mid]
-                lo, hi = cp_bounds(
-                    ChiBlock.of(build_chi(rec, config)), np.zeros(1, dtype=np.intp),
-                    np.array([[r.x1, r.y1, r.x2, r.y2]]), vr,
-                )
-                rows.append((int(lo[0]), int(hi[0]), cp_exact(rec, r, vr), mid))
+                index.insert(build_chi(store.get_mask(mid), config))
+            rows = []
+            for block in index.blocks():  # one kernel call per mask size
+                mids = block.mask_ids().tolist()
+                boxes = np.array([[rois[m].x1, rois[m].y1, rois[m].x2, rois[m].y2] for m in mids])
+                lo, hi = cp_bounds(block, block.rows_of(np.array(mids)), boxes, vr)
+                rows += [(l, h, exact[m], m) for l, h, m in zip(lo.tolist(), hi.tolist(), mids)]
             rows.sort(key=lambda r: (r[0], r[3]))
             for rank, (lo, hi, exact, mid) in enumerate(rows):
                 fh.write(f"{tag}\t{rank}\t{mid}\t{lo}\t{hi}\t{exact}\n")

@@ -3,17 +3,18 @@
 For an arbitrary query rectangle and value range the index cannot answer
 exactly, but it can bracket the answer, one grid cell at a time. Along the
 value axis the range is widened to the nearest bin edges outside it,
-[lo, hi), and narrowed to those inside it, [a, z). For each cell c, four
-corner lookups give U_c, its count over [lo, hi), and L_c, its count over
-[a, z). With a_c the area of roi ∩ c and A_c the cell's own area (edge
-cells are narrower), the pixels counted in roi ∩ c number at most
-min(U_c, a_c) and at least max(0, L_c - (A_c - a_c)). Summing over the
-cells gives the bracket. Cells outside the roi add nothing, and cells
-inside it add U_c and L_c, so aligned rois with on-edge ranges come out
-exact. Only the boundary cells carry slack, each its own.
+[lo, hi), and narrowed to those inside it, [a, z). For each cell c, one
+difference of its reverse-cumulative bin counts gives U_c, its count over
+[lo, hi), and another L_c, its count over [a, z). With a_c the area of
+roi ∩ c and A_c the cell's own area (edge cells are narrower), the pixels
+counted in roi ∩ c number at most min(U_c, a_c) and at least
+max(0, L_c - (A_c - a_c)). Summing over the cells gives the bracket. Cells
+outside the roi add nothing, and cells inside it add U_c and L_c, so
+aligned rois with on-edge ranges come out exact. Only the boundary cells
+carry slack, each its own.
 
 ``cp_bounds`` is the one bound kernel: it brackets many masks of one size
-at once, reading the bin-major rows of their ``ChiBlock``.
+at once, reading the per-cell rows of their ``ChiBlock``.
 
 All functions here are pure: they only read their inputs and return
 fresh arrays. ``cp_bounds`` works in the calling thread's scratch buffers
@@ -79,15 +80,10 @@ def cp_bounds(block: ChiBlock, rows: np.ndarray, rois: np.ndarray, rng: ValueRan
     # Gather plane (row, bin) of each mask and bin edge into the calling
     # thread's scratch, by its index in the (rows * planes) stack of planes;
     # the take cannot clip, as rows were checked, and ``mode="raise"`` would
-    # buffer ``out``. Then each cell's count over [lo, hi), then over [a, z):
-    # differences of the reverse-cumulative bins, then of the prefix corners
-    # along x and y, in place over one flat array. Slot (i, j) of a plane
-    # then holds cell (i, j)'s count, except the last slot along either
-    # axis, where the differences straddle two planes or two corner rows and
-    # hold no cell. The unsigned arithmetic wraps, but each true count lies
-    # in [0, width * height], inside the block's dtype, so every difference
-    # comes out exact.
-    shape = (k, n) + counts.shape[2:]  # (k, n, slots x, slots y)
+    # buffer ``out``. One difference of the reverse-cumulative planes then
+    # gives each cell's U_c, then L_c, each in [0, A_c] (``load_index``
+    # refuses rows where a plane exceeds the one below).
+    shape = (k, n) + counts.shape[2:]  # (k, n, cells x, cells y)
     dtype = counts.dtype
     planes_of = scratch("bounds_planes", math.prod(shape), dtype, dtype)
     cells, caps = (b.reshape(shape) for b in planes_of)
@@ -96,36 +92,34 @@ def cp_bounds(block: ChiBlock, rows: np.ndarray, rois: np.ndarray, rng: ValueRan
     planes.take(first + np.array([lo, a][:k])[:, None], axis=0, out=cells, mode="clip")
     planes.take(first + np.array([hi, z][:k])[:, None], axis=0, out=caps, mode="clip")
     np.subtract(cells, caps, out=cells)
-    flat, ny = cells.reshape(-1), cells.shape[3]
-    np.subtract(flat[ny:], flat[:-ny], out=flat[:-ny])
-    np.subtract(flat[1:], flat[:-1], out=flat[:-1])
 
-    # How much of each slot the roi spans along x and along y, in the
-    # dtype: the rois lie within the mask, so every end fits it, and ending
-    # each span at max(min(x2, slot end), its start) keeps the unsigned
-    # difference from wrapping where the roi misses a slot.
-    span_shape = (n,) + block.slot_lo.shape  # (n, axis, slot)
-    spans = scratch("bounds_spans", math.prod(span_shape), dtype, dtype)
-    start, span = (b.reshape(span_shape) for b in spans)
-    np.maximum(rois[:, :2].astype(dtype)[:, :, None], block.slot_lo, out=start)
-    np.minimum(rois[:, 2:].astype(dtype)[:, :, None], block.slot_hi, out=span)
-    np.maximum(span, start, out=span)
-    np.subtract(span, start, out=span)
+    # How much of each grid column (then row) the roi spans, as int64, so
+    # no coordinate wraps: ending each span at max(min(x2, cell end), its
+    # start) keeps it at 0 where the roi misses the cell. A span is at most
+    # a cell's width, so it fits the count dtype.
+    n_cx = block.n_cx
+    spans = scratch("bounds_spans", n * len(block.cell_lo), np.int64, np.int64, dtype)
+    start, end, span = (b.reshape(n, -1) for b in spans)
+    for axis, cols in ((0, slice(None, n_cx)), (1, slice(n_cx, None))):
+        np.maximum(rois[:, axis, None], block.cell_lo[cols], out=start[:, cols])
+        np.minimum(rois[:, axis + 2, None], block.cell_hi[cols], out=end[:, cols])
+    np.maximum(end, start, out=end)
+    np.subtract(end, start, out=span, casting="unsafe")
 
     # caps, reused, gets each cell's overlap with the roi, a_c = ax * ay, and
     # the upper bound sums min(U_c, a_c). For the lower bound, caps[1] gets
     # the cell's area outside the roi, A_c - a_c, and the lower bound sums
-    # max(L_c, A_c - a_c) - (A_c - a_c). The empty slots have a_c = 0 and
-    # A_c = the dtype's maximum (see ``ChiBlock``), so they add 0 to both.
-    ax, ay = span[:, 0, : shape[2], None], span[:, 1, None, : shape[3]]
-    np.multiply(ax, ay, out=caps[0])
+    # max(L_c, A_c - a_c) - (A_c - a_c).
+    np.multiply(span[:, :n_cx, None], span[:, None, n_cx:], out=caps[0])
     if k == 2:
-        np.subtract(block.slot_area, caps[0], out=caps[1])
+        np.subtract(block.cell_area, caps[0], out=caps[1])
         np.maximum(cells[1], caps[1], out=cells[1])
         np.subtract(cells[1], caps[1], out=caps[1])
     np.minimum(cells[0], caps[0], out=caps[0])
-    # Each sum is at most the roi's area, so it fits the dtype too.
-    sums = caps.reshape(k, n, -1).sum(axis=2, dtype=dtype).astype(np.int64)
+    # Each sum is at most the mask's pixel count, below 2**32, so it adds up
+    # in the count dtype where that holds the pixel count, else in uint32.
+    wide = dtype if block.width * block.height <= np.iinfo(dtype).max else np.uint32
+    sums = caps.reshape(k, n, -1).sum(axis=2, dtype=wide).astype(np.int64)
     return (sums[1] if k == 2 else np.zeros(n, dtype=np.int64)), sums[0]
 
 

@@ -1,20 +1,21 @@
-"""Cumulative histogram index over mask grids.
+"""Per-cell cumulative histogram index over mask grids.
 
-Each mask gets a dense array ``counts[cx, cy, bin]`` holding, for every
-grid-cell corner and value-bin threshold, the number of pixels in the
-prefix rectangle from the origin to that corner whose value is at or above
-the bin's lower edge. Counts are cumulative along both spatial axes and
-reverse-cumulative along the bin axis, so the histogram of any rectangle
-whose corners sit on grid boundaries falls out of four lookups.
+Each mask gets a dense array ``counts[bin, cx, cy]``: for every grid cell
+and value-bin threshold, the number of the cell's pixels whose value is at
+or above the bin's lower edge. Counts are reverse-cumulative along the bin
+axis, so a cell's count over any run of whole bins is one difference, and
+no count exceeds its cell's area. Every count of a config therefore fits
+one dtype, ``ChiConfig.count_dtype``: uint16 when a cell has fewer than
+2**16 pixels, uint32 otherwise, whatever the mask size.
 
 Grid boundaries always include the mask's right/bottom edge, so masks whose
 dimensions are not multiples of the cell size simply get narrower edge
-cells; every formula below holds unchanged on the extended boundary set.
+cells.
 
-An ``IndexStore`` keeps, per mask size, one zero-padded block holding every
-such mask's counts as one row, beside an int64 column of their mask ids;
-the blocks are the only copy of the index, and bounds are computed from
-them.
+An ``IndexStore`` keeps, per mask size, one block holding every such mask's
+counts as one row, beside an int64 column of their mask ids; the blocks are
+the only copy of the index, and bounds are computed from them. The index
+file holds the same rows.
 """
 
 from __future__ import annotations
@@ -41,16 +42,15 @@ from .store import (
 )
 
 CHI_MAGIC = b"MCHI1\n"
-CHI_VERSION = 2
+CHI_VERSION = 3
 
 _HEADER = struct.Struct("<IIIIffQ")  # version, bins, cell_w, cell_h, domain lo, hi, count
 _SECTION = struct.Struct("<IIQ")  # width, height, n: one section per mask size
 
-# Most bytes of rows that ``persist_index`` and ``load_index`` copy at a
-# time (one row, where a row is larger). The buffers are made per call and
-# stay under glibc's default mmap threshold (128 KiB), so they come from the
-# heap, not from fresh pages.
-_COPY_BYTES = 1 << 15
+# Most bytes of rows that ``load_index`` checks at a time (one row, where a
+# row is larger). The checks' temporaries stay under glibc's default mmap
+# threshold (128 KiB), so they come from the heap, not from fresh pages.
+_CHECK_BYTES = 1 << 15
 
 
 class ChiError(Exception):
@@ -90,10 +90,19 @@ class ChiConfig:
 
     @cached_property
     def bin_edges(self) -> np.ndarray:
-        """The bins+1 value thresholds; binning and bound lookups must share these."""
-        edges = (PIXEL_MAX / self.bins) * np.arange(self.bins + 1, dtype=np.float64)
-        edges[-1] = PIXEL_MAX
-        return edges
+        """The bins+1 value thresholds; binning and bound lookups must share these.
+
+        Edge k is k / bins correctly rounded, so a range end typed as k / bins
+        (0.3 at 10 bins) sits on its edge, and configs whose bin counts
+        divide one another share their common edges exactly.
+        """
+        return np.arange(self.bins + 1) / self.bins
+
+    @cached_property
+    def count_dtype(self) -> np.dtype:
+        """The dtype of every count: little-endian, as in the index file, and
+        16 bits wide where every cell has fewer than 2**16 pixels."""
+        return np.dtype("<u2" if self.cell_width * self.cell_height < 2**16 else "<u4")
 
     @cached_property
     def bin_edges_f32(self) -> np.ndarray:
@@ -144,13 +153,13 @@ def grid_boundaries(width: int, height: int, config: ChiConfig) -> GridBoundarie
 
 @dataclass
 class ChiIndex:
-    """One mask's corner-count array plus the grid it was built on."""
+    """One mask's per-cell counts plus the grid they were built on."""
 
     mask_id: int
     width: int
     height: int
     config: ChiConfig
-    counts: np.ndarray  # uint32, shape (n_cx, n_cy, bins), bin innermost
+    counts: np.ndarray  # config.count_dtype, shape (bins, n_cx, n_cy)
 
     @property
     def payload_bytes(self) -> int:
@@ -204,7 +213,7 @@ def _cell_base(width: int, height: int, config: ChiConfig) -> np.ndarray:
 
 
 def build_chi(mask: MaskRecord, config: ChiConfig) -> ChiIndex:
-    """Build the corner-count array for one mask. Runs in O(width * height),
+    """Build the per-cell counts of one mask. Runs in O(width * height),
     with its per-pixel arrays in the calling thread's scratch."""
     if mask.width * mask.height >= 2**32:
         raise OverflowDetected("mask pixel count exceeds 32-bit counters")
@@ -217,7 +226,7 @@ def build_chi(mask: MaskRecord, config: ChiConfig) -> ChiIndex:
     # the float32 image of the shared edges (see ``bin_edges_f32``), so the
     # pixels are compared as they are, with no float64 copy. The float32
     # product v * bins, cast to an integer, is the value's bin or one above
-    # it: an edge sits within 2**-52 of i / bins, and the product rounds to
+    # it: an edge is i / bins correctly rounded, and the product rounds to
     # the nearest float32, which holds every integer up to MAX_BINS; the
     # cast truncates, which is the floor here, as no pixel is below 0 (a
     # -0.0 pixel gives bin 0). So it can only overshoot, at a value just
@@ -233,10 +242,9 @@ def build_chi(mask: MaskRecord, config: ChiConfig) -> ChiIndex:
     np.subtract(flat, below, out=flat)
     np.add(flat, _cell_base(mask.width, mask.height, config), out=flat)
     per_cell = np.bincount(flat, minlength=n_cx * n_cy * b).reshape(n_cx, n_cy, b)
-
     rev = np.cumsum(per_cell[:, :, ::-1], axis=2)[:, :, ::-1]
-    prefix = np.cumsum(np.cumsum(rev, axis=0), axis=1)
-    return ChiIndex(mask.mask_id, mask.width, mask.height, config, prefix.astype(np.uint32))
+    counts = rev.transpose(2, 0, 1).astype(config.count_dtype, order="C")
+    return ChiIndex(mask.mask_id, mask.width, mask.height, config, counts)
 
 
 # Rows a block appends before it sorts its ids again; ``ChiBlock.find``
@@ -250,16 +258,13 @@ _GROWN_BYTES = 1 << 22
 
 
 class ChiBlock:
-    """Corner counts of every indexed mask of one size, one row per mask.
+    """Per-cell counts of every indexed mask of one size, one row per mask.
 
-    The layout is bin-major: ``counts[row, bin, i, j]`` is the mask's
-    ``ChiIndex.counts[i - 1, j - 1, bin]``, so boundary rank 0 (the mask
-    origin) and bin ``bins`` (above every value) stay zero, and the corner
-    counts of one bin edge are one contiguous plane. Any aligned
-    rectangle's or cell's histogram is then four lookups with no special
-    case. The dtype is uint16 for masks of fewer than 2**16 pixels and
-    uint32 otherwise. Rows are appended and capacity doubles when full
-    (see ``_GROWN_BYTES``), so rows only move when the block grows.
+    ``counts[row, bin, cx, cy]`` is the mask's ``ChiIndex.counts[bin, cx,
+    cy]`` for bins below ``bins``, and plane ``bins`` (above every value)
+    stays zero, so a cell's count over bins [b, e) is plane b minus plane e
+    for any e up to ``bins``. Rows are appended and capacity doubles when
+    full (see ``_GROWN_BYTES``), so rows only move when the block grows.
 
     ``ids[row]`` is the mask id of each of the first ``n`` rows. Lookups
     binary-search a sorted copy of that column, made again once enough rows
@@ -270,31 +275,20 @@ class ChiBlock:
         grid = grid_boundaries(width, height, config)
         self.width, self.height, self.config = width, height, config
         self.n_cx, self.n_cy = len(grid.xs), len(grid.ys)
-        # No count exceeds width * height, so smaller masks fit in 16 bits,
-        # which halves what the bound kernel reads.
-        dtype = np.uint16 if width * height < 2**16 else np.uint32
-        self.counts = np.zeros((1, config.bins + 1, self.n_cx + 1, self.n_cy + 1), dtype)
+        dtype = config.count_dtype
+        self.counts = np.zeros((1, config.bins + 1, self.n_cx, self.n_cy), dtype)
         self.ids = np.zeros(1, dtype=np.int64)
         self.n = 0
         # Rows [0, m) ordered by id: (m, their ids ascending, their rows).
         self._sorted = (0, self.ids[:0], np.zeros(0, dtype=np.intp))
-        # The bound kernel's geometry, in the block's dtype, one slot per
-        # boundary rank, along x in row 0 and along y in row 1: slot i spans
-        # grid column i, [slot_lo[0, i], slot_hi[0, i]), and likewise row i.
-        # The last slot along each axis is empty, and so are the slots that
-        # pad the shorter axis. slot_area holds each cell's real area (edge
-        # cells are narrower), and the dtype's maximum in the empty slots.
-        # Every coordinate and area fits the dtype.
-        n_slots = max(self.n_cx, self.n_cy) + 1
-        ends = [
-            (0,) + bounds + (extent,) * (n_slots - len(bounds))
-            for bounds, extent in ((grid.xs, width), (grid.ys, height))
-        ]
-        ends = np.array(ends, dtype)
-        self.slot_lo, self.slot_hi = ends[:, :-1], ends[:, 1:]
-        span = self.slot_hi - self.slot_lo
-        self.slot_area = np.outer(span[0, : self.n_cx + 1], span[1, : self.n_cy + 1])
-        self.slot_area[-1, :] = self.slot_area[:, -1] = np.iinfo(dtype).max
+        # The bound kernel's geometry: cell_lo[i] and cell_hi[i] end grid
+        # column i along x, then cell_lo[n_cx + j] and cell_hi[n_cx + j] end
+        # grid row j along y; cell_area holds each cell's area (edge cells
+        # are narrower), which fits the count dtype.
+        xs, ys = (0,) + grid.xs, (0,) + grid.ys
+        self.cell_lo = np.array(xs[:-1] + ys[:-1], dtype=np.int64)
+        self.cell_hi = np.array(xs[1:] + ys[1:], dtype=np.int64)
+        self.cell_area = np.outer(np.diff(xs), np.diff(ys)).astype(dtype)
 
     @classmethod
     def of(cls, index: ChiIndex) -> "ChiBlock":
@@ -307,10 +301,6 @@ class ChiBlock:
         """The mask id of each row in use, in row order."""
         n = self.n
         return self.ids[:n]
-
-    def corners(self, row: int) -> np.ndarray:
-        """The counts of ``row`` laid out as ``ChiIndex.counts``, a view."""
-        return self.counts[row, :-1, 1:, 1:].transpose(1, 2, 0)
 
     def _sort(self, n: int) -> tuple:
         rows = np.argsort(self.ids[:n], kind="stable")
@@ -349,8 +339,8 @@ class ChiBlock:
         return -1
 
     def put(self, mask_id: int, counts: np.ndarray) -> None:
-        """Write one mask's corner counts, laid out as ``ChiIndex.counts``,
-        into its row, appending a row for a new id.
+        """Write one mask's counts, laid out as ``ChiIndex.counts``, into its
+        row, appending a row for a new id.
 
         Callers serialize puts. Readers need no lock: a row and its id are
         written, and grown arrays swapped in, before ``n`` takes the row in.
@@ -360,7 +350,7 @@ class ChiBlock:
             row = self.n
         if row == len(self.ids):
             self.reserve(max(2 * row, _GROWN_BYTES // self.counts[0].nbytes))
-        self.counts[row, :-1, 1:, 1:] = counts.transpose(2, 0, 1)
+        self.counts[row, :-1] = counts
         self.ids[row] = mask_id
         self.n = max(self.n, row + 1)
 
@@ -396,12 +386,11 @@ class IndexStore:
         return list(self._blocks.values())
 
     def get_or_absent(self, mask_id: int) -> ChiIndex | None:
-        """The mask's index, rebuilt from its block row, or None when it has
-        not been built yet."""
+        """A copy of the mask's index, or None when it has not been built yet."""
         for block in self.blocks():
             row = block.find(mask_id)
             if row >= 0:
-                counts = block.corners(row).astype(np.uint32, order="C")
+                counts = block.counts[row, :-1].copy()
                 return ChiIndex(mask_id, block.width, block.height, self.config, counts)
         return None
 
@@ -417,28 +406,24 @@ class IndexStore:
         """The block of every indexed width x height mask."""
         return self._blocks[(width, height)]
 
+    def _others(self, width: int, height: int) -> list[ChiBlock]:
+        """Every block of a size other than width x height."""
+        return [b for size, b in self._blocks.items() if size != (width, height)]
+
     def insert(self, index: ChiIndex) -> None:
         if index.config != self.config:
             raise ConfigMismatch("index built with a different config")
-        self._put(index.mask_id, index.width, index.height, index.counts)
-
-    def _put(self, mask_id: int, width: int, height: int, counts: np.ndarray) -> None:
-        """Write one mask's ``ChiIndex.counts``-shaped corner counts into the
-        block of its size."""
+        mask_id, size = index.mask_id, (index.width, index.height)
         if not 0 <= mask_id <= INT64_MAX:
             raise ChiError(f"mask_id {mask_id} outside [0, 2**63)")
         with self._lock:
-            block = self._blocks.get((width, height))
-            for other in self._blocks.values():
-                if other is not block and other.find(mask_id) >= 0:
-                    raise ChiError(
-                        f"mask {mask_id} is indexed as {other.width}x{other.height},"
-                        f" not {width}x{height}"
-                    )
-            block = block or ChiBlock(width, height, self.config)
-            block.put(mask_id, counts)
+            for other in self._others(*size):
+                if other.find(mask_id) >= 0:
+                    raise _indexed_elsewhere(mask_id, other, size)
+            block = self._blocks.get(size) or ChiBlock(*size, self.config)
+            block.put(mask_id, index.counts)
             # A new block is published with its first row in place.
-            self._blocks[(width, height)] = block
+            self._blocks[size] = block
 
     def mask_ids(self) -> list[int]:
         ids = [block.mask_ids() for block in self.blocks()]
@@ -454,8 +439,13 @@ class IndexStore:
         return False
 
     def payload_bytes(self) -> int:
-        """Bytes of every index's uint32 counts, as ``persist_index`` writes them."""
-        return sum(4 * b.n * b.n_cx * b.n_cy * self.config.bins for b in self.blocks())
+        """Bytes of every index's counts, as ``persist_index`` writes them."""
+        return sum(b.n * b.counts[0, :-1].nbytes for b in self.blocks())
+
+
+def _indexed_elsewhere(mask_id: int, other: ChiBlock, size: tuple[int, int]) -> ChiError:
+    return ChiError(f"mask {mask_id} is indexed as {other.width}x{other.height},"
+                    f" not {size[0]}x{size[1]}")
 
 
 def persist_index(store: IndexStore, path: str | Path) -> None:
@@ -463,12 +453,12 @@ def persist_index(store: IndexStore, path: str | Path) -> None:
 
     After the header come the blocks, one section per mask size in
     ascending (width, height): the section header, the block's mask ids
-    ascending as ``<u8``, then each id's row as ``<u4``
-    ``counts[row, :bins, 1:, 1:]``, the bin-major row without its zero
-    padding. The bytes go to a fresh file beside ``path``, which is
-    flushed, fsynced and then renamed over ``path``, and the directory is
-    fsynced after the rename: a crash mid-write leaves the old file whole
-    and, at worst, a stray temp file behind.
+    ascending as ``<u8``, then each id's row ``counts[row, :bins]`` in the
+    config's little-endian count dtype, the block row without its zero
+    plane. The bytes go to a fresh file beside ``path``, which is flushed,
+    fsynced and then renamed over ``path``, and the directory is fsynced
+    after the rename: a crash mid-write leaves the old file whole and, at
+    worst, a stray temp file behind.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
@@ -483,18 +473,8 @@ def persist_index(store: IndexStore, path: str | Path) -> None:
             for block, (ids, rows) in zip(blocks, order):
                 fh.write(_SECTION.pack(block.width, block.height, len(ids)))
                 fh.write(ids.astype("<u8"))
-                # Rows go out in id order: taken into a buffer of the block's
-                # dtype, then copied without their padding into a <u4 one.
-                row_bytes = 4 * cfg.bins * block.n_cx * block.n_cy
-                chunk = max(1, _COPY_BYTES // max(row_bytes, block.counts[0].nbytes))
-                padded = np.empty((chunk,) + block.counts.shape[1:], block.counts.dtype)
-                out = np.empty((chunk, cfg.bins, block.n_cx, block.n_cy), "<u4")
-                for a in range(0, len(rows), chunk):
-                    k = min(chunk, len(rows) - a)
-                    # mode="clip" takes straight into ``padded``; "raise" would buffer.
-                    np.take(block.counts, rows[a : a + k], axis=0, out=padded[:k], mode="clip")
-                    np.copyto(out[:k], padded[:k, :-1, 1:, 1:])
-                    fh.write(out[:k])
+                for row in rows.tolist():  # each a contiguous slice, in id order
+                    fh.write(block.counts[row, :-1])
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -518,9 +498,9 @@ def _read(fh, size: int, where) -> bytes:
 
 def load_index(path: str | Path) -> IndexStore:
     """Read a file ``persist_index`` wrote into a new store: one block per
-    section, its id column set once and its rows copied a chunk at a time.
-    Each size and count is checked before it is used, so a file that does
-    not hold what its headers say raises ``CorruptIndex``."""
+    section, its id column set once and its rows read in place. Each size
+    and count is checked before it is used, so a file that does not hold
+    what its headers say raises ``CorruptIndex``."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(CHI_MAGIC)) != CHI_MAGIC:
@@ -547,8 +527,7 @@ def load_index(path: str | Path) -> IndexStore:
                 raise CorruptIndex(f"{where}: sections not in ascending size")
             if not 1 <= n <= count - seen:
                 raise CorruptIndex(f"{where}: {n} masks, {count - seen} left of {count}")
-            n_cx, n_cy = -(-width // cw), -(-height // ch)
-            row_bytes = 4 * bins * n_cx * n_cy
+            row_bytes = config.count_dtype.itemsize * bins * -(-width // cw) * -(-height // ch)
             if n * (8 + row_bytes) > size - fh.tell():
                 raise CorruptIndex(f"{where}: {n} masks past the end of the file")
             ids = np.frombuffer(_read(fh, 8 * n, where), dtype="<u8")
@@ -558,17 +537,19 @@ def load_index(path: str | Path) -> IndexStore:
                 raise CorruptIndex(f"{where}: a mask id also in an earlier section")
             block = ChiBlock(width, height, config)
             block.reserve(n)
-            chunk = max(1, _COPY_BYTES // row_bytes)
-            buf = np.empty((chunk, bins, n_cx, n_cy), "<u4")
-            for a in range(0, n, chunk):
-                part = buf[: min(chunk, n - a)]
-                if fh.readinto(part) != part.nbytes:
+            for row in block.counts[:n, :-1]:
+                if fh.readinto(row) != row.nbytes:
                     raise CorruptIndex(f"{where}: truncated")
-                # A count above the pixel count would wrap in a uint16 block,
-                # and it makes every bracket unsound.
-                if part.max() > width * height:
-                    raise CorruptIndex(f"{where}: a count above {width * height} pixels")
-                block.counts[a : a + len(part), :-1, 1:, 1:] = part
+            # A bracket stays within [0, cell area] only if no count exceeds
+            # its cell's area and no bin's counts exceed the bin's below: an
+            # unsigned difference of the planes would wrap.
+            step = max(1, _CHECK_BYTES // block.counts[0].nbytes)
+            for a in range(0, n, step):
+                part = block.counts[a : a + step]
+                if (part[:, 0] > block.cell_area).any():
+                    raise CorruptIndex(f"{where}: a count above its cell's area")
+                if (part[:, 1:] > part[:, :-1]).any():
+                    raise CorruptIndex(f"{where}: a bin's count above the bin's below")
             block.ids[:n], block.n = ids, n
             store._blocks[width, height] = block
             seen, last = seen + n, (width, height)
@@ -578,12 +559,31 @@ def load_index(path: str | Path) -> IndexStore:
 
 
 def merge_index(dst: IndexStore, src: IndexStore) -> IndexStore:
-    """Fold ``src`` into ``dst``; refuses stores built with different configs."""
+    """Fold ``src`` into ``dst`` block by block, last write wins; refuses
+    stores built with different configs, and ids indexed at another size."""
     if dst.config != src.config:
         raise ConfigMismatch(
             f"cannot merge {src.config} into store with {dst.config}"
         )
-    for block in src.blocks():
-        for row, mask_id in enumerate(block.mask_ids().tolist()):
-            dst._put(mask_id, block.width, block.height, block.corners(row))
+    with dst._lock:
+        for block in src.blocks():  # every id is checked before any row is written
+            size, ids = (block.width, block.height), block.mask_ids()
+            for other in dst._others(*size):
+                clash = other.rows_of(ids) >= 0
+                if clash.any():
+                    raise _indexed_elsewhere(int(ids[clash][0]), other, size)
+        for block in src.blocks():
+            size, (ids, rows) = (block.width, block.height), block.sorted_rows()
+            target = dst._blocks.get(size) or ChiBlock(*size, dst.config)
+            at = target.rows_of(ids)
+            new = at < 0
+            n, added = target.n, int(new.sum())
+            target.reserve(n + added)
+            at[new] = np.arange(n, n + added)
+            # Rows and ids are in place before ``n`` takes them in, as in ``put``.
+            for t, r in zip(at.tolist(), rows.tolist()):
+                target.counts[t] = block.counts[r]
+            target.ids[at] = ids
+            target.n = n + added
+            dst._blocks[size] = target
     return dst

@@ -56,6 +56,34 @@ def roi_array(*rois: Roi) -> np.ndarray:
     return np.array([[r.x1, r.y1, r.x2, r.y2] for r in rois], dtype=np.int64)
 
 
+def reference_bounds(pixels: np.ndarray, config: ChiConfig, rois: np.ndarray, rng: ValueRange):
+    """The per-cell bracket straight from the pixels, for each mask of the
+    (n, height, width) stack ``pixels`` and its roi ``rois[i]`` (x1, y1,
+    x2, y2): each cell's counts over the widened and narrowed bin spans are
+    counted from its pixels as float64, with no index. Same results as
+    ``cp_bounds``: int64 arrays (lower, upper)."""
+    n, height, width = pixels.shape
+    grid = grid_boundaries(width, height, config)
+    xs, ys = (0,) + grid.xs, (0,) + grid.ys
+    edges = config.bin_edges
+    lo, hi = config.outer_bin_span(rng)
+    a, z = config.inner_bin_span(rng)
+    lower, upper = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for x0, x1 in zip(xs, xs[1:]):
+        ax = np.maximum(np.minimum(rois[:, 2], x1) - np.maximum(rois[:, 0], x0), 0)
+        for y0, y1 in zip(ys, ys[1:]):
+            ay = np.maximum(np.minimum(rois[:, 3], y1) - np.maximum(rois[:, 1], y0), 0)
+            cell = pixels[:, y0:y1, x0:x1].astype(np.float64)
+            overlap = ax * ay
+            outside = (x1 - x0) * (y1 - y0) - overlap
+            over = ((cell >= edges[lo]) & (cell < edges[hi])).sum(axis=(1, 2))
+            upper += np.minimum(over, overlap)
+            if a < z:
+                inner = ((cell >= edges[a]) & (cell < edges[z])).sum(axis=(1, 2))
+                lower += np.maximum(inner - outside, 0)
+    return lower, upper
+
+
 def bounds_of(index, roi: Roi, vr: ValueRange) -> tuple[int, int]:
     """(lower, upper) for one mask's count: a one-row kernel call. ``index``
     is a ChiIndex or a ChiBlock whose only row is that mask."""
@@ -91,6 +119,13 @@ def snapped(roi: Roi, width: int, height: int, config: ChiConfig):
     return [[xs[r[0]], ys[r[1]], xs[r[2]], ys[r[3]]] for r in (outer[:, 0], inner[:, 0])]
 
 
+def corner_counts(counts: np.ndarray) -> np.ndarray:
+    """Per-cell counts ``[..., cx, cy]`` summed into the corner counts of
+    formats 1 and 2: the pixels of the rectangle from the origin to each
+    cell's far corner, int64."""
+    return counts.astype(np.int64).cumsum(axis=-2).cumsum(axis=-1)
+
+
 def _area(rects: np.ndarray) -> np.ndarray:
     return (rects[2] - rects[0]) * (rects[3] - rects[1])
 
@@ -115,12 +150,17 @@ def two_candidate_bounds(block: ChiBlock, rows: np.ndarray, rois: np.ndarray, rn
 
     lo, hi = config.outer_bin_span(rng)
     a, z = config.inner_bin_span(rng)
-    rows2, bins = np.concatenate([rows, rows]), np.array([[lo], [hi], [a], [z]])
-    # Corners (x1, y1), (x1, y2), (x2, y1), (x2, y2) of each rect, widened to
-    # int64 before subtracting; rows of c are the bins, columns the rects.
+    bins = np.array([[lo], [hi], [a], [z]])
+    # Corner counts of every gathered row, with a zero row and column at
+    # the origin.
+    cells = block.counts[np.concatenate([rows, rows])]
+    corners = np.zeros(cells.shape[:2] + (cells.shape[2] + 1, cells.shape[3] + 1), np.int64)
+    corners[:, :, 1:, 1:] = corner_counts(cells)
+    # Corners (x1, y1), (x1, y2), (x2, y1), (x2, y2) of each rect; rows of c
+    # are the bins, columns the rects.
+    at = np.arange(2 * n)
     c00, c01, c10, c11 = (
-        block.counts[rows2, bins, rects[i], rects[j]].astype(np.int64)
-        for i, j in ((0, 1), (0, 3), (2, 1), (2, 3))
+        corners[at, bins, rects[i], rects[j]] for i, j in ((0, 1), (0, 3), (2, 1), (2, 3))
     )
     region = c11 - c01 - c10 + c00
     spans = region[0::2] - region[1::2]  # the widened span, then the narrowed one
@@ -160,7 +200,8 @@ def load_repo_module(relpath: str):
 #
 # Low value 0.1 everywhere, 0.9 at nine chosen pixels. With 2x2 cells and
 # two value bins this reproduces every number in the worked index example:
-# corner counts [4, 0] and [16, 3], region counts 2 and 8, and the upper
+# corner counts [4, 0] and [16, 3] (the first cell alone, and the sum of the
+# four cells of [0, 4) x [0, 4)), region counts 2 and 8, and the upper
 # bounds 8 and 7 for the rectangle [2,5)x[2,5) with values in (0.6, 1.0).
 
 GRID_EXAMPLE_HIGH = {(3, 1), (2, 2), (3, 3), (4, 2), (5, 3), (2, 4), (3, 5), (4, 4), (5, 5)}
@@ -182,22 +223,26 @@ def grid_example_index(grid_example) -> "build_chi":
 # -- small on-disk corpora ----------------------------------------------------
 
 
-def index_file_bytes(config: ChiConfig, builds, version: int = 2) -> bytes:
-    """An index file packed by hand from ``ChiIndex`` builds, in format 2
-    (one section per mask size) or in the per-mask records of format 1."""
+def index_file_bytes(config: ChiConfig, builds, version: int = 3) -> bytes:
+    """An index file packed by hand from ``ChiIndex`` builds: in format 3
+    (one section per mask size, per-cell rows in the count dtype), in
+    format 2 (the same sections of uint32 corner counts), or in the
+    per-mask records of format 1."""
     raw = b"MCHI1\n" + struct.pack("<IIIIffQ", version, config.bins, config.cell_width,
                                     config.cell_height, 0.0, 1.0, len(builds))
     if version == 1:
         for idx in sorted(builds, key=lambda i: i.mask_id):
-            n_cx, n_cy, _ = idx.counts.shape
+            _, n_cx, n_cy = idx.counts.shape
             raw += struct.pack("<QIIII", idx.mask_id, idx.width, idx.height, n_cx, n_cy)
-            raw += idx.counts.astype("<u4").tobytes()
+            raw += corner_counts(idx.counts).transpose(1, 2, 0).astype("<u4").tobytes()
         return raw
     for size in sorted({(i.width, i.height) for i in builds}):
         section = sorted((i for i in builds if (i.width, i.height) == size), key=lambda i: i.mask_id)
         raw += struct.pack("<IIQ", *size, len(section))
         raw += b"".join(struct.pack("<Q", i.mask_id) for i in section)
-        raw += b"".join(i.counts.transpose(2, 0, 1).astype("<u4").tobytes() for i in section)
+        for i in section:
+            v3 = i.counts.astype(config.count_dtype)
+            raw += (v3 if version == 3 else corner_counts(i.counts).astype("<u4")).tobytes()
     return raw
 
 

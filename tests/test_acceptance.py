@@ -195,14 +195,14 @@ def test_criterion_5_index_sizing(corpus224, tmp_path):
     store_dir, store, index, _ = corpus224
     assert (store_dir / "masks.bin").stat().st_size == 6 + 2000 * 224 * 224 * 4
     for mid in (1, 500, 2000):
-        assert index.get_or_absent(mid).payload_bytes == 4 * 16 * 8 * 8 == 4096
+        assert index.get_or_absent(mid).payload_bytes == 2 * 16 * 8 * 8 == 2048
     single = IndexStore(BIG_CONFIG)
     single.insert(index.get_or_absent(1))
     path = tmp_path / "one.chi"
     persist_index(single, path)
     header, section, per_mask_id = 6 + 32, 16, 8
-    assert path.stat().st_size - header - section - per_mask_id == 4096
-    print("\n[criterion 5] PASS index sizing: 4096 payload bytes per mask "
+    assert path.stat().st_size - header - section - per_mask_id == 2048
+    print("\n[criterion 5] PASS index sizing: 2048 payload bytes per mask "
           "(16 bins, 28x28 cells, 224x224 masks)")
 
 

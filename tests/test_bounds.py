@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from chisearch.bounds import (
     is_boundable,
 )
 from chisearch.chi import ChiBlock, ChiConfig, IndexStore, build_chi, grid_boundaries
+from chisearch.corpus import blob_mask
 from chisearch.store import Roi, RoiBinding, ValueRange, cp_exact
 
 from conftest import (
@@ -30,6 +32,7 @@ from conftest import (
     random_range,
     random_roi_in,
     record,
+    reference_bounds,
     roi_array,
     snapped,
     two_candidate_bounds,
@@ -327,13 +330,15 @@ def test_per_cell_bound_strictly_tighter_worked_example():
 
 
 def test_block_dtype_holds_every_count():
-    # Blocks of masks under 2**16 pixels count in 16 bits; at 2**16 pixels a
-    # full-mask count no longer fits, and the block counts in 32 bits.
-    for w, h in ((255, 257), (256, 256)):
+    # A count is at most its cell's area: cells under 2**16 pixels count in
+    # 16 bits, whatever the mask size, and cells of 2**16 pixels in 32 bits.
+    # Either way a whole-mask count of 2**16 or more comes out whole.
+    for (w, h), cfg in itertools.product(((255, 257), (256, 256)),
+                                         (ChiConfig(60, 60, 4), ChiConfig(256, 256, 4))):
         px = np.zeros((h, w), dtype=np.float32)
         px[:, w // 2 :] = 0.75
-        block = ChiBlock.of(build_chi(record(px), ChiConfig(60, 60, 4)))
-        assert block.counts.dtype == (np.uint16 if w * h < 2**16 else np.uint32)
+        block = ChiBlock.of(build_chi(record(px), cfg))
+        assert block.counts.dtype == (np.uint16 if cfg.cell_width < 256 else np.uint32)
         assert bounds_of(block, Roi(0, 0, w, h), ValueRange(0.0, 1.0)) == (w * h, w * h)
         half = w * h - (w // 2) * h
         assert bounds_of(block, Roi(0, 0, w, h), ValueRange(0.5, 1.0)) == (half, half)
@@ -341,6 +346,68 @@ def test_block_dtype_holds_every_count():
         exact = cp_exact(record(px), roi, ValueRange(0.5, 0.8))
         lower, upper = bounds_of(block, roi, ValueRange(0.5, 0.8))
         assert 0 <= lower <= exact <= upper <= roi.area
+
+
+def _reference_cases(rng):
+    """(width, height, config): mixed sizes, narrow edge cells, non-square
+    grids and cells larger than the mask; a 70,000 x 1 mask, whose
+    coordinates and whole-mask counts pass 2**16 while its cells count in
+    16 bits; and cells of 2**16 pixels or more, which count in 32 bits."""
+    cases = [
+        (int(rng.integers(1, 40)), int(rng.integers(1, 40)),
+         ChiConfig(int(rng.integers(1, 13)), int(rng.integers(1, 13)), int(rng.integers(1, 18))))
+        for _ in range(40)
+    ]
+    return cases + [
+        (70_000, 1, ChiConfig(3_000, 1, 8)),
+        (1, 70_000, ChiConfig(5, 999, 5)),
+        (300, 260, ChiConfig(256, 256, 5)),
+        (40, 30, ChiConfig(2**16, 1, 3)),
+    ]
+
+
+def test_cp_bounds_matches_pixel_reference_bit_for_bit():
+    rng = np.random.default_rng(71)
+    checked = 0
+    for w, h, cfg in _reference_cases(rng):
+        values = np.concatenate([_edge_values(cfg), rng.random(8, dtype=np.float32)])
+        pixels = rng.choice(values, size=(3, h, w))
+        store = IndexStore(cfg)
+        for m in (2, 0, 1):
+            store.insert(build_chi(record(pixels[m], mask_id=m), cfg))
+        block = store.block(w, h)
+        assert block.counts.dtype == cfg.count_dtype
+        rois = _edge_rois(rng, w, h, cfg) + [Roi(0, 0, w, h)]
+        ids = rng.integers(0, 3, size=len(rois))
+        rows = block.rows_of(ids)
+        for vr in _edge_ranges(rng, cfg) + [random_range(rng), ValueRange(0.0, 1.0)]:
+            got = cp_bounds(block, rows, roi_array(*rois), vr)
+            want = reference_bounds(pixels[ids], cfg, roi_array(*rois), vr)
+            assert all(np.array_equal(g, r) for g, r in zip(got, want)), (w, h, cfg, vr)
+            checked += len(rois)
+        full = cp_bounds(block, rows[-1:], roi_array(Roi(0, 0, w, h)), ValueRange(0.0, 1.0))
+        assert [int(v[0]) for v in full] == [w * h, w * h]
+    assert checked > 3000
+
+
+def test_cp_bounds_matches_pixel_reference_on_a_1000_mask_corpus():
+    # 1,000 blob masks of 56 x 56 at 7 x 7 cells and 16 bins, the
+    # benchmark's 224 x 224 geometry at a quarter of the scale.
+    rng = np.random.default_rng(73)
+    cfg = ChiConfig(7, 7, 16)
+    pixels = np.stack([blob_mask(rng, 56, 56) for _ in range(1000)])
+    store = IndexStore(cfg)
+    for m in rng.permutation(1000).tolist():
+        store.insert(build_chi(record(pixels[m], mask_id=m), cfg))
+    block = store.block(56, 56)
+    rows = block.rows_of(np.arange(1000))
+    for vr in (ValueRange(0.6, 1.0), ValueRange(0.3, 0.7), ValueRange(0.0, 0.5),
+               ValueRange(0.05, 0.9), ValueRange(0.5, 0.51), ValueRange(0.0625, 0.9375)):
+        x1, y1 = rng.integers(0, 56, size=(2, 1000))
+        rois = np.stack([x1, y1, rng.integers(x1 + 1, 57), rng.integers(y1 + 1, 57)], axis=1)
+        got = cp_bounds(block, rows, rois, vr)
+        want = reference_bounds(pixels, cfg, rois, vr)
+        assert all(np.array_equal(g, r) for g, r in zip(got, want)), vr
 
 
 def test_empty_call_returns_empty_brackets():

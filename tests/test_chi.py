@@ -32,6 +32,7 @@ from chisearch.store import MAX_PIXEL, MaskMeta, MaskRecord, Roi, ValueRange, cp
 
 from conftest import (
     bounds_of,
+    corner_counts,
     count_pixels_loop,
     index_file_bytes,
     record,
@@ -51,18 +52,25 @@ def test_grid_boundaries_include_ragged_edge():
 
 def test_worked_example_corner_counts(grid_example_index):
     # First cell corner: four pixels total, none at or above 0.5; the
-    # fourth-cell corner covers sixteen pixels, three of them high.
-    assert grid_example_index.counts[0, 0].tolist() == [4, 0]
-    assert grid_example_index.counts[1, 1].tolist() == [16, 3]
+    # fourth-cell corner covers sixteen pixels, three of them high. The
+    # first cell's own counts are its corner's; the fourth corner's are
+    # the sum of the four cells of [0, 4) x [0, 4).
+    corners = corner_counts(grid_example_index.counts)
+    assert corners[:, 0, 0].tolist() == [4, 0]
+    assert corners[:, 1, 1].tolist() == [16, 3]
+    assert grid_example_index.counts[:, 0, 0].tolist() == [4, 0]
+    assert grid_example_index.counts[:, :2, :2].sum(axis=(1, 2)).tolist() == [16, 3]
 
 
 def test_zero_mask_prefixes():
     rec = record(np.zeros((4, 4), dtype=np.float32))
     idx = build_chi(rec, ChiConfig(2, 2, 2))
+    corners = corner_counts(idx.counts)
     for i, x in enumerate((2, 4)):
         for j, y in enumerate((2, 4)):
-            assert idx.counts[i, j, 0] == x * y
-            assert idx.counts[i, j, 1] == 0
+            assert corners[0, i, j] == x * y
+            assert corners[1, i, j] == 0
+            assert idx.counts[:, i, j].tolist() == [4, 0]
 
 
 def test_counts_match_brute_force_on_ragged_grid():
@@ -70,14 +78,17 @@ def test_counts_match_brute_force_on_ragged_grid():
     rec = record(rng.random((7, 10), dtype=np.float32))
     cfg = ChiConfig(3, 3, 4)
     idx = build_chi(rec, cfg)
+    corners = corner_counts(idx.counts)
     g = grid_boundaries(10, 7, cfg)
+    xs, ys = (0,) + g.xs, (0,) + g.ys
     for i, x in enumerate(g.xs):
         for j, y in enumerate(g.ys):
             for b in range(cfg.bins):
-                want = count_pixels_loop(
-                    rec.pixels, Roi(0, 0, x, y), float(cfg.bin_edges[b]), float("inf")
-                )
-                assert idx.counts[i, j, b] == want
+                edge = float(cfg.bin_edges[b])
+                want = count_pixels_loop(rec.pixels, Roi(0, 0, x, y), edge, float("inf"))
+                assert corners[b, i, j] == want
+                cell = Roi(xs[i], ys[j], x, y)
+                assert idx.counts[b, i, j] == count_pixels_loop(rec.pixels, cell, edge, 2.0)
 
 
 @given(
@@ -93,31 +104,64 @@ def test_defining_invariant_property(seed, width, height, cw, ch, bins):
     rec = record(rng.random((height, width), dtype=np.float32))
     cfg = ChiConfig(cw, ch, bins)
     idx = build_chi(rec, cfg)
+    corners = corner_counts(idx.counts)
     g = grid_boundaries(width, height, cfg)
+    xs, ys = (0,) + g.xs, (0,) + g.ys
     for i, x in enumerate(g.xs):
         for j, y in enumerate(g.ys):
-            prefix = Roi(0, 0, x, y)
-            assert idx.counts[i, j, 0] == x * y
+            prefix, cell = Roi(0, 0, x, y), Roi(xs[i], ys[j], x, y)
+            assert corners[0, i, j] == x * y
+            assert idx.counts[0, i, j] == cell.area
             for b in range(bins):
                 lo = float(cfg.bin_edges[b])
-                assert idx.counts[i, j, b] == cp_exact(rec, prefix, ValueRange(lo, 1.0))
+                assert corners[b, i, j] == cp_exact(rec, prefix, ValueRange(lo, 1.0))
+                assert idx.counts[b, i, j] == cp_exact(rec, cell, ValueRange(lo, 1.0))
 
 
 def test_counts_monotone_in_all_axes():
     rng = np.random.default_rng(11)
     idx = build_chi(record(rng.random((20, 20), dtype=np.float32)), ChiConfig(4, 4, 5))
-    c = idx.counts.astype(np.int64)
-    assert (np.diff(c, axis=2) <= 0).all()
-    assert (np.diff(c, axis=0) >= 0).all()
+    assert (np.diff(idx.counts.astype(np.int64), axis=0) <= 0).all()
+    c = corner_counts(idx.counts)
+    assert (np.diff(c, axis=0) <= 0).all()
     assert (np.diff(c, axis=1) >= 0).all()
+    assert (np.diff(c, axis=2) >= 0).all()
 
 
 def test_in_memory_count_size_matches_formula():
     rng = np.random.default_rng(0)
     idx = build_chi(record(rng.random((224, 224), dtype=np.float32)), ChiConfig(28, 28, 16))
-    assert idx.counts.nbytes == 4 * 16 * 8 * 8 == 4096
+    assert idx.counts.nbytes == idx.payload_bytes == 2 * 16 * 8 * 8 == 2048
     big = build_chi(record(rng.random((448, 448), dtype=np.float32)), ChiConfig(64, 64, 16))
-    assert big.counts.nbytes == 7 * 7 * 16 * 4 == 3136
+    assert big.counts.nbytes == 7 * 7 * 16 * 2 == 1568
+    # Cells of 2**16 pixels or more count in 32 bits, whatever the mask size.
+    huge = build_chi(record(rng.random((8, 8), dtype=np.float32)), ChiConfig(256, 256, 16))
+    assert huge.counts.dtype == np.uint32 and huge.counts.nbytes == 1 * 1 * 16 * 4
+
+
+def test_bin_edges_are_k_over_bins():
+    # Every edge is k / bins correctly rounded: decimal range ends a user
+    # types at 10 or 20 bins sit on their edges, and at 16 bins the edges
+    # are those of the former product (1 / bins) * k, bit for bit.
+    for bins in (1, 3, 10, 16, 20, 100):
+        edges = ChiConfig(1, 1, bins).bin_edges
+        assert edges.tolist() == [k / bins for k in range(bins + 1)]
+    assert ChiConfig(1, 1, 10).bin_edges[[3, 6, 7]].tolist() == [0.3, 0.6, 0.7]
+    assert np.array_equal(ChiConfig(1, 1, 16).bin_edges, (1.0 / 16) * np.arange(17))
+
+
+def test_ten_bins_bracket_a_decimal_range_exactly_on_an_aligned_roi():
+    rng = np.random.default_rng(21)
+    cfg = ChiConfig(4, 4, 10)
+    px = rng.random((12, 16), dtype=np.float32)
+    px[0, :6] = [0.3, np.nextafter(np.float32(0.3), np.float32(0)), 0.8,
+                 np.nextafter(np.float32(0.8), np.float32(0)), 0.29, 0.81]
+    rec = record(px)
+    vr = ValueRange(0.3, 0.8)
+    assert cfg.inner_bin_span(vr) == cfg.outer_bin_span(vr) == (3, 8)
+    for roi in (Roi(0, 0, 16, 12), Roi(4, 0, 12, 8), Roi(0, 4, 4, 12)):
+        exact = count_pixels_loop(rec.pixels, roi, vr.lo, vr.hi)
+        assert bounds_of(build_chi(rec, cfg), roi, vr) == (exact, exact)
 
 
 def _reference_build(mask, config):
@@ -131,8 +175,7 @@ def _reference_build(mask, config):
     flat = (cx * n_cy + cy) * b + bins
     per_cell = np.bincount(flat, minlength=n_cx * n_cy * b).reshape(n_cx, n_cy, b)
     rev = np.cumsum(per_cell[:, :, ::-1], axis=2)[:, :, ::-1]
-    prefix = np.cumsum(np.cumsum(rev, axis=0), axis=1)
-    return prefix.astype(np.uint32)
+    return rev.transpose(2, 0, 1).astype(np.uint32)
 
 
 def test_build_matches_float64_reference_on_bin_edges():
@@ -157,7 +200,7 @@ def test_build_matches_float64_reference_on_bin_edges():
             px.ravel()[: len(values)] = values[: w * h]
             mask = record(px)
             got = build_chi(mask, cfg).counts
-            assert got.dtype == np.uint32
+            assert got.dtype == np.uint16
             assert np.array_equal(got, _reference_build(mask, cfg)), (bins, w, h, cw, ch)
         # A seeded batch of 10**5 random values, after every edge value above.
         batch = rng.random(10**5, dtype=f32)
@@ -265,12 +308,12 @@ def test_worked_example_region_histograms(grid_example_index):
 
 def test_prefix_region_equals_corner_row(grid_example_index):
     (hist,) = _aligned_histogram(grid_example_index, [Roi(0, 0, 4, 4)])
-    assert hist[:-1] == grid_example_index.counts[1, 1].tolist()
-    # In the padded bin-major block that corner sits one step in on each
-    # spatial axis, with zeros at rank 0 and in the extra top bin.
-    padded = ChiBlock.of(grid_example_index).counts[0]
-    assert padded[:-1, 2, 2].tolist() == hist[:-1]
-    assert not padded[:, 0].any() and not padded[:, :, 0].any() and not padded[-1].any()
+    assert hist[:-1] == corner_counts(grid_example_index.counts)[:, 1, 1].tolist()
+    # In the block row, that corner's counts are the sums of its four cells,
+    # and the extra top bin is zero.
+    row = ChiBlock.of(grid_example_index).counts[0]
+    assert row[:-1, :2, :2].sum(axis=(1, 2)).tolist() == hist[:-1]
+    assert np.array_equal(row[:-1], grid_example_index.counts) and not row[-1].any()
 
 
 def test_region_histogram_matches_brute_force_everywhere():
@@ -306,7 +349,7 @@ def test_narrowed_value_domain_repro_is_sound():
     assert lower <= cp_exact(rec, roi, vr) == 256 <= upper
 
 
-# -- the padded block -----------------------------------------------------------
+# -- the block -------------------------------------------------------------------
 
 
 def test_block_growth_doubles_and_keeps_rows_in_place():
@@ -331,9 +374,7 @@ def test_block_growth_doubles_and_keeps_rows_in_place():
     block = store.block(7, 10)
     for idx in builds:
         (row,) = block.rows_of(np.array([idx.mask_id]))
-        assert np.array_equal(
-            block.counts[row, :-1, 1:, 1:].transpose(1, 2, 0), idx.counts
-        )
+        assert np.array_equal(block.counts[row, :-1], idx.counts)
     store.insert(builds[3])  # a re-inserted id keeps its row
     assert block.rows_of(np.array([builds[3].mask_id]))[0] == 3 and block.n == n
 
@@ -404,9 +445,7 @@ def test_concurrent_inserts_land_in_their_own_rows():
     for idx in builds:
         block = store.block(idx.width, idx.height)
         (row,) = block.rows_of(np.array([idx.mask_id]))
-        assert np.array_equal(
-            block.counts[row, :-1, 1:, 1:].transpose(1, 2, 0), idx.counts
-        )
+        assert np.array_equal(block.counts[row, :-1], idx.counts)
 
 
 # -- persistence ---------------------------------------------------------------
@@ -445,7 +484,8 @@ def test_persisted_payload_size_formula(tmp_path):
     header = len(CHI_MAGIC) + 32  # version, bins, cell dims, domain, count
     section = 16  # width, height, mask count
     per_mask_id = 8
-    assert path.stat().st_size == header + section + per_mask_id + 4096
+    assert path.stat().st_size == header + section + per_mask_id + 2 * 16 * 8 * 8 == 2110
+    assert store.payload_bytes() == 2048
 
 
 def test_load_rejects_corruption(tmp_path):
@@ -527,33 +567,35 @@ def test_failed_persist_keeps_old_file(tmp_path, monkeypatch):
     assert load_index(path).mask_ids() == bigger.mask_ids()
 
 
-def test_persist_writes_v2_sections_from_block_rows(tmp_path):
-    # Mixed sizes, inserted out of id order; 256x256 masks count in a
-    # uint32 block, the others in uint16 ones. The file holds one v2
-    # section per size, ids ascending, of the built indexes, byte for byte.
-    cfg = ChiConfig(16, 16, 3)
+def test_persist_writes_v3_sections_from_block_rows(tmp_path):
+    # Mixed sizes, inserted out of id order, with 16x16 cells (uint16
+    # counts) and with 256x256 cells (2**16 pixels: uint32 counts). The file
+    # holds one v3 section per size, ids ascending, of the built indexes,
+    # byte for byte.
     rng = np.random.default_rng(41)
     sizes = {5: (17, 9), 2: (256, 256), 9: (8, 8), 1: (17, 9), 7: (256, 256), 3: (8, 8)}
-    builds = [
-        build_chi(record(rng.random((h, w), dtype=np.float32), mask_id=m), cfg)
-        for m, (w, h) in sizes.items()
-    ]
-    store = IndexStore(cfg)
-    for idx in builds:
-        store.insert(idx)
-    assert store.block(256, 256).counts.dtype == np.uint32
-    assert store.block(17, 9).counts.dtype == np.uint16
-    expected = index_file_bytes(cfg, builds)
-    assert len(expected) == len(CHI_MAGIC) + 32 + 3 * 16 + sum(8 + i.counts.nbytes for i in builds)
-    path = tmp_path / "mixed.chi"
-    persist_index(store, path)
-    assert path.read_bytes() == expected
-    loaded = load_index(path)
-    assert loaded.mask_ids() == sorted(sizes) and len(loaded) == len(builds)
-    for idx in builds:
-        assert np.array_equal(loaded.get_or_absent(idx.mask_id).counts, idx.counts)
-    persist_index(loaded, tmp_path / "again.chi")
-    assert (tmp_path / "again.chi").read_bytes() == expected
+    for cfg, dtype in ((ChiConfig(16, 16, 3), np.uint16), (ChiConfig(256, 256, 3), np.uint32)):
+        builds = [
+            build_chi(record(rng.random((h, w), dtype=np.float32), mask_id=m), cfg)
+            for m, (w, h) in sizes.items()
+        ]
+        store = IndexStore(cfg)
+        for idx in builds:
+            store.insert(idx)
+        assert {b.counts.dtype for b in store.blocks()} == {np.dtype(dtype)}
+        expected = index_file_bytes(cfg, builds)
+        assert len(expected) == (len(CHI_MAGIC) + 32 + 3 * 16
+                                 + sum(8 + i.counts.nbytes for i in builds))
+        assert store.payload_bytes() == sum(i.counts.nbytes for i in builds)
+        path = tmp_path / "mixed.chi"
+        persist_index(store, path)
+        assert path.read_bytes() == expected
+        loaded = load_index(path)
+        assert loaded.mask_ids() == sorted(sizes) and len(loaded) == len(builds)
+        for idx in builds:
+            assert np.array_equal(loaded.get_or_absent(idx.mask_id).counts, idx.counts)
+        persist_index(loaded, tmp_path / "again.chi")
+        assert (tmp_path / "again.chi").read_bytes() == expected
 
 
 def test_load_rejects_a_record_id_past_int64(tmp_path):
@@ -573,6 +615,17 @@ def test_load_refuses_a_v1_file_and_says_to_rebuild(tmp_path):
     builds = [store.get_or_absent(m) for m in store.mask_ids()]
     path.write_bytes(index_file_bytes(store.config, builds, version=1))
     with pytest.raises(CorruptIndex, match=r"version 1\b.*rebuild"):
+        load_index(path)
+
+
+def test_load_refuses_a_ten_bin_v2_file_and_says_to_rebuild(tmp_path):
+    # A v2 file of 10 bins was binned against edges that miss k / 10 by an
+    # ulp, so its counts cannot be read against today's edges.
+    store = _store_with_masks(cfg=ChiConfig(4, 4, 10))
+    path = tmp_path / "v2.chi"
+    builds = [store.get_or_absent(m) for m in store.mask_ids()]
+    path.write_bytes(index_file_bytes(store.config, builds, version=2))
+    with pytest.raises(CorruptIndex, match=r"version 2\b.*rebuild"):
         load_index(path)
 
 
@@ -600,18 +653,28 @@ def test_load_rejects_a_corrupt_mask_size_before_allocating(tmp_path):
 
 
 def test_load_rejects_a_count_a_uint16_block_would_wrap(tmp_path):
+    # The kernel's unsigned plane differences stay in [0, cell area] only
+    # if no count exceeds its cell's area and no bin's count exceeds the
+    # bin's below; either file would wrap L_c and make a lower bound
+    # unsound. Both are hand-packed: a count of 13 in a 3x4 edge cell, below
+    # a full cell's 16 and the mask's 56 pixels, and a bin-1 count of 5
+    # above a bin-0 count of 4.
     cfg = ChiConfig(4, 4, 3)
-    store = IndexStore(cfg)
-    store.insert(build_chi(record(np.zeros((8, 8), dtype=np.float32), mask_id=3), cfg))
+    rng = np.random.default_rng(14)
+    good = build_chi(record(rng.random((8, 7), dtype=np.float32), mask_id=3), cfg)
+    assert good.counts.dtype == np.uint16 and good.counts[0].tolist() == [[16, 16], [12, 12]]
+    over_area, over_bin = good.counts.copy(), good.counts.copy()
+    over_area[0, 1, 0] = 13
+    over_bin[:, 1, 1] = [4, 5, 0]
     path = tmp_path / "idx.chi"
-    persist_index(store, path)
-    raw = bytearray(path.read_bytes())
-    first_count = len(CHI_MAGIC) + 32 + 16 + 8  # bin 0 at the first corner
-    assert struct.unpack_from("<I", raw, first_count) == (16,)
-    struct.pack_into("<I", raw, first_count, 65_539)  # 3 in 16 bits
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CorruptIndex, match="count above 64"):
-        load_index(path)
+    for counts, message in ((over_area, "above its cell's area"),
+                            (over_bin, "above the bin's below")):
+        bad = chi.ChiIndex(3, 7, 8, cfg, counts)
+        path.write_bytes(index_file_bytes(cfg, [bad]))
+        with pytest.raises(CorruptIndex, match=message):
+            load_index(path)
+    path.write_bytes(index_file_bytes(cfg, [good]))
+    assert np.array_equal(load_index(path).get_or_absent(3).counts, good.counts)
 
 
 def test_load_rejects_sections_out_of_order_or_sharing_ids(tmp_path):
@@ -644,29 +707,30 @@ def test_load_rejects_sections_out_of_order_or_sharing_ids(tmp_path):
 
 
 def test_persisted_bytes_do_not_depend_on_how_the_store_was_filled(tmp_path):
-    # Three sizes, 256x256 in a uint32 block; stores filled by shuffled
-    # inserts, by merging two halves and by loading a file persist alike.
-    cfg = ChiConfig(16, 16, 3)
+    # Three sizes, in uint16 blocks and, with 256x256 cells, in uint32
+    # ones; stores filled by shuffled inserts, by merging two halves and by
+    # loading a file persist alike.
     rng = np.random.default_rng(43)
     sizes = [(17, 9), (256, 256), (8, 8)] * 4
     ids = (rng.permutation(40)[: len(sizes)] * 7 + 3).tolist()
-    builds = [
-        build_chi(record(rng.random((h, w), dtype=np.float32), mask_id=m), cfg)
-        for m, (w, h) in zip(ids, sizes)
-    ]
-    shuffled = IndexStore(cfg)
-    for i in rng.permutation(len(builds)).tolist():
-        shuffled.insert(builds[i])
-    halves = [IndexStore(cfg), IndexStore(cfg)]
-    for i, idx in enumerate(builds):
-        halves[i % 2].insert(idx)
-    persist_index(shuffled, tmp_path / "shuffled.chi")
-    persist_index(merge_index(*halves), tmp_path / "merged.chi")
-    persist_index(load_index(tmp_path / "shuffled.chi"), tmp_path / "loaded.chi")
-    expected = index_file_bytes(cfg, builds)
-    assert shuffled.block(256, 256).counts.dtype == np.uint32
-    for name in ("shuffled", "merged", "loaded"):
-        assert (tmp_path / f"{name}.chi").read_bytes() == expected, name
+    for cfg in (ChiConfig(16, 16, 3), ChiConfig(256, 256, 3)):
+        builds = [
+            build_chi(record(rng.random((h, w), dtype=np.float32), mask_id=m), cfg)
+            for m, (w, h) in zip(ids, sizes)
+        ]
+        shuffled = IndexStore(cfg)
+        for i in rng.permutation(len(builds)).tolist():
+            shuffled.insert(builds[i])
+        halves = [IndexStore(cfg), IndexStore(cfg)]
+        for i, idx in enumerate(builds):
+            halves[i % 2].insert(idx)
+        persist_index(shuffled, tmp_path / "shuffled.chi")
+        persist_index(merge_index(*halves), tmp_path / "merged.chi")
+        persist_index(load_index(tmp_path / "shuffled.chi"), tmp_path / "loaded.chi")
+        expected = index_file_bytes(cfg, builds)
+        assert shuffled.block(256, 256).counts.dtype == cfg.count_dtype
+        for name in ("shuffled", "merged", "loaded"):
+            assert (tmp_path / f"{name}.chi").read_bytes() == expected, (cfg, name)
 
 
 def test_an_id_indexed_at_one_size_is_refused_at_another():
@@ -712,6 +776,42 @@ def test_merge_refuses_config_mismatch():
     assert len(merged) == len(a)
 
 
+def test_merge_folds_block_by_block_last_write_wins():
+    # dst holds ids 1-4 (17x9) and 20 (8x8); src overwrites 3 and 4 and
+    # brings 5-7 at 17x9 and 21 at a new size. Rows already in dst keep
+    # their place, new ones append, and an id indexed at another size is
+    # refused before anything is written.
+    cfg = ChiConfig(4, 4, 3)
+    rng = np.random.default_rng(19)
+
+    def build(m, w, h):
+        return build_chi(record(rng.random((h, w), dtype=np.float32), mask_id=m), cfg)
+
+    dst, src = IndexStore(cfg), IndexStore(cfg)
+    for idx in [build(m, 17, 9) for m in (4, 2, 1, 3)] + [build(20, 8, 8)]:
+        dst.insert(idx)
+    incoming = [build(m, 17, 9) for m in (7, 3, 5, 4, 6)] + [build(21, 5, 5)]
+    for idx in incoming:
+        src.insert(idx)
+    block = dst.block(17, 9)
+    before = {m: block.find(m) for m in (1, 2, 3, 4)}
+    assert merge_index(dst, src) is dst
+    assert dst.mask_ids() == [1, 2, 3, 4, 5, 6, 7, 20, 21]
+    assert {m: dst.block(17, 9).find(m) for m in (1, 2, 3, 4)} == before
+    assert dst.block(17, 9).n == 7 and dst.block(5, 5).n == 1
+    for idx in incoming:
+        assert np.array_equal(dst.get_or_absent(idx.mask_id).counts, idx.counts)
+
+    clash = IndexStore(cfg)
+    clash.insert(build(30, 17, 9))
+    clash.insert(build(20, 6, 6))  # 20 is 8x8 in dst
+    snapshot = {m: dst.get_or_absent(m).counts.copy() for m in dst.mask_ids()}
+    with pytest.raises(ChiError, match="mask 20 is indexed as 8x8, not 6x6"):
+        merge_index(dst, clash)
+    assert 30 not in dst and (6, 6) not in {(b.width, b.height) for b in dst.blocks()}
+    assert all(np.array_equal(dst.get_or_absent(m).counts, c) for m, c in snapshot.items())
+
+
 def test_insert_refuses_config_mismatch():
     store = IndexStore(ChiConfig(4, 4, 3))
     rng = np.random.default_rng(0)
@@ -729,5 +829,5 @@ def test_get_or_absent():
     store.insert(idx)
     got = store.get_or_absent(1)
     assert (got.mask_id, got.width, got.height, got.config) == (1, 8, 8, cfg)
-    assert got.counts.dtype == np.uint32 and np.array_equal(got.counts, idx.counts)
+    assert got.counts.dtype == np.uint16 and np.array_equal(got.counts, idx.counts)
     assert 1 in store and 2 not in store

@@ -82,9 +82,9 @@ def test_edge_corpus_concentrates_mass_at_borders(tmp_path):
 def test_index_command_reports_ratio_and_sizes(corpus, capsys, tmp_path):
     d, idx = corpus
     store = load_index(idx)
-    # 32x32 masks with 8x8 cells and 8 bins: 4*8*4*4 bytes per mask.
+    # 32x32 masks with 8x8 cells and 8 bins: 2*8*4*4 bytes per mask.
     for mid in store.mask_ids():
-        assert store.get_or_absent(mid).payload_bytes == 4 * 8 * 4 * 4
+        assert store.get_or_absent(mid).payload_bytes == 2 * 8 * 4 * 4
 
 
 def test_index_command_reads_into_one_buffer_per_mask_size(tmp_path, capsys, monkeypatch):
