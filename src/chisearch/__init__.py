@@ -35,7 +35,6 @@ from .bounds import (
     bound_scalar_agg,
     cp_bounds,
     expr_bounds,
-    expr_exact,
 )
 from .executor import (
     AggSpec,
@@ -67,7 +66,7 @@ __all__ = [
     "MaskRecord", "MaskStore", "MetaComparison", "ParseError", "PlanError",
     "Predicate", "QueryPlan", "QueryResult", "Roi", "RoiBinding", "RoiTable",
     "ScalarAggSpec", "TopKSpec", "ValueRange", "bound_scalar_agg", "build_chi",
-    "cp_bounds", "cp_exact", "expr_bounds", "expr_exact", "generate_corpus",
+    "cp_bounds", "cp_exact", "expr_bounds", "generate_corpus",
     "grid_boundaries", "load_index", "merge_index", "parse", "persist_index", "plan",
     "pretty", "register_mask_agg",
 ]

@@ -14,7 +14,8 @@ aligned rois with on-edge ranges come out exact. Only the boundary cells
 carry slack, each its own.
 
 ``cp_bounds`` is the one bound kernel: it brackets many masks of one size
-at once, reading the per-cell rows of their ``ChiBlock``.
+at once, reading the per-cell rows of their ``ChiBlock``. An exact value
+is a bracket of width 0 through ``expr_bounds`` and ``bound_scalar_aggs``.
 
 All functions here are pure: they only read their inputs and return
 fresh arrays. ``cp_bounds`` works in the calling thread's scratch buffers
@@ -128,7 +129,8 @@ def cp_bounds(block: ChiBlock, rows: np.ndarray, rois: np.ndarray, rng: ValueRan
 # Filter predicates and rankings are arithmetic over count terms for one
 # mask, e.g. cp(...) - cp(...) or cp(...) / area(...). Bounds propagate
 # through them by interval arithmetic, which is sound for +, -, * and
-# division by a nonzero constant regardless of operand signs.
+# division by a nonzero constant regardless of operand signs. Fed exact
+# counts, every interval keeps width 0 and is the exact value.
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,9 @@ def expr_bounds(
     cp_term_bounds: Callable[[CpTerm], Interval],
     area_value: Callable[[RoiBinding], float],
 ) -> Interval:
-    """Interval for ``expr``; works elementwise when the callbacks vectorize."""
+    """Interval for ``expr``; works elementwise when the callbacks vectorize.
+    A divisor must have width 0 (a constant, an area or an exact count) and
+    raises ZeroDivisionError where it is 0, as exact arithmetic would."""
     if isinstance(expr, CpTerm):
         return cp_term_bounds(expr)
     if isinstance(expr, AreaTerm):
@@ -214,41 +218,19 @@ def expr_bounds(
     if isinstance(expr, Const):
         return (expr.value, expr.value)
     left = expr_bounds(expr.left, cp_term_bounds, area_value)
-    if expr.op == "/":
-        if isinstance(expr.right, Const):
-            return interval_div(left, expr.right.value)
-        if isinstance(expr.right, AreaTerm):
-            return interval_div(left, area_value(expr.right.roi))
-        raise NonMonotoneOperator("division only by constants or areas")
     right = expr_bounds(expr.right, cp_term_bounds, area_value)
+    if expr.op == "/":
+        divisor, upper = right
+        if upper is not divisor and not np.array_equal(divisor, upper):
+            raise NonMonotoneOperator("division only by brackets of width 0")
+        if np.count_nonzero(divisor) < np.size(divisor):
+            raise ZeroDivisionError("division by zero")
+        return interval_div(left, divisor)
     if expr.op == "+":
         return interval_add(left, right)
     if expr.op == "-":
         return interval_sub(left, right)
     return interval_mul(left, right)
-
-
-def expr_exact(
-    expr: Expr,
-    cp_term_exact: Callable[[CpTerm], float],
-    area_value: Callable[[RoiBinding], float],
-):
-    """Exact value of ``expr``; the oracle path, loading whatever it needs."""
-    if isinstance(expr, CpTerm):
-        return cp_term_exact(expr)
-    if isinstance(expr, AreaTerm):
-        return area_value(expr.roi)
-    if isinstance(expr, Const):
-        return expr.value
-    left = expr_exact(expr.left, cp_term_exact, area_value)
-    if expr.op == "/":
-        return left / expr_exact(expr.right, cp_term_exact, area_value)
-    right = expr_exact(expr.right, cp_term_exact, area_value)
-    if expr.op == "+":
-        return left + right
-    if expr.op == "-":
-        return left - right
-    return left * right
 
 
 def cp_terms(expr: Expr) -> list[CpTerm]:
@@ -301,13 +283,18 @@ def bound_scalar_aggs(agg: str, lowers: np.ndarray, uppers: np.ndarray, sizes: S
     """
     lowers, uppers = np.asarray(lowers, np.float64), np.asarray(uppers, np.float64)
     sizes = np.asarray(sizes, dtype=np.intp)
-    if (sizes < 1).any():
+    if len(sizes) and sizes.min() < 1:
         raise EmptyGroup(f"{agg} over an empty group")
     agg = agg.upper()
     if agg not in _SCALAR_AGGS:
         raise NonMonotoneOperator(f"unknown scalar aggregate {agg!r}")
     if len(sizes) == 0:
         return np.zeros(0), np.zeros(0)
+    if len(sizes) == 1 and agg in ("SUM", "AVG"):
+        # One group, as for an exact group value: its items added in order, unpadded.
+        n = int(sizes[0]) if agg == "AVG" else 1  # x / 1 is x
+        lo, hi = (_sum_in_order(items.tolist()) / n for items in (lowers, uppers))
+        return np.array([lo]), np.array([hi])
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     if agg in ("MIN", "MAX"):
         reduce_at = (np.minimum if agg == "MIN" else np.maximum).reduceat
@@ -323,18 +310,3 @@ def bound_scalar_aggs(agg: str, lowers: np.ndarray, uppers: np.ndarray, sizes: S
             total += row
         out.append(total / sizes if agg == "AVG" else total)
     return out[0], out[1]
-
-
-def exact_scalar_agg(agg: str, values: Sequence[float]) -> float:
-    if not values:
-        raise EmptyGroup(f"{agg} over an empty group")
-    agg = agg.upper()
-    if agg == "SUM":
-        return _sum_in_order(values)
-    if agg == "AVG":
-        return _sum_in_order(values) / len(values)
-    if agg == "MIN":
-        return min(values)
-    if agg == "MAX":
-        return max(values)
-    raise NonMonotoneOperator(f"unknown scalar aggregate {agg!r}")

@@ -7,6 +7,10 @@ or undecided; then load only the undecided masks and evaluate exactly.
 Results are always identical to a full scan, the only difference is how
 many masks were read from disk.
 
+An exact value is a bracket of width 0, so both stages share one
+evaluator (``Engine._brackets``), and a filter decides its whole verify
+set in one call of the verdict path that decided the brackets.
+
 Engines run in one of three modes:
 
 * ``indexed``   -- every targeted mask must have a prebuilt index.
@@ -37,9 +41,7 @@ from .bounds import (
     bound_scalar_agg,  # noqa: F401  (perfbench's tracer times it by this name)
     bound_scalar_aggs,
     cp_terms,
-    exact_scalar_agg,
     expr_bounds,
-    expr_exact,
 )
 from .chi import ChiBlock, IndexStore, build_chi
 from .store import (
@@ -51,7 +53,6 @@ from .store import (
     MaskMeta,
     MaskRecord,
     MaskStore,
-    RoiBinding,
     StoreError,
     cp_exact,
     f32_at_or_above,
@@ -173,16 +174,23 @@ def _verdicts(lowers: np.ndarray, uppers: np.ndarray, comparator: str, threshold
     return out
 
 
-def _combine(op: str, children: list[np.ndarray]) -> np.ndarray:
-    """'and' or 'or' of verdict arrays, element by element."""
-    stack = np.stack(children)
-    out = np.full(stack.shape[1], _UNKNOWN, dtype=np.int8)
-    if op == "and":
-        out[np.all(stack == _TRUE, axis=0)] = _TRUE
-        out[np.any(stack == _FALSE, axis=0)] = _FALSE
-    else:
-        out[np.all(stack == _FALSE, axis=0)] = _FALSE
-        out[np.any(stack == _TRUE, axis=0)] = _TRUE
+def _decide(node, at: np.ndarray, leaf) -> np.ndarray:
+    """Verdict of ``node``, a leaf or a ``BoolOp``/``HavingBool``, per row
+    of ``at``, as int8; ``leaf(node, rows)`` gives a leaf's verdicts on some
+    of the rows. A child of 'and'/'or' sees only the rows that the children
+    before it left undecided, so a leaf raises only where a full scan would
+    evaluate it."""
+    if not isinstance(node, (BoolOp, HavingBool)):
+        return leaf(node, at)
+    decided = _FALSE if node.op == "and" else _TRUE
+    out = np.full(len(at), _TRUE + _FALSE - decided, dtype=np.int8)
+    for child in node.children:
+        open_ = np.flatnonzero(out != decided)
+        if len(open_) == 0:
+            break
+        v = _decide(child, at[open_], leaf)
+        # An undecided row stays undecided unless this child decides it.
+        out[open_] = np.where((out[open_] == _UNKNOWN) & (v != decided), _UNKNOWN, v)
     return out
 
 
@@ -274,15 +282,10 @@ HavingNode = Union[HavingCmp, HavingBool]
 
 
 def _having_verdicts(node: HavingNode, lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
-    """Verdict of ``node`` per group bracket; see ``_verdicts``."""
-    if isinstance(node, HavingCmp):
-        return _verdicts(lowers, uppers, node.comparator, node.threshold)
-    return _combine(node.op, [_having_verdicts(c, lowers, uppers) for c in node.children])
-
-
-def _having_exact(node: HavingNode, v: float) -> bool:
-    point = np.array([v])  # a bracket of width 0 gives the exact verdict
-    return _having_verdicts(node, point, point)[0] == _TRUE
+    """Verdict of ``node`` per group bracket; see ``_verdicts``. A bracket
+    of width 0, an exact value, gets the exact verdict."""
+    return _decide(node, np.arange(len(lowers)), lambda c, at: _verdicts(
+        lowers[at], uppers[at], c.comparator, c.threshold))
 
 
 # -- plans -------------------------------------------------------------------
@@ -488,11 +491,10 @@ class Engine:
         t_filter = time.perf_counter()
 
         self._prefetch(ctx, to_verify)
-        verified = [
-            mid
-            for mid in to_verify
-            if self._pred_exact(ctx, plan.shape.pred, mid)
-        ]
+        verified = []
+        if to_verify:
+            verdicts = self._node_verdicts(ctx, plan.shape.pred, to_verify, exact=True)
+            verified = [to_verify[i] for i in np.flatnonzero(verdicts == _TRUE).tolist()]
         result_ids = sorted(accepted + verified)
         if plan.shape.limit is not None:
             result_ids = result_ids[: plan.shape.limit]
@@ -509,95 +511,84 @@ class Engine:
         routes them to the load-and-verify path where they get indexed.
         """
         has = self._has_index(targets)
-        if has.all():
-            return self._node_verdicts_batch(ctx, node, targets)
         out = np.full(len(targets), _UNKNOWN, dtype=np.int8)
         if has.any():
-            present = np.asarray(targets, dtype=np.int64)[has].tolist()
-            out[has] = self._node_verdicts_batch(ctx, node, present)
+            out[has] = self._node_verdicts(ctx, node, np.asarray(targets)[has])
         return out
 
-    def _node_verdicts_batch(
-        self, ctx: "_QueryCtx", node: PredNode, ids: list[int]
-    ) -> np.ndarray:
-        if isinstance(node, MetaComparison):
-            holds = node.holds(self.store.columns, self.store.positions(ids))
-            return np.where(holds, _TRUE, _FALSE).astype(np.int8)
-        if isinstance(node, BoolOp):
-            children = [self._node_verdicts_batch(ctx, c, ids) for c in node.children]
-            return _combine(node.op, children)
-        pred = node.pred
-        lowers, uppers = self._expr_bounds_many(ctx, pred.expr, ids)
-        return _verdicts(lowers, uppers, pred.comparator, pred.threshold)
+    def _node_verdicts(self, ctx: "_QueryCtx", node: PredNode, ids, exact: bool = False):
+        """Three-valued verdict of ``node`` per mask of ``ids``, as int8: from
+        the brackets of the masks' indexes or, with ``exact``, from the
+        zero-width brackets of their counts."""
 
-    def _expr_bounds_many(self, ctx: "_QueryCtx", expr: Expr, ids: list[int]):
+        def leaf(node, at):
+            if isinstance(node, MetaComparison):
+                holds = node.holds(self.store.columns, self.store.positions(at))
+                return np.where(holds, _TRUE, _FALSE).astype(np.int8)
+            expr = node.pred.expr
+            lo, hi = self._brackets(ctx, expr, at) if exact else self._expr_bounds_many(expr, at)
+            return _verdicts(lo, hi, node.pred.comparator, node.pred.threshold)
+
+        return _decide(node, np.asarray(ids, dtype=np.int64), leaf)
+
+    def _expr_bounds_many(self, expr: Expr, ids):
         """(lower, upper) float arrays of ``expr`` for masks with indexes;
         one kernel call per count term and mask size."""
+        ids = np.asarray(ids, dtype=np.int64)
         cols, pos = self.store.columns, self.store.positions(ids)
         widths, heights = cols["width"][pos], cols["height"][pos]
         # One key per size: both fit 32 bits (see store._row_problem).
         sizes, group_of = np.unique((widths << 32) | heights, return_inverse=True)
-        ids = np.asarray(ids, dtype=np.int64)
-        lowers, uppers = np.empty(len(ids)), np.empty(len(ids))
+        blocks = []
         for g in range(len(sizes)):
-            sel = np.flatnonzero(group_of == g)
-            group = ids[sel]
-            block = self.index_store.block(int(widths[sel[0]]), int(heights[sel[0]]))
-            lowers[sel], uppers[sel] = self._block_bounds(block, block.rows_of(group), group, expr)
-        return lowers, uppers
+            at = np.flatnonzero(group_of == g)
+            block = self.index_store.block(int(widths[at[0]]), int(heights[at[0]]))
+            blocks.append((block, block.rows_of(ids[at]), at))
+        return self._brackets(None, expr, ids, blocks)
 
-    def _block_bounds(self, block: ChiBlock, rows: np.ndarray, ids: np.ndarray, expr: Expr):
-        """(lower, upper) float arrays of ``expr`` for masks ``ids`` at ``rows``."""
-        widths = np.full(len(ids), block.width, dtype=np.int64)
-        heights = np.full(len(ids), block.height, dtype=np.int64)
+    def _brackets(self, ctx: "_QueryCtx", expr: Expr, ids: np.ndarray, blocks=None, counts=None):
+        """(lower, upper) arrays of ``expr`` over the masks ``ids`` (int64).
+        With ``blocks``, (block, rows, at) triples, each count is bracketed
+        from the index rows of ``ids[at]``. Without, it is the zero-width
+        bracket of its exact count: ``counts[id(term)]`` where given, else
+        the one kept in ``ctx``, loading masks as needed."""
+        n, sizes = len(ids), []
 
-        def term_bounds(term: CpTerm):
-            rois = term.roi.resolve_many(ids, widths, heights)
-            lo, hi = bnd.cp_bounds(block, rows, rois, term.rng)
-            return lo.astype(np.float64), hi.astype(np.float64)
+        def rois(binding):
+            if not sizes:
+                pos = self.store.positions(ids)
+                sizes.extend(self.store.columns[c][pos] for c in ("width", "height"))
+            return binding.resolve_many(ids, *sizes)
 
-        def area_value(binding: RoiBinding):
-            rois = binding.resolve_many(ids, widths, heights)
-            return ((rois[:, 2] - rois[:, 0]) * (rois[:, 3] - rois[:, 1])).astype(np.float64)
+        def leaf(term: CpTerm):
+            if blocks is None:
+                v = ctx.column(ids, term) if counts is None else counts[id(term)]
+                return v, v
+            at_rois = rois(term.roi)
+            lo, hi = np.empty(n), np.empty(n)
+            for block, rows, at in blocks:
+                lo[at], hi[at] = bnd.cp_bounds(block, rows, at_rois[at], term.rng)
+            return lo, hi
 
-        lo, hi = expr_bounds(expr, term_bounds, area_value)
-        return np.full(len(ids), lo, dtype=np.float64), np.full(len(ids), hi, dtype=np.float64)
+        def area(binding):
+            r = rois(binding)
+            return ((r[:, 2] - r[:, 0]) * (r[:, 3] - r[:, 1])).astype(np.float64)
 
-    def _expr_exact_for(self, ctx: "_QueryCtx", mask_id: int, expr: Expr) -> float:
-        counts = ctx.counts_of(mask_id)
-        if type(expr) is CpTerm:  # the common single-count case, kept lean
-            return ctx.count(counts, expr)
-        entry = self.store.get_meta(mask_id)
-
-        def area_value(binding: RoiBinding):
-            return float(binding.resolve(mask_id, entry.width, entry.height).area)
-
-        return expr_exact(expr, lambda term: ctx.count(counts, term), area_value)
-
-    def _pred_exact(self, ctx: "_QueryCtx", node: PredNode, mask_id: int) -> bool:
-        if isinstance(node, MetaComparison):
-            return bool(node.holds(self.store.columns, self.store.positions([mask_id]))[0])
-        if isinstance(node, BoolOp):
-            results = (self._pred_exact(ctx, c, mask_id) for c in node.children)
-            return all(results) if node.op == "and" else any(results)
-        pred = node.pred
-        v = self._expr_exact_for(ctx, mask_id, pred.expr)
-        return v > pred.threshold if pred.comparator == ">" else v < pred.threshold
+        lo, hi = expr_bounds(expr, leaf, area)
+        if not isinstance(lo, np.ndarray):  # a constant expression
+            lo, hi = np.full(n, lo), np.full(n, hi)
+        return lo, hi
 
     def _render_filter_rows(self, ctx, plan, result_ids):
         items = plan.select or (Column("mask_id"),)
-        columns = [it.name for it in items]
-        rows = []
-        for mid in result_ids:
-            meta = self.store.get_meta(mid).meta
-            row = []
-            for it in items:
-                if isinstance(it, Column):
-                    row.append(getattr(meta, it.name))
-                else:
-                    row.append(self._expr_exact_for(ctx, mid, it.expr))
-            rows.append(tuple(row))
-        return columns, rows
+        metas = [self.store.get_meta(m).meta for m in result_ids]
+        columns = [
+            self._brackets(ctx, it.expr, np.asarray(result_ids, dtype=np.int64))[0].tolist()
+            if isinstance(it, ExprItem)
+            else [getattr(meta, it.name) for meta in metas]
+            for it in items
+        ]
+        return [it.name for it in items], list(zip(*columns))
 
     # -- top-k ---------------------------------------------------------------
 
@@ -624,7 +615,7 @@ class Engine:
         edges = np.full(len(candidates), np.nan)
         if has.any():
             present = np.asarray(candidates, dtype=np.int64)[has]
-            lowers, uppers = self._expr_bounds_many(ctx, spec.expr, present)
+            lowers, uppers = self._expr_bounds_many(spec.expr, present)
             edges[has] = uppers if spec.descending else lowers
         t_filter = time.perf_counter()
 
@@ -632,10 +623,11 @@ class Engine:
             self._prefetch(ctx, candidates)  # everything loads anyway
 
         def exact(mid: int) -> float | None:
+            at = np.array([mid])
             if spec.pred is not None and mid not in passed:
-                if not self._pred_exact(ctx, spec.pred, mid):
+                if self._node_verdicts(ctx, spec.pred, at, exact=True)[0] != _TRUE:
                     return None
-            return float(self._expr_exact_for(ctx, mid, spec.expr))
+            return float(self._brackets(ctx, spec.expr, at)[0][0])
 
         ranked = self._select_ranked(candidates, k, spec.descending, edges, exact)
         columns, rows = self._render_value_rows(ctx, plan, ranked, "mask")
@@ -741,10 +733,10 @@ class Engine:
         if not ranked_query:
             # Plain grouped output: resolve unknown having groups exactly.
             final = list(survivors)
-            for key in unknown:
-                v = self._group_exact(ctx, spec, key, groups[key])
-                if _having_exact(spec.having, v):
-                    final.append(key)
+            if unknown:
+                v = np.array([self._group_exact(ctx, spec, key, groups[key]) for key in unknown])
+                verdicts = _having_verdicts(spec.having, v, v)
+                final += [k for k, d in zip(unknown, verdicts.tolist()) if d == _TRUE]
             final.sort()
             if self._select_wants_value(plan):
                 ranked = [
@@ -767,8 +759,10 @@ class Engine:
 
             def exact(key: int) -> float | None:
                 v = self._group_exact(ctx, spec, key, groups[key])
-                if key in needs_exact_having and not _having_exact(spec.having, v):
-                    return None
+                if key in needs_exact_having:
+                    point = np.full(1, v)
+                    if _having_verdicts(spec.having, point, point)[0] != _TRUE:
+                        return None
                 return v
 
             ranked = self._select_ranked(ranked_keys, k, descending, edges, exact)
@@ -833,22 +827,16 @@ class Engine:
             return lowers, uppers
         if isinstance(spec.value, ScalarAggSpec):
             expr = spec.value.expr
-            member_ids = [m for key in keys for m in groups[key]]
-            has = self._has_index(member_ids)
-            if has.all():
-                member_lo, member_hi = self._expr_bounds_many(ctx, expr, member_ids)
-            else:
-                member_lo, member_hi = np.empty(len(member_ids)), np.empty(len(member_ids))
-                ids = np.asarray(member_ids, dtype=np.int64)
-                if has.any():
-                    bounds = self._expr_bounds_many(ctx, expr, ids[has])
-                    member_lo[has], member_hi[has] = bounds
+            ids = np.array([m for key in keys for m in groups[key]], dtype=np.int64)
+            has = self._has_index(ids)
+            member_lo, member_hi = np.empty(len(ids)), np.empty(len(ids))
+            if has.any():
+                member_lo[has], member_hi[has] = self._expr_bounds_many(expr, ids[has])
+            if not has.all():
                 # Index-less members (incremental mode) get loaded and indexed
                 # right away; their exact values enter the group bracket as points.
-                absent = ids[~has].tolist()
-                self._prefetch(ctx, absent)
-                exact = [float(self._expr_exact_for(ctx, m, expr)) for m in absent]
-                member_lo[~has] = member_hi[~has] = exact
+                self._prefetch(ctx, ids[~has].tolist())
+                member_lo[~has], member_hi[~has] = self._brackets(ctx, expr, ids[~has])
             sizes = [len(groups[key]) for key in keys]
             return bound_scalar_aggs(spec.value.fn, member_lo, member_hi, sizes)
         for g, key in enumerate(keys):
@@ -856,8 +844,8 @@ class Engine:
             if block is not None:
                 # A one-row call; the pseudo-mask's rois resolve as its lowest member's.
                 rep = np.array([min(groups[key])], dtype=np.int64)
-                row = np.zeros(1, dtype=np.intp)
-                lo, hi = self._block_bounds(block, row, rep, spec.value.expr)
+                row = (block, np.zeros(1, dtype=np.intp), slice(None))
+                lo, hi = self._brackets(ctx, spec.value.expr, rep, [row])
                 lowers[g], uppers[g] = lo[0], hi[0]
         return lowers, uppers
 
@@ -883,12 +871,11 @@ class Engine:
         cached = ctx.group_values.get(key)
         if cached is not None:
             return cached
+        expr = spec.value.expr
         if isinstance(spec.value, ScalarAggSpec):
             self._prefetch(ctx, members)
-            values = [
-                float(self._expr_exact_for(ctx, m, spec.value.expr)) for m in members
-            ]
-            v = float(exact_scalar_agg(spec.value.fn, values))
+            exact, _ = self._brackets(ctx, expr, np.asarray(members, dtype=np.int64))
+            v = float(bound_scalar_aggs(spec.value.fn, exact, exact, [len(members)])[0][0])
         else:
             pseudo = self._materialize_group(ctx, spec.value, key, members)
             if self.mode != "oracle":
@@ -896,16 +883,13 @@ class Engine:
                 if fp not in self._agg_chi_cache:
                     block = ChiBlock.of(build_chi(pseudo, self.index_store.config))
                     self._agg_chi_cache[fp] = block
-            rep = min(members)
-
-            def term_exact(term: CpTerm):
-                roi = term.roi.resolve(rep, pseudo.width, pseudo.height)
-                return cp_exact(pseudo, roi, term.rng)
-
-            def area_value(binding: RoiBinding):
-                return float(binding.resolve(rep, pseudo.width, pseudo.height).area)
-
-            v = float(expr_exact(spec.value.expr, term_exact, area_value))
+            # The pseudo-mask's rois resolve as its lowest member's.
+            rep, w, h = min(members), pseudo.width, pseudo.height
+            counts = {
+                id(t): np.array([cp_exact(pseudo, t.roi.resolve(rep, w, h), t.rng)])
+                for t in cp_terms(expr)
+            }
+            v = float(self._brackets(ctx, expr, np.array([rep]), counts=counts)[0][0])
         ctx.group_values[key] = v
         return v
 
@@ -1010,17 +994,18 @@ class _QueryCtx:
         self.counts[mask_id] = counts
         return counts
 
-    def counts_of(self, mask_id: int) -> list:
-        counts = self.counts.get(mask_id)
-        return self.load(mask_id) if counts is None else counts
-
-    def count(self, counts: list, term: CpTerm) -> int:
-        """``term``'s count among a mask's ``counts``; raises the error kept
-        in its place."""
-        v = counts[self._slot[id(term)]]
-        if type(v) is not int:
-            raise v
-        return v
+    def column(self, ids: np.ndarray, term: CpTerm) -> np.ndarray:
+        """``term``'s count on each mask of ``ids``, as int64, loading masks
+        not yet loaded; raises the error kept in place of a count."""
+        j = self._slot[id(term)]
+        values = []
+        for mask_id in ids.tolist():
+            counts = self.counts.get(mask_id)
+            v = (self.load(mask_id) if counts is None else counts)[j]
+            if type(v) is not int:
+                raise v
+            values.append(v)
+        return np.array(values, dtype=np.int64)
 
     def result(self, columns, rows, t_start: float, t_filter: float, accepted=()) -> QueryResult:
         """Close the query's stats and wrap its rows. Every targeted mask is

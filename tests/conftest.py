@@ -6,14 +6,24 @@ import importlib.util
 import struct
 import sys
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from chisearch.bounds import cp_bounds
+from chisearch.bounds import (
+    AreaTerm,
+    Const,
+    CpTerm,
+    EmptyGroup,
+    Expr,
+    NonMonotoneOperator,
+    _sum_in_order,
+    cp_bounds,
+)
 from chisearch.chi import ChiBlock, ChiConfig, IndexStore, build_chi, grid_boundaries
-from chisearch.store import MaskMeta, MaskRecord, MaskStore, Roi, ValueRange
+from chisearch.store import MaskMeta, MaskRecord, MaskStore, Roi, RoiBinding, ValueRange
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -82,6 +92,48 @@ def reference_bounds(pixels: np.ndarray, config: ChiConfig, rois: np.ndarray, rn
                 inner = ((cell >= edges[a]) & (cell < edges[z])).sum(axis=(1, 2))
                 lower += np.maximum(inner - outside, 0)
     return lower, upper
+
+
+# Exact arithmetic on Python numbers, the reference that ``expr_bounds``
+# on zero-width leaves and ``bound_scalar_aggs`` on equal ends must equal.
+
+
+def expr_exact(
+    expr: Expr,
+    cp_term_exact: Callable[[CpTerm], float],
+    area_value: Callable[[RoiBinding], float],
+):
+    """Exact value of ``expr``; the oracle path, loading whatever it needs."""
+    if isinstance(expr, CpTerm):
+        return cp_term_exact(expr)
+    if isinstance(expr, AreaTerm):
+        return area_value(expr.roi)
+    if isinstance(expr, Const):
+        return expr.value
+    left = expr_exact(expr.left, cp_term_exact, area_value)
+    if expr.op == "/":
+        return left / expr_exact(expr.right, cp_term_exact, area_value)
+    right = expr_exact(expr.right, cp_term_exact, area_value)
+    if expr.op == "+":
+        return left + right
+    if expr.op == "-":
+        return left - right
+    return left * right
+
+
+def exact_scalar_agg(agg: str, values: Sequence[float]) -> float:
+    if not values:
+        raise EmptyGroup(f"{agg} over an empty group")
+    agg = agg.upper()
+    if agg == "SUM":
+        return _sum_in_order(values)
+    if agg == "AVG":
+        return _sum_in_order(values) / len(values)
+    if agg == "MIN":
+        return min(values)
+    if agg == "MAX":
+        return max(values)
+    raise NonMonotoneOperator(f"unknown scalar aggregate {agg!r}")
 
 
 def bounds_of(index, roi: Roi, vr: ValueRange) -> tuple[int, int]:

@@ -17,9 +17,8 @@ from chisearch.bounds import (
     bound_scalar_agg,
     bound_scalar_aggs,
     cp_bounds,
-    exact_scalar_agg,
+    cp_terms,
     expr_bounds,
-    expr_exact,
     is_boundable,
 )
 from chisearch.chi import ChiBlock, ChiConfig, IndexStore, build_chi, grid_boundaries
@@ -29,6 +28,8 @@ from chisearch.store import Roi, RoiBinding, ValueRange, cp_exact
 from conftest import (
     bounds_of,
     count_pixels_loop,
+    exact_scalar_agg,
+    expr_exact,
     random_range,
     random_roi_in,
     record,
@@ -476,6 +477,57 @@ def test_area_term_and_division():
     assert (lo, hi) == (0.5, 0.75)
 
 
+def test_expr_bounds_on_point_leaves_is_the_exact_value_bit_for_bit():
+    """An exact value is a bracket of width 0. Fed zero-width leaves for
+    many masks at once (int64 counts, float64 areas), ``expr_bounds`` gives
+    at both ends what ``expr_exact`` gives on each mask's Python numbers:
+    the same bits and the same type, also where a count divides. Where any
+    mask divides by 0, both raise ZeroDivisionError."""
+    rng = np.random.default_rng(67)
+    terms = [CpTerm(RoiBinding.full(), ValueRange(k / 4, (k + 1) / 4)) for k in range(4)]
+    areas = [AreaTerm(RoiBinding.constant(Roi(0, 0, k, k))) for k in (3, 7)]
+
+    def random_expr(depth):
+        if depth == 0 or rng.random() < 0.3:
+            leaf = rng.integers(3)
+            if leaf == 0:
+                return terms[rng.integers(len(terms))]
+            if leaf == 1:
+                return areas[rng.integers(len(areas))]
+            return Const(float(rng.choice([-2.5, 0.1, 3.0])))
+        return BinOp(str(rng.choice(["+", "-", "*", "/"])), random_expr(depth - 1),
+                     random_expr(depth - 1))
+
+    def count_divides(e):
+        if not isinstance(e, BinOp):
+            return False
+        return (e.op == "/" and bool(cp_terms(e.right))) or count_divides(e.left) or \
+            count_divides(e.right)
+
+    def bits(values):
+        return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+    n, seen = 8, set()
+    for trial in range(400):
+        expr = random_expr(3)
+        counts = {id(t): rng.integers(0 if rng.random() < 0.2 else 1, 60, n) for t in terms}
+        area = {id(a.roi): rng.integers(1, 50, n).astype(np.float64) for a in areas}
+        try:
+            want = [expr_exact(expr, lambda t: int(counts[id(t)][i]),
+                               lambda b: float(area[id(b)][i])) for i in range(n)]
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                expr_bounds(expr, lambda t: (counts[id(t)],) * 2, lambda b: area[id(b)])
+            seen.add("zero")
+            continue
+        lo, hi = expr_bounds(expr, lambda t: (counts[id(t)],) * 2, lambda b: area[id(b)])
+        for end in (lo, hi):
+            assert bits(np.broadcast_to(end, n).tolist()) == bits(want), (trial, expr)
+        if count_divides(expr):
+            seen.add("count divisor")
+    assert seen == {"zero", "count divisor"}
+
+
 def test_non_monotone_rejections():
     t = CpTerm(RoiBinding.full(), ValueRange(0.0, 0.5))
     with pytest.raises(NonMonotoneOperator):
@@ -514,7 +566,9 @@ def test_scalar_agg_brackets_exact_randomized():
 
 def test_group_brackets_equal_one_group_at_a_time():
     """``bound_scalar_aggs`` is ``bound_scalar_agg`` per group, bit for bit,
-    from one member up to 600; on exact members it brackets the exact value."""
+    from one member up to 600, over all groups at once or one at a time; on
+    exact members it brackets the exact value, and gives a group of zero
+    width ``exact_scalar_agg``'s value bit for bit."""
     rng = np.random.default_rng(61)
     sizes = [1, 2, 7, 8, 9, 17, 600] + rng.integers(1, 40, size=40).tolist()
     rng.shuffle(sizes)
@@ -535,6 +589,15 @@ def test_group_brackets_equal_one_group_at_a_time():
                 assert (float(lo[g]).hex(), float(hi[g]).hex()) == (
                     want.lower.hex(), want.upper.hex()), (agg, size)
                 assert lo[g] <= exact_scalar_agg(agg, exact[part].tolist()) <= hi[g]
+                # The group alone, as an exact group value is computed.
+                one = bound_scalar_aggs(agg, lowers[part], uppers[part], [size])
+                assert (float(one[0][0]).hex(), float(one[1][0]).hex()) == (
+                    want.lower.hex(), want.upper.hex()), (agg, size)
+            if lowers is exact:
+                for start, size in zip(starts, sizes):
+                    part = exact[start:start + size]
+                    v, _ = bound_scalar_aggs(agg, part, part, [size])
+                    assert float(v[0]).hex() == float(exact_scalar_agg(agg, part.tolist())).hex()
     # Pairwise summation rounds differently: the in-order sums above are not
     # what np.add.reduceat would give.
     lo, _ = bound_scalar_aggs("SUM", exact, exact, sizes)

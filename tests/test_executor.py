@@ -25,8 +25,10 @@ from chisearch.executor import (
     _QueryCtx,
 )
 from chisearch import planner, sql
+from chisearch.corpus import generate_corpus
 from chisearch.store import (
     MAX_PIXEL,
+    MaskStore,
     MissingRoiBinding,
     Roi,
     RoiBinding,
@@ -828,26 +830,84 @@ def test_roi_past_the_mask_edge_raises_in_vectorised_path(small_corpus, binding)
     assert store.load_calls == loads
 
 
+@pytest.mark.parametrize("mode", ["oracle", "indexed", "incremental"])
 @pytest.mark.parametrize("threads", [1, 4])
-def test_count_errors_raise_only_where_the_count_is_used(engines, threads):
+def test_count_errors_raise_only_where_the_count_is_used(engines, threads, mode):
     """Every term is counted at read, but a term that cannot be counted on a
-    mask raises only where a query uses that count, as a full scan would."""
-    store, _, _ = engines
-    oracle = Engine(store, mode="oracle", threads=threads)
+    mask raises only where a query uses that count, as a full scan would.
+    The indexed and incremental engines get verify-all plans, so that they
+    decide every mask on the batched verify path."""
+    store, indexed, _ = engines
+    index = {"oracle": None, "indexed": indexed.index_store,
+             "incremental": IndexStore(indexed.index_store.config)}[mode]
+    eng = Engine(store, index, mode=mode, threads=threads)
+    verify_all = mode != "oracle"
     ids = store.mask_ids()
     everywhere = CpComparison(Predicate(term(), ">", -1))
     missing = CpTerm(RoiBinding.per_mask({m: Roi(2, 2, 20, 20) for m in ids if m != 7}), VR)
     outside = CpTerm(RoiBinding.constant(Roi(0, 20, 10, 25)), VR)  # masks are 24x24
     for bad, error in ((missing, MissingRoiBinding), (outside, RoiOutOfBounds)):
         unused = CpComparison(Predicate(bad, ">", 100))
-        lazy = QueryPlan(ids, FilterSpec(BoolOp("or", (everywhere, unused))))
-        assert oracle.execute(lazy).rows == [(m,) for m in ids]
-        used = QueryPlan(ids, FilterSpec(BoolOp("or", (unused, everywhere))))
+        lazy = QueryPlan(ids, FilterSpec(BoolOp("or", (everywhere, unused))), verify_all=verify_all)
+        assert eng.execute(lazy).rows == [(m,) for m in ids]
+        used = QueryPlan(ids, FilterSpec(BoolOp("or", (unused, everywhere))), verify_all=verify_all)
         with pytest.raises(error):
-            oracle.execute(used)
+            eng.execute(used)
         first_only = QueryPlan(ids, FilterSpec(BoolOp("and", (
-            CpComparison(Predicate(term(), "<", -1)), unused))))
-        assert oracle.execute(first_only).rows == []
+            CpComparison(Predicate(term(), "<", -1)), unused))), verify_all=verify_all)
+        assert eng.execute(first_only).rows == []
+
+
+@pytest.fixture()
+def blob_engines(tmp_path):
+    """A 20-mask 24x24 blob corpus with its roi table, and an oracle, an
+    indexed and an incremental engine over it."""
+    d = generate_corpus(tmp_path / "blob", 20, 24, 24, "blob", seed=5)
+    store = MaskStore.open(d)
+    index = build_index(store, ChiConfig(6, 6, 4))
+    engines = (Engine(store, mode="oracle"), Engine(store, index, mode="indexed"),
+               Engine(store, IndexStore(index.config), mode="incremental"))
+    yield store, load_roi_table(d / "rois.tsv"), engines
+    store.close()
+
+
+def test_division_by_a_count_raises_on_zero_in_every_mode(blob_engines):
+    """A count may divide once it is exact; a count of 0 raises, as the
+    exact arithmetic would, rather than giving inf and a wrong row."""
+    store, rois, engines = blob_engines
+    view = "SELECT mask_id FROM MasksDatabaseView WHERE CP(mask, full, (0.0, 1.0)) / "
+    zero = planner.plan(sql.parse(view + "CP(mask, full, (0.999, 1.0)) > 1"), store, rois)
+    nonzero = planner.plan(sql.parse(view + "CP(mask, full, (0.0, 0.5)) > 1.1"), store, rois)
+    assert zero.verify_all and nonzero.verify_all
+    rows = []
+    for eng in engines:
+        with pytest.raises(ZeroDivisionError):
+            eng.execute(zero)
+        rows.append(eng.execute(nonzero).rows)
+    assert rows[0] and rows[1] == rows[0] and rows[2] == rows[0]
+
+
+def test_row_values_are_python_numbers_in_every_mode(blob_engines):
+    """A count selected by a filter comes out as int; a ratio, a ranked
+    value and a group value as float. No numpy scalar reaches the rows."""
+    store, rois, engines = blob_engines
+    view = "FROM MasksDatabaseView"
+    cp = "CP(mask, object, (0.5, 1.0))"
+    group = "GROUP BY image_id"
+    queries = {  # each query's value columns, after its mask id or group key
+        f"SELECT mask_id, {cp} AS c {view} WHERE {cp} > 3": (int,),
+        f"SELECT mask_id, {cp} AS c, {cp} / area(object) AS r {view} WHERE {cp} > 3": (int, float),
+        f"SELECT mask_id, {cp} AS v {view} WHERE {cp} > 3 ORDER BY v DESC LIMIT 5": (float,),
+        f"SELECT image_id, AVG({cp}) AS v {view} {group}": (float,),
+        f"SELECT image_id, AVG({cp}) AS v {view} {group} ORDER BY v ASC LIMIT 3": (float,),
+        f"SELECT image_id, CP(INTERSECT(mask > 0.5), full, (0.5, 1.0)) AS s {view} {group}": (float,),
+    }
+    for q, kinds in queries.items():
+        p = planner.plan(sql.parse(q), store, rois)
+        results = [eng.execute(p).rows for eng in engines]
+        assert results[0] and results[1] == results[0] and results[2] == results[0], q
+        for rows in results:
+            assert {tuple(type(v) for v in row[1:]) for row in rows} == {kinds}, q
 
 
 # -- determinism -----------------------------------------------------------------------

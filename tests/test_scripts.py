@@ -15,3 +15,12 @@ def test_bound_tightness_brackets_every_exact_count(tmp_path, capsys):
     for r in rows:
         assert int(r["lower"]) <= int(r["exact"]) <= int(r["upper"])
     assert "b4c8: mean bracket width" in capsys.readouterr().out
+
+
+def test_tracer_targets_resolve():
+    """perfbench's tracer patches each target by name (``vars(owner)[attr]``),
+    so a name that is gone breaks every traced run with a KeyError."""
+    tracer = load_repo_module("perfbench/tracer.py")
+    missing = [(owner.__name__, attr) for owner, attr, _, _ in tracer.TARGETS
+               if attr not in vars(owner)]
+    assert missing == []
