@@ -204,7 +204,6 @@ def run_workload(
     modes: tuple = ("indexed", "oracle"),
     *,
     config: ChiConfig | None = None,
-    threads: int = 1,
     session_index_path: str | Path | None = None,
 ) -> BenchReport:
     """Run one workload under each mode; every query reopens the store."""
@@ -215,7 +214,7 @@ def run_workload(
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        rows = _run_mode(store_dir, queries, mode, config, threads, session_index_path)
+        rows = _run_mode(store_dir, queries, mode, config, session_index_path)
         report.rows.extend(rows)
         walls = [r.wall_s for r in rows if r.qid >= 0]
         loads = [r.masks_loaded for r in rows if r.qid >= 0]
@@ -242,7 +241,7 @@ def run_workload(
     return report
 
 
-def _run_mode(store_dir, queries, mode, config, threads, session_index_path):
+def _run_mode(store_dir, queries, mode, config, session_index_path):
     rows: list[BenchRow] = []
     cumulative = 0.0
     index_store = None
@@ -266,7 +265,7 @@ def _run_mode(store_dir, queries, mode, config, threads, session_index_path):
         store = MaskStore.open(store_dir)
         try:
             if engine is None:
-                engine = Engine(store, index_store, mode=mode, threads=threads)
+                engine = Engine(store, index_store, mode=mode)
             else:
                 engine.store = store
             t0 = time.perf_counter()

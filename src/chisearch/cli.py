@@ -63,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--query-file", help="read the query from a file")
     q.add_argument("--rois", help="per-mask roi table for 'object' (default: store's rois.tsv)")
     q.add_argument("--stats-json", help="write ExecStats JSON here instead of stderr")
-    q.add_argument("--threads", type=int, default=1)
     _add_config_flags(q)
 
     r = sub.add_parser("repl", help="interactive query loop with incremental indexing")
@@ -71,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--index", help="warm-start index file; also the :persist default")
     r.add_argument("--rois")
     _add_config_flags(r)
-    r.add_argument("--threads", type=int, default=1)
 
     w = sub.add_parser("bench", help="run a generated multi-query workload")
     w.add_argument("store_dir")
@@ -85,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--bins", type=int, default=16)
     w.add_argument("--cell-width", type=int, default=28)
     w.add_argument("--cell-height", type=int, default=28)
-    w.add_argument("--threads", type=int, default=1)
     w.add_argument("--out-dir", required=True, help="report TSV + JSON go here")
     w.add_argument("--session-index", help="persist the incremental session index here")
     return p
@@ -196,14 +193,14 @@ def _cmd_query(args) -> int:
         if args.oracle:
             if any(getattr(args, k) is not None for k in ("bins", "cell_width", "cell_height")):
                 raise PlanError("--oracle uses no index; drop --bins, --cell-width, --cell-height")
-            engine = Engine(store, mode="oracle", threads=args.threads)
+            engine = Engine(store, mode="oracle")
         elif args.incremental:
             index_store = _session_index(args)
-            engine = Engine(store, index_store, mode="incremental", threads=args.threads)
+            engine = Engine(store, index_store, mode="incremental")
         else:
             index_store = load_index(args.index)
             _check_flags(args, index_store)
-            engine = Engine(store, index_store, mode="indexed", threads=args.threads)
+            engine = Engine(store, index_store, mode="indexed")
         result = engine.execute(query_plan)
     if args.incremental and args.index:
         persist_index(index_store, args.index)
@@ -219,7 +216,7 @@ def _cmd_repl(args) -> int:
         except PlanError as e:
             print(f"config error: {e}", file=sys.stderr)
             return EXIT_QUERY_ERROR
-        engine = Engine(store, index_store, mode="incremental", threads=args.threads)
+        engine = Engine(store, index_store, mode="incremental")
         last_stats = None
         for line in sys.stdin:
             line = line.strip()
@@ -268,7 +265,7 @@ def _cmd_bench(args) -> int:
         queries = bench_mod.generate_workload(spec, store, roi_table)
     config = ChiConfig(args.cell_width, args.cell_height, args.bins)
     report = bench_mod.run_workload(
-        args.store_dir, queries, modes, config=config, threads=args.threads,
+        args.store_dir, queries, modes, config=config,
         session_index_path=args.session_index,
     )
     out = Path(args.out_dir)

@@ -26,8 +26,6 @@ import heapq
 import math
 import threading
 import time
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence, Union
@@ -291,10 +289,18 @@ def _having_verdicts(node: HavingNode, lowers: np.ndarray, uppers: np.ndarray) -
 # -- plans -------------------------------------------------------------------
 
 
+def _check_cap(name: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise ValueError(f"{name} must not be negative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FilterSpec:
     pred: PredNode | None  # None accepts every targeted mask
     limit: int | None = None  # plain row-count cap, lowest ids first
+
+    def __post_init__(self):
+        _check_cap("limit", self.limit)
 
 
 @dataclass(frozen=True)
@@ -304,6 +310,9 @@ class TopKSpec:
     descending: bool = True
     pred: PredNode | None = None  # optional exact filter on ranked masks
 
+    def __post_init__(self):
+        _check_cap("k", self.k)
+
 
 @dataclass(frozen=True)
 class AggSpec:
@@ -312,6 +321,9 @@ class AggSpec:
     having: HavingNode | None = None
     descending: bool | None = None  # None: no ordering requested
     limit: int | None = None
+
+    def __post_init__(self):
+        _check_cap("limit", self.limit)
 
 
 @dataclass(frozen=True)
@@ -391,6 +403,10 @@ class Engine:
         mode: str = "indexed",
         threads: int = 1,
     ):
+        # Every read happens on the calling thread; ``threads`` is kept so
+        # that callers which pass ``threads=1`` keep working.
+        if threads != 1:
+            raise ValueError(f"threads must be 1, got {threads!r}")
         if mode not in ("indexed", "incremental", "oracle"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode != "oracle" and index_store is None:
@@ -398,13 +414,9 @@ class Engine:
         self.store = store
         self.index_store = index_store
         self.mode = mode
-        self.threads = max(1, threads)
         self._agg_chi_cache: dict[tuple, ChiBlock] = {}
-        # Each reading thread's pixel buffer per (height, width); see ``_hot_buffer``.
+        # Each calling thread's pixel buffer per (height, width); see ``_hot_buffer``.
         self._hot = threading.local()
-        # Started on the first batch read with threads > 1; see ``_reader_pool``.
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -419,7 +431,7 @@ class Engine:
     def _hot_buffer(self, height: int, width: int) -> np.ndarray:
         """The calling thread's one buffer for masks of this size. Every read
         of the thread lands in it and is counted before the next, so it stays
-        in cache; an engine holds one per (size, reading thread)."""
+        in cache; an engine holds one per (size, thread that queries it)."""
         mine = vars(self._hot)
         buf = mine.get((height, width))
         if buf is None:
@@ -437,36 +449,11 @@ class Engine:
             raise MissingIndex(f"mask {first} has no index and mode is 'indexed'")
         return has
 
-    def _reader_pool(self) -> ThreadPoolExecutor:
-        """The engine's one pool of reading threads, so that each keeps its
-        hot buffers and build scratch from batch to batch. It is shut down
-        when the engine is collected."""
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.threads, thread_name_prefix="chisearch-read"
-                )
-                weakref.finalize(self, self._pool.shutdown, wait=False)
-            return self._pool
-
     def _prefetch(self, ctx: "_QueryCtx", mask_ids: Sequence[int]) -> None:
-        """Load ``mask_ids`` for counting. With several threads they are read
-        and counted here; with one, each is read where it is first counted,
-        and any never counted when the query closes, so the same masks load
-        either way."""
-        todo = [m for m in dict.fromkeys(mask_ids) if m not in ctx.counts]
-        if not todo:
-            return
-        # Whole-mask reads (mask aggregates) are folded where they are read.
-        if self.threads == 1 or ctx.terms is None:
-            ctx.due.update(dict.fromkeys(todo))
-        # Handing work to the pool only pays off for real batches.
-        elif len(todo) > 8:
-            for _ in self._reader_pool().map(ctx.load, todo):
-                pass
-        else:
-            for mid in todo:
-                ctx.load(mid)
+        """Mark ``mask_ids`` due: each is read where it is first counted, and
+        any still unread when the query closes is read then, so every due
+        mask loads whether or not it is counted."""
+        ctx.due.update((m, None) for m in mask_ids if m not in ctx.counts)
 
     # -- filter --------------------------------------------------------------
 
@@ -600,7 +587,7 @@ class Engine:
         k = spec.k if spec.k is not None else len(targets)
         k = min(k, len(targets))
         if k == 0:
-            columns, rows = self._render_value_rows(ctx, plan, [], "mask")
+            columns, rows = self._render_value_rows(plan, [])
             return ctx.result(columns, rows, t_start, t_start)
 
         passed: set[int] = set()  # targets whose WHERE holds by its bracket alone
@@ -630,7 +617,7 @@ class Engine:
             return float(self._brackets(ctx, spec.expr, at)[0][0])
 
         ranked = self._select_ranked(candidates, k, spec.descending, edges, exact)
-        columns, rows = self._render_value_rows(ctx, plan, ranked, "mask")
+        columns, rows = self._render_value_rows(plan, ranked)
         return ctx.result(columns, rows, t_start, t_filter)
 
     # -- ranked selection ------------------------------------------------------
@@ -678,8 +665,8 @@ class Engine:
                 heapq.heappushpop(heap, (sign * v, -i))
         return [(sign * sv, -ni) for sv, ni in sorted(heap, reverse=True)]
 
-    def _render_value_rows(self, ctx, plan, ranked, kind: str):
-        """Rows for ranked (value, id) pairs; id is a mask or a group key."""
+    def _render_value_rows(self, plan, ranked):
+        """Rows for ranked (value, mask id) pairs."""
         value_name = "value"
         extra_cols: list[SelectItem] = []
         if plan.select:
@@ -689,23 +676,15 @@ class Engine:
                 else:
                     extra_cols.append(it)
         else:
-            extra_cols = [Column("mask_id" if kind == "mask" else "group")]
+            extra_cols = [Column("mask_id")]
         columns = [c.name for c in extra_cols] + [value_name]
-        rows = []
-        for v, ident in ranked:
-            row = []
-            for c in extra_cols:
-                if kind == "mask":
-                    row.append(
-                        ident
-                        if c.name == "mask_id"
-                        else getattr(self.store.get_meta(ident).meta, c.name)
-                    )
-                else:
-                    row.append(ident)
-            row.append(v)
-            rows.append(tuple(row))
-        return columns, rows
+
+        def cell(c: Column, mask_id: int):
+            if c.name == "mask_id":
+                return mask_id
+            return getattr(self.store.get_meta(mask_id).meta, c.name)
+
+        return columns, [tuple(cell(c, m) for c in extra_cols) + (v,) for v, m in ranked]
 
     # -- aggregation -----------------------------------------------------------
 
@@ -925,13 +904,16 @@ def _count_exprs(plan: QueryPlan | None) -> list[Expr] | None:
 class _QueryCtx:
     """Per-query scratch: the counts of every loaded mask, and stats.
 
-    A load reads the rows of the mask that the plan's count terms cover,
-    their union taken up front, into the engine's hot buffer for the mask's
-    size, and counts every term there at once, while the rows are still in
-    cache. The query keeps only the counts, one per term, so a mask is read
-    at most once and no pixels outlive their load. A term that cannot be
-    counted on a mask (its roi is missing or out of bounds) keeps its error
-    in place of the count; the error is raised where that count is used.
+    Every load happens on the thread that executes the query, where a
+    count of the mask is first needed, or at the close for a mask that is
+    due but was never counted. A load reads the rows of the mask that the
+    plan's count terms cover, their union taken up front, into the engine's
+    hot buffer for the mask's size, and counts every term there at once,
+    while the rows are still in cache. The query keeps only the counts, one
+    per term, so a mask is read at most once and no pixels outlive their
+    load. A term that cannot be counted on a mask (its roi is missing or
+    out of bounds) keeps its error in place of the count; the error is
+    raised where that count is used.
     """
 
     def __init__(self, engine: Engine, plan: QueryPlan | None = None):
@@ -952,7 +934,6 @@ class _QueryCtx:
             if j == len(self.terms):
                 self.terms.append(t)
         self._bindings = {id(t.roi): t.roi for t in self.terms or ()}.values()
-        self._lock = threading.Lock()
 
     def _rows_to_read(self, mask_id: int, height: int) -> tuple[int, int] | None:
         """The smallest row span covering every count term's roi on the
@@ -977,9 +958,8 @@ class _QueryCtx:
         rec = engine.store.get_mask(mask_id, out=buf, rows=rows)
         if build:
             engine.index_store.insert(build_chi(rec, engine.index_store.config))
-        with self._lock:
-            self.counts[mask_id] = []
-            self.stats.bytes_read += rec.pixels.nbytes
+        self.counts[mask_id] = []
+        self.stats.bytes_read += rec.pixels.nbytes
         return rec
 
     def load(self, mask_id: int) -> list:

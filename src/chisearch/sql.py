@@ -305,7 +305,10 @@ class _Parser:
             order = self._order_by()
         if self._is_kw("limit"):
             self.pos += 1
+            t = self.cur
             limit = self._eat_int("LIMIT")
+            if limit < 0:
+                raise ParseError("LIMIT must not be negative", t.line, t.col)
         if self._is_sym(";"):
             self.pos += 1
         if self.cur.kind != "eof":

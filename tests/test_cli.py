@@ -237,6 +237,14 @@ def test_parse_error_exit_code(corpus, capsys):
     assert "query error" in err
 
 
+def test_negative_limit_exit_code(corpus, capsys):
+    d, idx = corpus
+    code, out, err = run(capsys, "query", str(d), "--index", str(idx),
+                         "-q", "SELECT mask_id FROM MasksDatabaseView LIMIT -1")
+    assert code == 2 and out == ""
+    assert "LIMIT must not be negative" in err
+
+
 def test_missing_store_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "query", str(tmp_path / "nope"), "--oracle", "-q", Q_FILTER)
     assert code == 3

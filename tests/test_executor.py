@@ -1,4 +1,3 @@
-import gc
 import threading
 
 import numpy as np
@@ -185,6 +184,18 @@ def test_missing_index_raises(small_corpus):
     eng = Engine(store, partial, mode="indexed")
     with pytest.raises(MissingIndex):
         eng.execute(filter_plan(store.mask_ids(), 130))
+
+
+def test_engine_takes_one_thread_only(engines):
+    """Every read happens on the calling thread: ``threads=1`` is accepted
+    and any other count is refused."""
+    store, eng, oracle = engines
+    plan = filter_plan(store.mask_ids(), 130)
+    one = Engine(store, eng.index_store, mode="indexed", threads=1)
+    assert one.execute(plan).rows == oracle.execute(plan).rows
+    for threads in (0, 2, -2):
+        with pytest.raises(ValueError, match="threads"):
+            Engine(store, eng.index_store, mode="indexed", threads=threads)
 
 
 def test_select_values_force_loads_lazily(engines):
@@ -420,6 +431,15 @@ def test_limit_zero_returns_no_rows_without_loads(engines):
             r = eng.execute(plan)
             assert r.rows == [], shape
             assert r.stats.masks_loaded == 0
+
+
+def test_negative_caps_are_refused():
+    with pytest.raises(ValueError, match="limit must not be negative"):
+        FilterSpec(None, -2)
+    with pytest.raises(ValueError, match="k must not be negative"):
+        TopKSpec(term(), -1)
+    with pytest.raises(ValueError, match="limit must not be negative"):
+        AggSpec("image_id", ScalarAggSpec("AVG", term()), None, True, -1)
 
 
 # -- aggregation --------------------------------------------------------------------
@@ -660,12 +680,11 @@ def _mixed_plans(rng, ids):
     return plans
 
 
-@pytest.mark.parametrize("threads", [1, 4])
-def test_warm_engine_reusing_buffers_matches_oracle(tmp_path, monkeypatch, threads):
+def test_warm_engine_reusing_buffers_matches_oracle(tmp_path, monkeypatch):
     store, index = _mixed_size_corpus(tmp_path)
     ids = store.mask_ids()
-    eng = Engine(store, index, mode="indexed", threads=threads)
-    inc = Engine(store, IndexStore(index.config), mode="incremental", threads=threads)
+    eng = Engine(store, index, mode="indexed")
+    inc = Engine(store, IndexStore(index.config), mode="incremental")
     oracle = Engine(store, mode="oracle")
     plans = _mixed_plans(np.random.default_rng(5), ids)
     seen = _watch_buffers(monkeypatch)
@@ -712,12 +731,11 @@ def test_repeated_queries_read_into_the_same_buffers(engines, monkeypatch):
     assert {id(o) for o in outs} == first  # no new buffer once warm
 
 
-@pytest.mark.parametrize("threads", [1, 4])
-def test_query_raising_mid_verify_gives_buffers_back(engines, monkeypatch, threads):
+def test_query_raising_mid_verify_gives_buffers_back(engines, monkeypatch):
     """A query that raises leaves its engine as it found it: still one
-    buffer per (size, reading thread), and the next queries right."""
+    buffer per mask size, and the next queries right."""
     store, eng, oracle = engines
-    eng = Engine(store, eng.index_store, mode="indexed", threads=threads)
+    eng = Engine(store, eng.index_store, mode="indexed")
     ids = store.mask_ids()
     table = {m: Roi(2, 2, 20, 20) for m in ids if m != 25}
     bad = CpTerm(RoiBinding.per_mask(table), VR)
@@ -727,48 +745,14 @@ def test_query_raising_mid_verify_gives_buffers_back(engines, monkeypatch, threa
     with pytest.raises(MissingRoiBinding):
         eng.execute(plan)
     loaded = store.load_calls - loads
-    # The pool reads every mask up front; one thread reads each where it is
-    # counted, so it stops at mask 25, whose count raises.
-    assert loaded == (len(ids) if threads > 1 else 25)
+    # Each mask is read where it is counted, so the query stops at mask 25,
+    # whose count raises.
+    assert loaded == 25
     raised = len(seen)
     for p in (filter_plan(ids, 130), QueryPlan(ids, TopKSpec(term(), 5, False))):
         assert eng.execute(p).rows == oracle.execute(p).rows
     assert set(_buffers_held(seen).values()) == {1}
-    if threads == 1:
-        assert {id(b) for e, _, b in seen[raised:] if e is eng} == {id(seen[0][2])}
-
-
-def test_threaded_engine_keeps_one_pool_of_readers(engines, monkeypatch):
-    """With threads > 1 the engine keeps one pool: its workers stay at most
-    ``threads``, keep their hot buffers from query to query, and are gone
-    once the engine is dropped."""
-    store, eng, oracle = engines
-    before = set(threading.enumerate())
-
-    def readers():
-        return [
-            t for t in threading.enumerate()
-            if t not in before and t.name.startswith("chisearch-read")
-        ]
-
-    eng = Engine(store, eng.index_store, mode="indexed", threads=4)
-    seen = _watch_buffers(monkeypatch)
-    ids = store.mask_ids()
-    for i in range(20):
-        p = filter_plan(ids, 100 + 3 * i)
-        p.verify_all = True  # a batch of 40 loads, read by the pool
-        assert eng.execute(p).rows == oracle.execute(p).rows
-        assert len(readers()) <= 4
-    workers = {t for e, t, _ in seen if e is eng}
-    assert 1 < len(workers) <= 4 and threading.current_thread() not in workers
-    assert len({id(b) for e, _, b in seen if e is eng}) == len(workers)  # one buffer each
-    workers = readers()
-    seen.clear()
-    del eng
-    gc.collect()
-    for t in workers:
-        t.join(timeout=10)
-    assert not any(t.is_alive() for t in workers)
+    assert {id(b) for e, _, b in seen[raised:] if e is eng} == {id(seen[0][2])}
 
 
 # -- per-mask roi tables ---------------------------------------------------------------
@@ -831,8 +815,7 @@ def test_roi_past_the_mask_edge_raises_in_vectorised_path(small_corpus, binding)
 
 
 @pytest.mark.parametrize("mode", ["oracle", "indexed", "incremental"])
-@pytest.mark.parametrize("threads", [1, 4])
-def test_count_errors_raise_only_where_the_count_is_used(engines, threads, mode):
+def test_count_errors_raise_only_where_the_count_is_used(engines, mode):
     """Every term is counted at read, but a term that cannot be counted on a
     mask raises only where a query uses that count, as a full scan would.
     The indexed and incremental engines get verify-all plans, so that they
@@ -840,7 +823,7 @@ def test_count_errors_raise_only_where_the_count_is_used(engines, threads, mode)
     store, indexed, _ = engines
     index = {"oracle": None, "indexed": indexed.index_store,
              "incremental": IndexStore(indexed.index_store.config)}[mode]
-    eng = Engine(store, index, mode=mode, threads=threads)
+    eng = Engine(store, index, mode=mode)
     verify_all = mode != "oracle"
     ids = store.mask_ids()
     everywhere = CpComparison(Predicate(term(), ">", -1))
@@ -911,22 +894,6 @@ def test_row_values_are_python_numbers_in_every_mode(blob_engines):
 
 
 # -- determinism -----------------------------------------------------------------------
-
-
-def test_threaded_execution_is_deterministic(engines):
-    store, eng, _ = engines
-    ids = store.mask_ids()
-    threaded = Engine(store, eng.index_store, mode="indexed", threads=4)
-    for plan in (
-        filter_plan(ids, 130),
-        QueryPlan(ids, TopKSpec(term(), 7, True)),
-        QueryPlan(ids, AggSpec("image_id", ScalarAggSpec("AVG", term()), None, True, 5)),
-    ):
-        r1 = eng.execute(plan)
-        r4 = threaded.execute(plan)
-        assert r1.rows == r4.rows
-        assert r1.stats.masks_loaded == r4.stats.masks_loaded
-        assert r1.stats.masks_pruned == r4.stats.masks_pruned
 
 
 def test_differential_fuzz_all_shapes(tmp_path):

@@ -73,6 +73,7 @@ def test_empty_select_list_fails_at_from():
         ("SELECT mask_id\nFROM MasksDatabaseView WHERE", 2, 29),
         ("SELECT mask_id FROM v WHERE CP(mask, full (0.1,0.2)) > 5", 1, 43),
         ("SELECT mask_id FROM v LIMIT x", 1, 29),
+        ("SELECT mask_id FROM v LIMIT -2", 1, 29),
         ("SELECT mask_id FROM v extra", 1, 23),
     ],
 )
@@ -440,6 +441,16 @@ def test_plan_errors(planned_corpus):
         plan(parse("SELECT image_id, CP(BOGUS(mask), full, (0.5,1.0)) AS v "
                    "FROM MasksDatabaseView GROUP BY image_id ORDER BY v DESC LIMIT 1"),
              store, roi_table)
+
+
+def test_filter_limit_zero_returns_no_rows(planned_corpus):
+    store, index, roi_table = planned_corpus
+    view = "SELECT mask_id FROM MasksDatabaseView"
+    for text in (f"{view} LIMIT 0", f"{view} WHERE CP(mask, full, (0.5, 1.0)) > 10 LIMIT 0"):
+        p = plan(parse(text), store, roi_table)
+        assert p.shape.limit == 0
+        for eng in (Engine(store, index, mode="indexed"), Engine(store, mode="oracle")):
+            assert eng.execute(p).rows == [], (text, eng.mode)
 
 
 def test_unboundable_division_falls_back_to_verify_all(planned_corpus):

@@ -1,4 +1,6 @@
 import csv
+import json
+from pathlib import Path
 
 from conftest import load_repo_module
 
@@ -24,3 +26,22 @@ def test_tracer_targets_resolve():
     missing = [(owner.__name__, attr) for owner, attr, _, _ in tracer.TARGETS
                if attr not in vars(owner)]
     assert missing == []
+
+
+def test_perfbench_gated_workloads_run_tiny(monkeypatch, capsys):
+    """The benchmark builds its engines through the public API; a signature
+    it relies on that goes away breaks every run. Its gated workloads run
+    here on the tiny corpus, checked against the oracle."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import harness
+    import run
+    import workloads
+
+    # The benchmark pins glibc's mmap threshold for its own process; keep
+    # this test process's allocator as the other tests find it.
+    monkeypatch.setattr(harness, "pin_malloc_thresholds", lambda: None)
+    for name in ("indexed_mix", "incremental_sweep"):
+        assert run.main(["--workload", name, "--seconds", "0.2"], scale=workloads.TINY) == 0
+        last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert last["correct"] is True and last["failed"] == 0, (name, last)
