@@ -15,6 +15,7 @@ are exact. Reports carry this caveat in their header.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import time
@@ -214,7 +215,16 @@ def run_workload(
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        rows = _run_mode(store_dir, queries, mode, config, session_index_path)
+        # Collect now and freeze what survives, so the timed loop's
+        # collections scan only its own objects: a full collection of the
+        # caller's heap costs tens of ms, and where one lands would decide
+        # a mode's total.
+        gc.collect()
+        gc.freeze()
+        try:
+            rows = _run_mode(store_dir, queries, mode, config, session_index_path)
+        finally:
+            gc.unfreeze()
         report.rows.extend(rows)
         walls = [r.wall_s for r in rows if r.qid >= 0]
         loads = [r.masks_loaded for r in rows if r.qid >= 0]

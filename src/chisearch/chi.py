@@ -37,7 +37,6 @@ from .store import (
     PIXEL_MIN,
     MaskRecord,
     ValueRange,
-    f32_at_or_above,
     find_sorted,
 )
 
@@ -69,9 +68,13 @@ class OverflowDetected(ChiError):
     pass
 
 
-# Most value bins an index may have. ``build_chi`` bins by a float32
-# product, which needs every bin index exact in float32 (below 2**24) and
-# the float32 edges distinct; 2**22 keeps a wide margin.
+# Most value bins an index may have. ``build_chi`` bins a float32 pixel v
+# as floor(v * bins) in float64, which is exactly the bin ``bin_edges``
+# gives: the product is exact (24 + 22 significant bits fit float64's 53),
+# and no float32 lies between an edge k / bins and its float64 rounding (a
+# dyadic edge is exact; any other is at least 2**-46 of its size from every
+# float32, and rounding moves it at most 2**-53 of it). 2**22 leaves a wide
+# margin on both conditions.
 MAX_BINS = 2**22
 
 
@@ -103,16 +106,6 @@ class ChiConfig:
         """The dtype of every count: little-endian, as in the index file, and
         16 bits wide where every cell has fewer than 2**16 pixels."""
         return np.dtype("<u2" if self.cell_width * self.cell_height < 2**16 else "<u4")
-
-    @cached_property
-    def bin_edges_f32(self) -> np.ndarray:
-        """``bin_edges``, each rounded up to the nearest float32.
-
-        A float32 value is at or above a float64 edge exactly when it is at
-        or above that edge rounded up, so float32 pixels binned against
-        these land in the same bins as against ``bin_edges``.
-        """
-        return f32_at_or_above(self.bin_edges)
 
     def outer_bin_span(self, rng: ValueRange) -> tuple[int, int]:
         """Bin indices (lo, hi) whose edges bracket [rng.lo, rng.hi) from outside."""
@@ -222,24 +215,18 @@ def build_chi(mask: MaskRecord, config: ChiConfig) -> ChiIndex:
     grid = grid_boundaries(mask.width, mask.height, config)
     n_cx, n_cy, b = len(grid.xs), len(grid.ys), config.bins
 
-    # Bin of each pixel: the largest edge at or below its value, against
-    # the float32 image of the shared edges (see ``bin_edges_f32``), so the
-    # pixels are compared as they are, with no float64 copy. The float32
-    # product v * bins, cast to an integer, is the value's bin or one above
-    # it: an edge is i / bins correctly rounded, and the product rounds to
-    # the nearest float32, which holds every integer up to MAX_BINS; the
-    # cast truncates, which is the floor here, as no pixel is below 0 (a
-    # -0.0 pixel gives bin 0). So it can only overshoot, at a value just
-    # below an edge (at most to ``bins``, whose edge 1.0 is above every
-    # pixel), and one step down settles it. The take cannot clip, as every
-    # bin is in [0, bins]; ``mode="raise"`` would buffer ``out``.
+    # Bin of each pixel: floor(v * bins) in float64, exactly the bin that
+    # ``bin_edges`` gives (see MAX_BINS). The cast truncates, which is the
+    # floor, as no pixel is below 0 (a -0.0 pixel gives bin 0), and every
+    # bin is below ``bins``, as every pixel is below 1. Widening into
+    # scratch first keeps numpy from casting through buffers of its own, and
+    # keeps the loop in float64 on numpy 1.x, where a float64 scalar against
+    # a float32 array computes in float32.
     pixels = np.asarray(mask.pixels, dtype=PIXEL_DTYPE).ravel()
-    values, flat, below = scratch("build", len(pixels), PIXEL_DTYPE, np.intp, np.bool_)
-    np.multiply(pixels, np.float32(b), out=values)
-    flat[:] = values
-    config.bin_edges_f32.take(flat, out=values, mode="clip")
-    np.less(pixels, values, out=below)
-    np.subtract(flat, below, out=flat)
+    product, flat = scratch("build", len(pixels), np.float64, np.intp)
+    product[:] = pixels
+    np.multiply(product, np.float64(b), out=product)
+    flat[:] = product
     np.add(flat, _cell_base(mask.width, mask.height, config), out=flat)
     per_cell = np.bincount(flat, minlength=n_cx * n_cy * b).reshape(n_cx, n_cy, b)
     rev = np.cumsum(per_cell[:, :, ::-1], axis=2)[:, :, ::-1]

@@ -464,6 +464,9 @@ class Engine:
         stats.masks_targeted = len(targets)
         if plan.verify_all:
             stats.warnings.append("predicate not index-boundable; verifying all masks")
+        if plan.shape.limit == 0:
+            columns, rows = self._render_filter_rows(ctx, plan, [])
+            return ctx.result(columns, rows, t_start, t_start)
 
         accepted: list[int] = []
         to_verify: list[int] = []
@@ -644,8 +647,6 @@ class Engine:
         bound key does not beat the k-th kept key: no later id can beat it
         either (the threshold stop of Fagin, Lotem and Naor).
         """
-        if k == 0:
-            return []
         sign = 1.0 if descending else -1.0
         ids = np.asarray(ids, dtype=np.int64)
         keys = sign * np.asarray(edges, dtype=np.float64)
@@ -693,6 +694,9 @@ class Engine:
         spec: AggSpec = plan.shape
         targets = sorted(plan.target_ids)
         ctx.stats.masks_targeted = len(targets)
+        if spec.limit == 0:
+            columns, rows = self._render_group_rows(plan, spec, [], True)
+            return ctx.result(columns, rows, t_start, t_start)
 
         groups = self._groups(targets, spec.group_key)
         keys = sorted(groups)

@@ -347,8 +347,6 @@ class _Planner:
         if not _contains_cp(expr_ast):
             raise PlanError("ORDER BY must rank by a count expression")
         expr = self.to_expr(expr_ast)
-        if ast.limit is not None and ast.limit < 1:
-            raise PlanError("LIMIT must be at least 1")
         k = ast.limit
         select: list = []
         for it in ast.select:
@@ -414,8 +412,6 @@ class _Planner:
             descending = ast.order.descending
         elif limit is not None:
             raise PlanError("LIMIT on grouped queries requires ORDER BY")
-        if limit is not None and limit < 1:
-            raise PlanError("LIMIT must be at least 1")
 
         select: list = []
         for it in ast.select:

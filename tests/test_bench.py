@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -65,6 +66,16 @@ def test_workload_low_p_seen_exhausts_unseen(bench_corpus):
     for q in queries:
         union |= set(q.plan.target_ids)
     assert union == set(store.mask_ids())  # exploration sees the whole corpus
+
+
+def test_run_workload_leaves_the_heap_unfrozen(bench_corpus):
+    d, store, roi_table = bench_corpus
+    queries = generate_workload(WorkloadSpec(n_queries=3, seed=7), store, roi_table)
+    run_workload(d, queries, ("incremental", "oracle"), config=CFG)
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(ValueError, match="needs an index config"):
+        run_workload(d, queries, ("indexed",))
+    assert gc.get_freeze_count() == 0
 
 
 def test_run_workload_modes_agree_and_account(bench_corpus, tmp_path):

@@ -178,17 +178,24 @@ def _reference_build(mask, config):
     return rev.transpose(2, 0, 1).astype(np.uint32)
 
 
+def _around_edges(edges):
+    """Float32 pixels at each edge (as close as float32 gets) and one float32
+    step either side, plus the domain's ends, all in [0, 1)."""
+    f32 = np.float32
+    near = edges.astype(f32)
+    values = np.concatenate(
+        [near, np.nextafter(near, f32(np.inf)), np.nextafter(near, f32(-np.inf)),
+         [f32(0.0), f32(MAX_PIXEL)]]
+    ).astype(f32)
+    return values[(values >= 0) & (values < 1)]
+
+
 def test_build_matches_float64_reference_on_bin_edges():
     rng = np.random.default_rng(8)
     f32 = np.float32
     for bins in (1, 3, 7, 10, 16, 33, 100, 255, 1000):
         edges = ChiConfig(1, 1, bins).bin_edges
-        near = edges.astype(f32)  # at each edge, as close as float32 gets
-        values = np.concatenate(
-            [near, np.nextafter(near, f32(np.inf)), np.nextafter(near, f32(-np.inf)),
-             [f32(0.0), f32(MAX_PIXEL)]]
-        ).astype(f32)
-        values = values[(values >= 0) & (values < 1)]
+        values = _around_edges(edges)
         # Every value on both sides of every edge actually occurs.
         assert all((values < e).any() and (values >= e).any() for e in edges[1:-1])
         for (w, h), (cw, ch) in (
@@ -208,6 +215,18 @@ def test_build_matches_float64_reference_on_bin_edges():
         mask = record(batch.reshape(400, 250))
         cfg = ChiConfig(64, 100, bins)
         assert np.array_equal(build_chi(mask, cfg).counts, _reference_build(mask, cfg)), bins
+    # Bin counts up to MAX_BINS, on a seeded sample of edges: one cell each,
+    # as the build counts cells x bins.
+    for bins in (65_535, 2**20 + 7, MAX_BINS):
+        ks = np.unique(np.concatenate([[1, 2, bins - 2, bins - 1], rng.integers(1, bins, 2000)]))
+        edges = ChiConfig(1, 1, bins).bin_edges[ks]
+        values = _around_edges(edges)
+        assert all((values < e).any() and (values >= e).any() for e in edges)
+        cfg = ChiConfig(len(values), 1, bins)
+        mask = record(values[None, :])
+        got = build_chi(mask, cfg).counts
+        assert got.dtype == np.uint16 and got.shape == (bins, 1, 1)
+        assert np.array_equal(got, _reference_build(mask, cfg)), bins
 
 
 def test_config_rejects_more_bins_than_the_build_can_place():

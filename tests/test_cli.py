@@ -245,6 +245,23 @@ def test_negative_limit_exit_code(corpus, capsys):
     assert "LIMIT must not be negative" in err
 
 
+def test_limit_zero_query_exits_0_with_header_only(corpus, capsys, tmp_path):
+    d, idx = corpus
+    stats_path = tmp_path / "stats.json"
+    for q in (
+        "SELECT mask_id, CP(mask, full, (0.5, 1.0)) AS v FROM MasksDatabaseView "
+        "ORDER BY v DESC LIMIT 0",
+        "SELECT image_id, AVG(CP(mask, full, (0.5, 1.0))) AS v FROM MasksDatabaseView "
+        "GROUP BY image_id ORDER BY v DESC LIMIT 0",
+    ):
+        for mode in (["--index", str(idx)], ["--oracle"]):
+            code, out, _ = run(capsys, "query", str(d), *mode, "-q", q,
+                               "--stats-json", str(stats_path))
+            assert code == 0, (q, mode)
+            assert len(out.splitlines()) == 1, (q, mode)
+            assert json.loads(stats_path.read_text())["masks_loaded"] == 0
+
+
 def test_missing_store_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "query", str(tmp_path / "nope"), "--oracle", "-q", Q_FILTER)
     assert code == 3

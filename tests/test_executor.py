@@ -425,9 +425,12 @@ def test_limit_zero_returns_no_rows_without_loads(engines):
         for shape in (
             AggSpec("image_id", ScalarAggSpec("AVG", term()), None, desc, 0),
             TopKSpec(term(), 0, desc),
+            FilterSpec(CpComparison(Predicate(term(), ">", 100)), 0),
         ):
             plan = QueryPlan(ids, shape)
-            assert oracle.execute(plan).rows == [], shape
+            r = oracle.execute(plan)
+            assert r.rows == [], shape
+            assert r.stats.masks_loaded == 0
             r = eng.execute(plan)
             assert r.rows == [], shape
             assert r.stats.masks_loaded == 0

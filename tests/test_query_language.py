@@ -453,6 +453,31 @@ def test_filter_limit_zero_returns_no_rows(planned_corpus):
             assert eng.execute(p).rows == [], (text, eng.mode)
 
 
+def test_limit_zero_gives_no_rows_and_no_loads_in_every_shape(planned_corpus):
+    store, index, roi_table = planned_corpus
+    view = "FROM MasksDatabaseView"
+    for text in (
+        f"SELECT mask_id {view} WHERE CP(mask, full, (0.5, 1.0)) > 10 LIMIT 0",
+        f"SELECT mask_id, CP(mask, full, (0.5, 1.0)) AS v {view} ORDER BY v DESC LIMIT 0",
+        f"SELECT mask_id, CP(mask, object, (0.5, 1.0)) AS v {view} "
+        "WHERE CP(mask, full, (0.2, 1.0)) > 10 ORDER BY v ASC LIMIT 0",
+        f"SELECT image_id, AVG(CP(mask, object, (0.5, 1.0))) AS v {view} "
+        "GROUP BY image_id ORDER BY v DESC LIMIT 0",
+        f"SELECT image_id, CP(INTERSECT(mask > 0.3), full, (0.5, 1.0)) AS v {view} "
+        "GROUP BY image_id ORDER BY v ASC LIMIT 0",
+    ):
+        p = plan(parse(text), store, roi_table)
+        one = plan(parse(text.replace("LIMIT 0", "LIMIT 1")), store, roi_table)
+        for eng in (
+            Engine(store, index, mode="indexed"),
+            Engine(store, IndexStore(index.config), mode="incremental"),
+            Engine(store, mode="oracle"),
+        ):
+            r = eng.execute(p)
+            assert r.rows == [] and r.stats.masks_loaded == 0, (text, eng.mode)
+            assert r.columns == eng.execute(one).columns, (text, eng.mode)
+
+
 def test_unboundable_division_falls_back_to_verify_all(planned_corpus):
     store, index, roi_table = planned_corpus
     ast = parse(

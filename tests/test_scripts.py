@@ -45,3 +45,37 @@ def test_perfbench_gated_workloads_run_tiny(monkeypatch, capsys):
         assert run.main(["--workload", name, "--seconds", "0.2"], scale=workloads.TINY) == 0
         last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert last["correct"] is True and last["failed"] == 0, (name, last)
+
+
+def test_bench_record_wraps_each_run_last_line(tmp_path, monkeypatch, capsys):
+    script = load_repo_module("scripts/bench_record.py")
+    last = '{"correct": true, "attempted": 7, "failed": 0, "metrics": {"setup_s": {"value": 0.25, "unit": "s"}}}'
+    calls = []
+
+    def perfbench(args):
+        calls.append(args)
+        return f"indexed_mix\tsetup_s\t0.25\ts\n{last}\n"
+
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    monkeypatch.setattr(script, "perfbench", perfbench)
+    monkeypatch.setattr(script, "git", lambda *a: {"rev-parse": "abc123", "status": " M x"}[a[0]])
+    argv = ["7", "--workload", "indexed_mix", "--workload", "incremental_sweep",
+            "--seed", "4", "--seconds", "3"]
+    assert script.main(argv) == 0
+    assert calls == [["--workload", w, "--seed", "4", "--seconds", "3"]
+                     for w in ("indexed_mix", "incremental_sweep")]
+    record = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert record["commit"] == "abc123" and record["dirty"] is True
+    assert [r["args"] for r in record["runs"]] == calls
+    assert all(r["result"] == json.loads(last) for r in record["runs"])
+
+
+def test_bench_record_refuses_a_last_line_that_is_not_json(tmp_path, monkeypatch, capsys):
+    script = load_repo_module("scripts/bench_record.py")
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    monkeypatch.setattr(script, "git", lambda *a: "")
+    for out in ("indexed_mix\tsetup_s\t0.25\ts\n", "", '[1, 2]\n'):
+        monkeypatch.setattr(script, "perfbench", lambda args: out)
+        assert script.main(["3"]) == 1
+        assert "not a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_3.json").exists()
