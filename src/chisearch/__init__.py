@@ -51,7 +51,6 @@ from .executor import (
     QueryResult,
     ScalarAggSpec,
     TopKSpec,
-    register_mask_agg,
 )
 from .sql import ParseError, parse, pretty
 from .planner import PlanError, plan
@@ -68,5 +67,5 @@ __all__ = [
     "ScalarAggSpec", "TopKSpec", "ValueRange", "bound_scalar_agg", "build_chi",
     "cp_bounds", "cp_exact", "expr_bounds", "generate_corpus",
     "grid_boundaries", "load_index", "merge_index", "parse", "persist_index", "plan",
-    "pretty", "register_mask_agg",
+    "pretty",
 ]

@@ -55,10 +55,6 @@ class Bounds:
         if self.lower > self.upper:
             raise ValueError(f"inverted bounds {self!r}")
 
-    @property
-    def exact(self) -> bool:
-        return self.lower == self.upper
-
 
 def cp_bounds(block: ChiBlock, rows: np.ndarray, rois: np.ndarray, rng: ValueRange):
     """Bracket the count of pixels with values in [rng.lo, rng.hi) inside

@@ -14,10 +14,12 @@ set in one call of the verdict path that decided the brackets.
 Engines run in one of three modes:
 
 * ``indexed``   -- every targeted mask must have a prebuilt index.
-* ``incremental`` -- masks without an index are loaded, evaluated exactly,
-  and indexed on the spot for later queries in the session.
-* ``oracle``    -- no index at all; loads everything. The correctness
-  reference the other two modes are tested against.
+* ``incremental`` -- a mask without an index is undecided, so it is read
+  where one of its counts is first needed, and indexed there for later
+  queries in the session.
+* ``oracle``    -- no index at all, so every mask is undecided and read
+  where one of its counts is first needed. The correctness reference the
+  other two modes are tested against.
 """
 
 from __future__ import annotations
@@ -239,17 +241,12 @@ class MaskAggregate:
         return self.finish(acc)
 
 
-MASK_AGG_REGISTRY: dict[str, object] = {}
-
-
-def register_mask_agg(name: str, factory) -> None:
-    """Register a MASK_AGG constructor for the query language."""
-    MASK_AGG_REGISTRY[name.upper()] = factory
-
-
-register_mask_agg("INTERSECT", lambda t: MaskAggregate("intersect", t))
-register_mask_agg("MASK_MIN", lambda: MaskAggregate("min"))
-register_mask_agg("MASK_MAX", lambda: MaskAggregate("max"))
+# The query language's MASK_AGG constructors, by upper-case name.
+MASK_AGGS = {
+    "INTERSECT": lambda t: MaskAggregate("intersect", t),
+    "MASK_MIN": lambda: MaskAggregate("min"),
+    "MASK_MAX": lambda: MaskAggregate("max"),
+}
 
 
 @dataclass(frozen=True)
@@ -422,11 +419,13 @@ class Engine:
 
     def execute(self, plan: QueryPlan) -> QueryResult:
         ctx = _QueryCtx(self, plan)
+        targets = sorted(plan.target_ids)
+        ctx.stats.masks_targeted = len(targets)
         if isinstance(plan.shape, FilterSpec):
-            return self._execute_filter(ctx, plan)
+            return self._execute_filter(ctx, plan, targets)
         if isinstance(plan.shape, TopKSpec):
-            return self._execute_topk(ctx, plan)
-        return self._execute_aggregation(ctx, plan)
+            return self._execute_topk(ctx, plan, targets)
+        return self._execute_aggregation(ctx, plan, targets)
 
     def _hot_buffer(self, height: int, width: int) -> np.ndarray:
         """The calling thread's one buffer for masks of this size. Every read
@@ -449,30 +448,20 @@ class Engine:
             raise MissingIndex(f"mask {first} has no index and mode is 'indexed'")
         return has
 
-    def _prefetch(self, ctx: "_QueryCtx", mask_ids: Sequence[int]) -> None:
-        """Mark ``mask_ids`` due: each is read where it is first counted, and
-        any still unread when the query closes is read then, so every due
-        mask loads whether or not it is counted."""
-        ctx.due.update((m, None) for m in mask_ids if m not in ctx.counts)
-
     # -- filter --------------------------------------------------------------
 
-    def _execute_filter(self, ctx: "_QueryCtx", plan: QueryPlan) -> QueryResult:
-        t_start = time.perf_counter()
-        stats = ctx.stats
-        targets = sorted(plan.target_ids)
-        stats.masks_targeted = len(targets)
+    def _execute_filter(self, ctx: "_QueryCtx", plan: QueryPlan, targets) -> QueryResult:
         if plan.verify_all:
-            stats.warnings.append("predicate not index-boundable; verifying all masks")
+            ctx.stats.warnings.append("predicate not index-boundable; verifying all masks")
         if plan.shape.limit == 0:
             columns, rows = self._render_filter_rows(ctx, plan, [])
-            return ctx.result(columns, rows, t_start, t_start)
+            return ctx.result(columns, rows, ctx.t_start)
 
         accepted: list[int] = []
         to_verify: list[int] = []
         if plan.shape.pred is None:
             accepted = list(targets)  # pure metadata scan
-        elif self.mode == "oracle" or plan.verify_all:
+        elif plan.verify_all:
             to_verify = list(targets)
         else:
             verdicts = self._filter_verdicts(ctx, plan.shape.pred, targets)
@@ -480,7 +469,6 @@ class Engine:
             to_verify = [targets[i] for i in np.flatnonzero(verdicts == _UNKNOWN).tolist()]
         t_filter = time.perf_counter()
 
-        self._prefetch(ctx, to_verify)
         verified = []
         if to_verify:
             verdicts = self._node_verdicts(ctx, plan.shape.pred, to_verify, exact=True)
@@ -489,7 +477,7 @@ class Engine:
         if plan.shape.limit is not None:
             result_ids = result_ids[: plan.shape.limit]
         columns, rows = self._render_filter_rows(ctx, plan, result_ids)
-        return ctx.result(columns, rows, t_start, t_filter, accepted)
+        return ctx.result(columns, rows, t_filter, accepted + verified)
 
     def _filter_verdicts(
         self, ctx: "_QueryCtx", node: PredNode, targets: list[int]
@@ -582,20 +570,16 @@ class Engine:
 
     # -- top-k ---------------------------------------------------------------
 
-    def _execute_topk(self, ctx: "_QueryCtx", plan: QueryPlan) -> QueryResult:
-        t_start = time.perf_counter()
+    def _execute_topk(self, ctx: "_QueryCtx", plan: QueryPlan, targets) -> QueryResult:
         spec: TopKSpec = plan.shape
-        targets = sorted(plan.target_ids)
-        ctx.stats.masks_targeted = len(targets)
-        k = spec.k if spec.k is not None else len(targets)
-        k = min(k, len(targets))
+        k = min(len(targets) if spec.k is None else spec.k, len(targets))
         if k == 0:
             columns, rows = self._render_value_rows(plan, [])
-            return ctx.result(columns, rows, t_start, t_start)
+            return ctx.result(columns, rows, ctx.t_start)
 
         passed: set[int] = set()  # targets whose WHERE holds by its bracket alone
         candidates, has = targets, np.zeros(len(targets), dtype=bool)
-        if self.mode != "oracle" and not plan.verify_all:
+        if not plan.verify_all:
             if spec.pred is not None:
                 verdicts = self._filter_verdicts(ctx, spec.pred, targets)
                 ids = np.asarray(targets, dtype=np.int64)
@@ -609,9 +593,6 @@ class Engine:
             edges[has] = uppers if spec.descending else lowers
         t_filter = time.perf_counter()
 
-        if self.mode == "oracle":
-            self._prefetch(ctx, candidates)  # everything loads anyway
-
         def exact(mid: int) -> float | None:
             at = np.array([mid])
             if spec.pred is not None and mid not in passed:
@@ -621,7 +602,7 @@ class Engine:
 
         ranked = self._select_ranked(candidates, k, spec.descending, edges, exact)
         columns, rows = self._render_value_rows(plan, ranked)
-        return ctx.result(columns, rows, t_start, t_filter)
+        return ctx.result(columns, rows, t_filter, [m for _, m in ranked])
 
     # -- ranked selection ------------------------------------------------------
 
@@ -689,20 +670,14 @@ class Engine:
 
     # -- aggregation -----------------------------------------------------------
 
-    def _execute_aggregation(self, ctx: "_QueryCtx", plan: QueryPlan) -> QueryResult:
-        t_start = time.perf_counter()
+    def _execute_aggregation(self, ctx: "_QueryCtx", plan: QueryPlan, targets) -> QueryResult:
         spec: AggSpec = plan.shape
-        targets = sorted(plan.target_ids)
-        ctx.stats.masks_targeted = len(targets)
         if spec.limit == 0:
             columns, rows = self._render_group_rows(plan, spec, [], True)
-            return ctx.result(columns, rows, t_start, t_start)
+            return ctx.result(columns, rows, ctx.t_start)
 
         groups = self._groups(targets, spec.group_key)
         keys = sorted(groups)
-
-        if self.mode == "oracle":
-            self._prefetch(ctx, targets)  # everything loads anyway
         lowers, uppers = self._group_bounds(ctx, spec, groups, keys)
         t_filter = time.perf_counter()
 
@@ -715,23 +690,21 @@ class Engine:
         ranked_query = spec.limit is not None or spec.descending is not None
         if not ranked_query:
             # Plain grouped output: resolve unknown having groups exactly.
-            final = list(survivors)
+            answered = list(survivors)
             if unknown:
                 v = np.array([self._group_exact(ctx, spec, key, groups[key]) for key in unknown])
                 verdicts = _having_verdicts(spec.having, v, v)
-                final += [k for k, d in zip(unknown, verdicts.tolist()) if d == _TRUE]
-            final.sort()
+                answered += [k for k, d in zip(unknown, verdicts.tolist()) if d == _TRUE]
+            answered.sort()
             if self._select_wants_value(plan):
                 ranked = [
-                    (self._group_exact(ctx, spec, key, groups[key]), key) for key in final
+                    (self._group_exact(ctx, spec, key, groups[key]), key) for key in answered
                 ]
                 columns, rows = self._render_group_rows(plan, spec, ranked, True)
             else:
                 columns, rows = self._render_group_rows(
-                    plan, spec, [(0.0, key) for key in final], False
+                    plan, spec, [(0.0, key) for key in answered], False
                 )
-            # Groups certain to pass that were never loaded count as accepted.
-            accepted = [m for key in final for m in groups[key]]
         else:
             descending = True if spec.descending is None else spec.descending
             k = spec.limit if spec.limit is not None else len(groups)
@@ -750,8 +723,9 @@ class Engine:
 
             ranked = self._select_ranked(ranked_keys, k, descending, edges, exact)
             columns, rows = self._render_group_rows(plan, spec, ranked, True)
-            accepted = []  # ranked queries have no accept-without-load case
-        return ctx.result(columns, rows, t_start, t_filter, accepted)
+            answered = [key for _, key in ranked]
+        # Members of answered groups that were never loaded count as accepted.
+        return ctx.result(columns, rows, t_filter, [m for key in answered for m in groups[key]])
 
     def _select_wants_value(self, plan: QueryPlan) -> bool:
         if plan.select is None:
@@ -806,8 +780,6 @@ class Engine:
         """(lower, upper) bracket of each group's aggregate, in the order of
         ``keys``, without loading where possible; NaN where a group has none."""
         lowers, uppers = np.full(len(keys), np.nan), np.full(len(keys), np.nan)
-        if self.mode == "oracle":
-            return lowers, uppers
         if isinstance(spec.value, ScalarAggSpec):
             expr = spec.value.expr
             ids = np.array([m for key in keys for m in groups[key]], dtype=np.int64)
@@ -816,9 +788,9 @@ class Engine:
             if has.any():
                 member_lo[has], member_hi[has] = self._expr_bounds_many(expr, ids[has])
             if not has.all():
-                # Index-less members (incremental mode) get loaded and indexed
-                # right away; their exact values enter the group bracket as points.
-                self._prefetch(ctx, ids[~has].tolist())
+                # Index-less members (every member in oracle mode) enter the
+                # group bracket as exact points, each read where one of its
+                # counts is needed, and indexed there in incremental mode.
                 member_lo[~has], member_hi[~has] = self._brackets(ctx, expr, ids[~has])
             sizes = [len(groups[key]) for key in keys]
             return bound_scalar_aggs(spec.value.fn, member_lo, member_hi, sizes)
@@ -856,7 +828,6 @@ class Engine:
             return cached
         expr = spec.value.expr
         if isinstance(spec.value, ScalarAggSpec):
-            self._prefetch(ctx, members)
             exact, _ = self._brackets(ctx, expr, np.asarray(members, dtype=np.int64))
             v = float(bound_scalar_aggs(spec.value.fn, exact, exact, [len(members)])[0][0])
         else:
@@ -909,8 +880,9 @@ class _QueryCtx:
     """Per-query scratch: the counts of every loaded mask, and stats.
 
     Every load happens on the thread that executes the query, where a
-    count of the mask is first needed, or at the close for a mask that is
-    due but was never counted. A load reads the rows of the mask that the
+    count of the mask is first needed; a mask none of whose counts is
+    needed is never read. In incremental mode a load of a mask without an
+    index builds its index. A load reads the rows of the mask that the
     plan's count terms cover, their union taken up front, into the engine's
     hot buffer for the mask's size, and counts every term there at once,
     while the rows are still in cache. The query keeps only the counts, one
@@ -922,9 +894,9 @@ class _QueryCtx:
 
     def __init__(self, engine: Engine, plan: QueryPlan | None = None):
         self.engine = engine
+        self.t_start = time.perf_counter()
         self.stats = ExecStats()
         self.counts: dict[int, list] = {}  # mask id -> a count or an error per term, once loaded
-        self.due: dict[int, None] = {}  # to load by the end of the query (``_prefetch``)
         self.group_values: dict[int, float] = {}
         exprs = _count_exprs(plan)
         # The plan's count terms, one per (roi binding, value range), and the
@@ -991,13 +963,10 @@ class _QueryCtx:
             values.append(v)
         return np.array(values, dtype=np.int64)
 
-    def result(self, columns, rows, t_start: float, t_filter: float, accepted=()) -> QueryResult:
+    def result(self, columns, rows, t_filter: float, accepted=()) -> QueryResult:
         """Close the query's stats and wrap its rows. Every targeted mask is
         loaded, accepted without a load (``accepted`` minus loaded), or pruned."""
-        for mask_id in self.due:
-            if mask_id not in self.counts:
-                self.read(mask_id)
-        t_end = time.perf_counter()
+        t_start, t_end = self.t_start, time.perf_counter()
         stats = self.stats
         stats.masks_loaded = len(self.counts)
         stats.masks_accepted_directly = sum(1 for m in accepted if m not in self.counts)

@@ -33,7 +33,7 @@ from .executor import (
     FilterSpec,
     HavingBool,
     HavingCmp,
-    MASK_AGG_REGISTRY,
+    MASK_AGGS,
     MaskAggSpec,
     MetaComparison,
     Predicate,
@@ -393,7 +393,7 @@ class _Planner:
             if len(set(mask_aggs)) != 1:
                 raise PlanError("only one mask aggregate per query is supported")
             call = mask_aggs[0]
-            factory = MASK_AGG_REGISTRY.get(call.name)
+            factory = MASK_AGGS.get(call.name)
             if factory is None:
                 raise PlanError(f"unknown mask aggregate {call.name!r}")
             args = () if call.threshold is None else (call.threshold,)

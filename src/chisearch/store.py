@@ -96,14 +96,6 @@ class Roi:
         if self.x2 > width or self.y2 > height:
             raise RoiOutOfBounds(f"{self!r} exceeds mask {width}x{height}")
 
-    def contains(self, other: "Roi") -> bool:
-        return (
-            self.x1 <= other.x1
-            and self.y1 <= other.y1
-            and other.x2 <= self.x2
-            and other.y2 <= self.y2
-        )
-
 
 def f32_at_or_above(values) -> np.ndarray:
     """Each value rounded up to the nearest float32.
@@ -137,8 +129,6 @@ class ValueRange:
         """``lo`` and ``hi`` rounded up to float32 (see ``f32_at_or_above``)."""
         return f32_at_or_above([self.lo, self.hi])
 
-
-FULL_RANGE = ValueRange(PIXEL_MIN, PIXEL_MAX)
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 

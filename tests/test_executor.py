@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from chisearch.bounds import BinOp, CpTerm
+from chisearch.bounds import AreaTerm, BinOp, CpTerm
 from chisearch.chi import ChiConfig, IndexStore
 from chisearch.executor import (
     AggSpec,
@@ -225,18 +225,56 @@ def test_verify_all_flag_warns_and_matches(engines):
     assert r.rows == oracle.execute(filter_plan(ids, 130)).rows
 
 
-def test_boolean_and_metadata_dispatch(engines):
+def _record_loads(store, monkeypatch) -> list:
+    """The id of every mask read from ``store`` from now on, in order."""
+    loaded = []
+    get_mask = store.get_mask
+
+    def recording(m, out=None, rows=None):
+        loaded.append(m)
+        return get_mask(m, out=out, rows=rows)
+
+    monkeypatch.setattr(store, "get_mask", recording)
+    return loaded
+
+
+def test_boolean_and_metadata_dispatch(engines, monkeypatch):
+    """A count OR a metadata comparison, in either child order, gives the
+    full scan's rows in every mode, and reads exactly the masks whose count
+    the CP leaf evaluates: those neither their bracket (indexed mode) nor,
+    before it, the metadata leaf decides. Answers never read count as
+    accepted directly."""
     store, eng, oracle = engines
     ids = store.mask_ids()
-    node = BoolOp(
-        "or",
-        (
-            CpComparison(Predicate(term(), ">", 150)),
-            MetaComparison("model_id", "=", (2,)),
-        ),
-    )
-    p = QueryPlan(ids, FilterSpec(node))
-    assert eng.execute(p).rows == oracle.execute(p).rows
+    cp = CpComparison(Predicate(term(), ">", 150))
+    meta = MetaComparison("model_id", "=", (2,))
+    model2 = {m for m in ids if store.get_meta(m).meta.model_id == 2}
+    counts = {m: count_pixels_loop(store.get_mask(m).pixels, ROI, VR.lo, VR.hi) for m in ids}
+    want = [(m,) for m in ids if m in model2 or counts[m] > 150]
+    undecided = set()
+    for m in ids:
+        lo, hi = bounds_of(eng.index_store.get_or_absent(m), ROI, VR)
+        if lo <= 150 < hi:
+            undecided.add(m)
+    loaded = _record_loads(store, monkeypatch)
+    for children in ((cp, meta), (meta, cp)):
+        plan = QueryPlan(ids, FilterSpec(BoolOp("or", children)))
+        cold = IndexStore(eng.index_store.config)
+        for e in (eng, oracle, Engine(store, cold, mode="incremental")):
+            loaded.clear()
+            r = e.execute(plan)
+            assert r.rows == want, (e.mode, children)
+            if e.mode == "indexed":
+                counted = undecided - model2
+            else:
+                counted = set(ids) - model2 if children[0] is meta else set(ids)
+            s = r.stats
+            assert sorted(loaded) == sorted(counted) and s.masks_loaded == len(counted), (
+                e.mode, children)
+            assert s.masks_accepted_directly == len({m for (m,) in want} - counted)
+            assert s.masks_pruned + s.masks_accepted_directly + s.masks_loaded == len(ids)
+            if e.mode == "incremental":
+                assert cold.mask_ids() == sorted(loaded)
 
 
 # -- top-k -----------------------------------------------------------------------
@@ -606,6 +644,9 @@ def test_incremental_builds_only_unseen(small_corpus):
 
 
 def test_incremental_aggregation_matches(small_corpus):
+    """Grouped queries give the oracle's rows, cold and warm. An aggregate
+    or a ranking of areas alone reads no mask in any mode, and the masks it
+    answers with (the members of the answered groups) count as accepted."""
     store, prebuilt = small_corpus
     ids = store.mask_ids()
     cold = IndexStore(prebuilt.config)
@@ -614,6 +655,33 @@ def test_incremental_aggregation_matches(small_corpus):
     oracle = Engine(store, mode="oracle")
     assert inc.execute(p).rows == oracle.execute(p).rows
     assert inc.execute(p).rows == oracle.execute(p).rows  # warm pass too
+    rng = np.random.default_rng(7)
+    area = AreaTerm(RoiBinding.per_mask({m: random_roi_in(rng, 24, 24) for m in ids}))
+    image_of = {m: store.get_meta(m).meta.image_id for m in ids}
+    engines = (
+        oracle,
+        Engine(store, prebuilt, mode="indexed"),
+        inc,
+        Engine(store, IndexStore(prebuilt.config), mode="incremental"),
+    )
+    for shape, n_rows in (
+        (AggSpec("image_id", ScalarAggSpec("AVG", area)), 20),
+        (AggSpec("image_id", ScalarAggSpec("SUM", area), None, True, 3), 3),
+        (TopKSpec(area, 3, True), 3),
+    ):
+        plan = QueryPlan(ids, shape)
+        want = oracle.execute(plan).rows
+        assert len(want) == n_rows
+        keys = {key for key, _ in want}
+        answered = [m for m in ids if (m if isinstance(shape, TopKSpec) else image_of[m]) in keys]
+        for eng in engines:
+            r = eng.execute(plan)
+            assert r.rows == want, (eng.mode, shape)
+            assert r.stats.masks_loaded == 0, (eng.mode, shape)
+            assert r.stats.masks_accepted_directly == len(answered), (eng.mode, shape)
+            assert r.stats.masks_pruned == len(ids) - len(answered)
+    assert cold.mask_ids() == ids
+    assert engines[3].index_store.mask_ids() == []
 
 
 # -- reused pixel buffers ---------------------------------------------------------------

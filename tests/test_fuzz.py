@@ -203,10 +203,10 @@ def test_engines_match_oracle_row_for_row(seed, cell_width, cell_height, bins):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_every_mode_reads_at_most_the_targeted_masks(seed):
-    """Each engine reads a mask where it first counts it, or when the query
-    closes if it set the mask aside and never counted it. Every mode gives
-    the oracle's rows and reads no more pixel bytes than the whole masks
-    the query targets."""
+    """Each engine reads a mask where one of its counts is first needed, and
+    never reads a mask none of whose counts is needed. Every mode gives the
+    oracle's rows and reads no more pixel bytes than the whole masks the
+    query targets."""
     rng = np.random.default_rng(seed)
     cfg = ChiConfig(int(rng.integers(2, 10)), int(rng.integers(2, 10)), 4)
     records = _corpus(rng, cfg)
