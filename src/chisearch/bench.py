@@ -37,7 +37,7 @@ from .executor import (
     TopKSpec,
 )
 from .bounds import CpTerm
-from .store import MaskStore, Roi, RoiBinding, RoiTable, ValueRange, load_roi_table
+from .store import MaskStore, Roi, RoiBinding, ValueRange
 from .corpus import random_roi
 
 MODES = ("indexed", "incremental", "oracle")
@@ -298,6 +298,3 @@ def _run_mode(store_dir, queries, mode, config, session_index_path):
         persist_index(index_store, session_index_path)
     return rows
 
-
-def load_workload_roi_table(store_dir: str | Path) -> RoiTable:
-    return load_roi_table(Path(store_dir) / "rois.tsv")

@@ -372,15 +372,6 @@ class IndexStore:
         """Every block, one per indexed mask size."""
         return list(self._blocks.values())
 
-    def get_or_absent(self, mask_id: int) -> ChiIndex | None:
-        """A copy of the mask's index, or None when it has not been built yet."""
-        for block in self.blocks():
-            row = block.find(mask_id)
-            if row >= 0:
-                counts = block.counts[row, :-1].copy()
-                return ChiIndex(mask_id, block.width, block.height, self.config, counts)
-        return None
-
     def has(self, mask_ids: Sequence[int]) -> np.ndarray:
         """Boolean array: which of ``mask_ids`` have an index."""
         ids = np.asarray(mask_ids, dtype=np.int64)

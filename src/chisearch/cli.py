@@ -48,9 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("index", help="build the index file for a store")
     b.add_argument("store_dir")
     b.add_argument("--out", required=True)
-    b.add_argument("--bins", type=int, default=16)
-    b.add_argument("--cell-width", type=int, default=28)
-    b.add_argument("--cell-height", type=int, default=28)
+    _add_config_flags(b, warm_start=False)
 
     q = sub.add_parser("query", help="run one query")
     q.add_argument("store_dir")
@@ -63,13 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--query-file", help="read the query from a file")
     q.add_argument("--rois", help="per-mask roi table for 'object' (default: store's rois.tsv)")
     q.add_argument("--stats-json", help="write ExecStats JSON here instead of stderr")
-    _add_config_flags(q)
+    _add_config_flags(q, warm_start=True)
 
     r = sub.add_parser("repl", help="interactive query loop with incremental indexing")
     r.add_argument("store_dir")
     r.add_argument("--index", help="warm-start index file; also the :persist default")
     r.add_argument("--rois")
-    _add_config_flags(r)
+    _add_config_flags(r, warm_start=True)
 
     w = sub.add_parser("bench", help="run a generated multi-query workload")
     w.add_argument("store_dir")
@@ -80,19 +78,22 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--types", default="filter", help="comma list of filter,topk,aggregation")
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--k", type=int, default=25)
-    w.add_argument("--bins", type=int, default=16)
-    w.add_argument("--cell-width", type=int, default=28)
-    w.add_argument("--cell-height", type=int, default=28)
+    _add_config_flags(w, warm_start=False)
     w.add_argument("--out-dir", required=True, help="report TSV + JSON go here")
     w.add_argument("--session-index", help="persist the incremental session index here")
     return p
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """The index flags of a session that may warm-start from an --index file."""
-    p.add_argument("--bins", type=int, help="default 16, or the --index file's")
-    p.add_argument("--cell-width", type=int, help="default 28, or the --index file's")
-    p.add_argument("--cell-height", type=int, help="default 28, or the --index file's")
+def _add_config_flags(p: argparse.ArgumentParser, *, warm_start: bool) -> None:
+    """--bins, --cell-width and --cell-height, defaulting to DEFAULT_CONFIG's.
+    In a session that may warm-start from an --index file they stay None
+    unless given, so that the file's config stands."""
+    for name in ("bins", "cell_width", "cell_height"):
+        default, flag = getattr(DEFAULT_CONFIG, name), "--" + name.replace("_", "-")
+        if warm_start:
+            p.add_argument(flag, type=int, help=f"default {default}, or the --index file's")
+        else:
+            p.add_argument(flag, type=int, default=default, help=f"default {default}")
 
 
 def _cmd_gen(args) -> int:

@@ -50,9 +50,11 @@ from .store import (
     MAX_PIXEL,
     PIXEL_DTYPE,
     DimensionMismatch,
+    ManifestEntry,
     MaskMeta,
     MaskRecord,
     MaskStore,
+    Roi,
     StoreError,
     cp_exact,
     f32_at_or_above,
@@ -232,13 +234,6 @@ class MaskAggregate:
         if self.kind == "intersect":
             return np.where(acc, np.float32(MAX_PIXEL), np.float32(0.0))
         return acc
-
-    def apply(self, stack: np.ndarray) -> np.ndarray:
-        """The pseudo-mask of the masks stacked along the first axis."""
-        acc = None
-        for pixels in stack:
-            acc = self.fold(acc, pixels)
-        return self.finish(acc)
 
 
 # The query language's MASK_AGG constructors, by upper-case name.
@@ -743,29 +738,6 @@ class Engine:
             return [key_name], [(key,) for _, key in ranked]
         return [key_name, value_name], [(key, v) for v, key in ranked]
 
-    def warm_mask_agg_cache(self, plan: QueryPlan) -> int:
-        """Build the aggregated-mask indexes for a grouped plan ahead of time.
-
-        Pseudo-mask indexes can be built before measured runs, exactly like
-        per-mask indexes; without this, the first execution of a mask
-        aggregation pays one full materialization per group. Returns the
-        number of groups indexed.
-        """
-        spec = plan.shape
-        if not isinstance(spec, AggSpec) or not isinstance(spec.value, MaskAggSpec):
-            raise ExecError("plan has no mask aggregation to warm")
-        groups = self._groups(sorted(plan.target_ids), spec.group_key)
-        built = 0
-        for key in sorted(groups):
-            members = groups[key]
-            fp = self._agg_fingerprint(spec.value, members)
-            if fp in self._agg_chi_cache:
-                continue
-            pseudo = self._materialize_group(_QueryCtx(self), spec.value, key, members)
-            self._agg_chi_cache[fp] = ChiBlock.of(build_chi(pseudo, self.index_store.config))
-            built += 1
-        return built
-
     def _groups(self, targets: list[int], group_key: str) -> dict[int, list[int]]:
         """Ascending ``targets`` split by their ``group_key`` column, each
         group's members in ascending order."""
@@ -818,7 +790,7 @@ class Engine:
             raise DimensionMismatch(f"group {key} mixes mask dimensions {dims}")
         acc = None
         for m in members:
-            acc = spec.agg.fold(acc, ctx.read(m).pixels)
+            acc = spec.agg.fold(acc, ctx.read(self.store.get_meta(m)).pixels)
         width, height = dims.pop()
         return MaskRecord(MaskMeta(members[0], key, 0, 0), width, height, spec.agg.finish(acc))
 
@@ -882,9 +854,9 @@ class _QueryCtx:
     Every load happens on the thread that executes the query, where a
     count of the mask is first needed; a mask none of whose counts is
     needed is never read. In incremental mode a load of a mask without an
-    index builds its index. A load reads the rows of the mask that the
-    plan's count terms cover, their union taken up front, into the engine's
-    hot buffer for the mask's size, and counts every term there at once,
+    index builds its index. A load resolves each of the plan's count terms'
+    rois on the mask once, reads the union of their rows into the engine's
+    hot buffer for the mask's size, and counts every term there on its roi,
     while the rows are still in cache. The query keeps only the counts, one
     per term, so a mask is read at most once and no pixels outlive their
     load. A term that cannot be counted on a mask (its roi is missing or
@@ -909,29 +881,16 @@ class _QueryCtx:
             j = self._slot[id(t)] = slots.setdefault((id(t.roi), t.rng), len(slots))
             if j == len(self.terms):
                 self.terms.append(t)
-        self._bindings = {id(t.roi): t.roi for t in self.terms or ()}.values()
 
-    def _rows_to_read(self, mask_id: int, height: int) -> tuple[int, int] | None:
-        """The smallest row span covering every count term's roi on the
-        mask, or None (the whole mask) when no term binds it one."""
-        y1, y2 = height, 0
-        for binding in self._bindings:
-            span = binding.row_span(mask_id, height)
-            if span is not None and span[0] < span[1]:
-                y1, y2 = min(y1, span[0]), max(y2, span[1])
-        return (y1, y2) if y1 < y2 else None
-
-    def read(self, mask_id: int) -> MaskRecord:
-        """Load ``mask_id`` into the calling thread's hot buffer, counted as
-        loaded with no counts yet. The record is valid until the thread's
-        next read of a mask of that size."""
-        engine = self.engine
-        entry = engine.store.get_meta(mask_id)
+    def read(self, entry: ManifestEntry, rows: tuple[int, int] | None = None) -> MaskRecord:
+        """Load rows ``rows`` (None: all) of ``entry``'s mask into the calling
+        thread's hot buffer, counted as loaded with no counts yet. The record
+        is valid until the thread's next read of a mask of that size."""
+        engine, mask_id = self.engine, entry.mask_id
         # A mask indexed on the spot is read whole: its index counts every pixel.
         build = engine.mode == "incremental" and mask_id not in engine.index_store
-        rows = None if build else self._rows_to_read(mask_id, entry.height)
         buf = engine._hot_buffer(entry.height, entry.width)
-        rec = engine.store.get_mask(mask_id, out=buf, rows=rows)
+        rec = engine.store.get_mask(mask_id, out=buf, rows=None if build else rows)
         if build:
             engine.index_store.insert(build_chi(rec, engine.index_store.config))
         self.counts[mask_id] = []
@@ -939,14 +898,31 @@ class _QueryCtx:
         return rec
 
     def load(self, mask_id: int) -> list:
-        """Read ``mask_id`` and count every term of the plan on it."""
-        rec = self.read(mask_id)
-        counts = []
-        for t in self.terms or ():
+        """Read ``mask_id`` and count every term of the plan on it. Each
+        term's roi is resolved once: the load reads the union of their rows,
+        each clipped to the mask's height (all rows when none resolves), and
+        counts each term on its roi."""
+        entry = self.engine.store.get_meta(mask_id)
+        height, terms = entry.height, self.terms or ()
+        rois, y1, y2 = [], height, 0
+        for t in terms:
             try:
-                counts.append(cp_exact(rec, t.roi.resolve(mask_id, rec.width, rec.height), t.rng))
+                roi = t.roi.resolve(mask_id, entry.width, height)
             except StoreError as e:
-                counts.append(e)
+                roi = e
+            else:
+                if roi.y1 < height:  # a roi wholly below the mask adds no rows
+                    y1, y2 = min(y1, roi.y1), max(y2, min(roi.y2, height))
+            rois.append(roi)
+        rec = self.read(entry, (y1, y2) if y1 < y2 else None)
+        counts = []
+        for t, roi in zip(terms, rois):
+            if isinstance(roi, Roi):  # else the error resolving it raised
+                try:
+                    roi = cp_exact(rec, roi, t.rng)
+                except StoreError as e:
+                    roi = e
+            counts.append(roi)
         self.counts[mask_id] = counts
         return counts
 

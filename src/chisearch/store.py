@@ -224,16 +224,6 @@ class RoiBinding:
             raise MissingRoiBinding(f"no roi bound for mask {mask_id}")
         return roi
 
-    def row_span(self, mask_id: int, height: int) -> tuple[int, int] | None:
-        """Rows y1, y2 of the roi bound to ``mask_id``, clipped to a mask
-        ``height`` rows tall, or None when the table binds it none."""
-        if self.kind == self._FULL:
-            return 0, height
-        roi = self._roi if self.kind == self._CONSTANT else self.table.get(mask_id)
-        if roi is None:
-            return None
-        return min(roi.y1, height), min(roi.y2, height)
-
     def resolve_many(
         self, mask_ids: Sequence[int], widths: np.ndarray, heights: np.ndarray
     ) -> np.ndarray:

@@ -22,7 +22,8 @@ from chisearch.bounds import (
     _sum_in_order,
     cp_bounds,
 )
-from chisearch.chi import ChiBlock, ChiConfig, IndexStore, build_chi, grid_boundaries
+from chisearch.chi import ChiBlock, ChiConfig, ChiIndex, IndexStore, build_chi, grid_boundaries
+from chisearch.executor import MaskAggregate
 from chisearch.store import MaskMeta, MaskRecord, MaskStore, Roi, RoiBinding, ValueRange
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -134,6 +135,26 @@ def exact_scalar_agg(agg: str, values: Sequence[float]) -> float:
     if agg == "MAX":
         return max(values)
     raise NonMonotoneOperator(f"unknown scalar aggregate {agg!r}")
+
+
+def index_of(store: IndexStore, mask_id: int) -> ChiIndex | None:
+    """A copy of ``mask_id``'s index, out of its row in ``store``'s block of
+    its size, or None when ``store`` has not indexed it."""
+    for block in store.blocks():
+        row = block.find(mask_id)
+        if row >= 0:
+            counts = block.counts[row, :-1].copy()
+            return ChiIndex(mask_id, block.width, block.height, store.config, counts)
+    return None
+
+
+def stacked_pseudo_mask(agg: MaskAggregate, stack: np.ndarray) -> np.ndarray:
+    """The pseudo-mask of the masks stacked along the first axis of
+    ``stack``: ``agg`` folded over them in order, then finished."""
+    acc = None
+    for pixels in stack:
+        acc = agg.fold(acc, pixels)
+    return agg.finish(acc)
 
 
 def bounds_of(index, roi: Roi, vr: ValueRange) -> tuple[int, int]:

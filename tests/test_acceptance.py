@@ -22,7 +22,7 @@ from chisearch.planner import plan
 from chisearch.sql import parse
 from chisearch.store import MaskStore, Roi, ValueRange, cp_exact, load_roi_table
 
-from conftest import bounds_of, build_index, random_range, random_roi_in, record
+from conftest import bounds_of, build_index, index_of, random_range, random_roi_in, record
 
 BIG_CONFIG = ChiConfig(28, 28, 16)
 SWEEP_CONFIGS = tuple(
@@ -177,9 +177,9 @@ def test_criterion_4_regression_suite(corpus224):
     for name, text in TABLE2_QUERIES.items():
         p = plan(parse(text), store, rois)
         if name == "Q5":
-            # Aggregated-mask indexes are built ahead of the measured run,
-            # matching the pre-built-index benchmark protocol.
-            eng.warm_mask_agg_cache(p)
+            # A first run builds the aggregated-mask indexes, as per-mask
+            # indexes are built ahead of the measured run.
+            eng.execute(p)
         r1 = eng.execute(p)
         r2 = oracle.execute(plan(parse(text), store, rois))
         assert r1.rows == r2.rows, name
@@ -195,9 +195,9 @@ def test_criterion_5_index_sizing(corpus224, tmp_path):
     store_dir, store, index, _ = corpus224
     assert (store_dir / "masks.bin").stat().st_size == 6 + 2000 * 224 * 224 * 4
     for mid in (1, 500, 2000):
-        assert index.get_or_absent(mid).payload_bytes == 2 * 16 * 8 * 8 == 2048
+        assert index_of(index, mid).payload_bytes == 2 * 16 * 8 * 8 == 2048
     single = IndexStore(BIG_CONFIG)
-    single.insert(index.get_or_absent(1))
+    single.insert(index_of(index, 1))
     path = tmp_path / "one.chi"
     persist_index(single, path)
     header, section, per_mask_id = 6 + 32, 16, 8

@@ -35,6 +35,7 @@ from conftest import (
     corner_counts,
     count_pixels_loop,
     index_file_bytes,
+    index_of,
     record,
     region_hist_loop,
     roi_array,
@@ -486,7 +487,7 @@ def test_persist_load_roundtrip_bit_exact(tmp_path):
     assert loaded.config == store.config
     assert loaded.mask_ids() == store.mask_ids()
     for mid in store.mask_ids():
-        assert np.array_equal(loaded.get_or_absent(mid).counts, store.get_or_absent(mid).counts)
+        assert np.array_equal(index_of(loaded, mid).counts, index_of(store, mid).counts)
     # Writing the loaded store again reproduces the same bytes.
     path2 = tmp_path / "idx2.chi"
     persist_index(loaded, path2)
@@ -612,7 +613,7 @@ def test_persist_writes_v3_sections_from_block_rows(tmp_path):
         loaded = load_index(path)
         assert loaded.mask_ids() == sorted(sizes) and len(loaded) == len(builds)
         for idx in builds:
-            assert np.array_equal(loaded.get_or_absent(idx.mask_id).counts, idx.counts)
+            assert np.array_equal(index_of(loaded, idx.mask_id).counts, idx.counts)
         persist_index(loaded, tmp_path / "again.chi")
         assert (tmp_path / "again.chi").read_bytes() == expected
 
@@ -631,7 +632,7 @@ def test_load_rejects_a_record_id_past_int64(tmp_path):
 def test_load_refuses_a_v1_file_and_says_to_rebuild(tmp_path):
     store = _store_with_masks()
     path = tmp_path / "v1.chi"
-    builds = [store.get_or_absent(m) for m in store.mask_ids()]
+    builds = [index_of(store, m) for m in store.mask_ids()]
     path.write_bytes(index_file_bytes(store.config, builds, version=1))
     with pytest.raises(CorruptIndex, match=r"version 1\b.*rebuild"):
         load_index(path)
@@ -642,7 +643,7 @@ def test_load_refuses_a_ten_bin_v2_file_and_says_to_rebuild(tmp_path):
     # ulp, so its counts cannot be read against today's edges.
     store = _store_with_masks(cfg=ChiConfig(4, 4, 10))
     path = tmp_path / "v2.chi"
-    builds = [store.get_or_absent(m) for m in store.mask_ids()]
+    builds = [index_of(store, m) for m in store.mask_ids()]
     path.write_bytes(index_file_bytes(store.config, builds, version=2))
     with pytest.raises(CorruptIndex, match=r"version 2\b.*rebuild"):
         load_index(path)
@@ -693,7 +694,7 @@ def test_load_rejects_a_count_a_uint16_block_would_wrap(tmp_path):
         with pytest.raises(CorruptIndex, match=message):
             load_index(path)
     path.write_bytes(index_file_bytes(cfg, [good]))
-    assert np.array_equal(load_index(path).get_or_absent(3).counts, good.counts)
+    assert np.array_equal(index_of(load_index(path), 3).counts, good.counts)
 
 
 def test_load_rejects_sections_out_of_order_or_sharing_ids(tmp_path):
@@ -765,7 +766,7 @@ def test_an_id_indexed_at_one_size_is_refused_at_another():
 def test_persist_fsyncs_directory_after_rename(tmp_path, monkeypatch):
     store = _store_with_masks()
     path = tmp_path / "idx.chi"
-    expected = index_file_bytes(store.config, [store.get_or_absent(m) for m in store.mask_ids()])
+    expected = index_file_bytes(store.config, [index_of(store, m) for m in store.mask_ids()])
 
     synced = []  # (is a directory, target in place, temp files left)
     real_fsync = os.fsync
@@ -819,16 +820,16 @@ def test_merge_folds_block_by_block_last_write_wins():
     assert {m: dst.block(17, 9).find(m) for m in (1, 2, 3, 4)} == before
     assert dst.block(17, 9).n == 7 and dst.block(5, 5).n == 1
     for idx in incoming:
-        assert np.array_equal(dst.get_or_absent(idx.mask_id).counts, idx.counts)
+        assert np.array_equal(index_of(dst, idx.mask_id).counts, idx.counts)
 
     clash = IndexStore(cfg)
     clash.insert(build(30, 17, 9))
     clash.insert(build(20, 6, 6))  # 20 is 8x8 in dst
-    snapshot = {m: dst.get_or_absent(m).counts.copy() for m in dst.mask_ids()}
+    snapshot = {m: index_of(dst, m).counts.copy() for m in dst.mask_ids()}
     with pytest.raises(ChiError, match="mask 20 is indexed as 8x8, not 6x6"):
         merge_index(dst, clash)
     assert 30 not in dst and (6, 6) not in {(b.width, b.height) for b in dst.blocks()}
-    assert all(np.array_equal(dst.get_or_absent(m).counts, c) for m, c in snapshot.items())
+    assert all(np.array_equal(index_of(dst, m).counts, c) for m, c in snapshot.items())
 
 
 def test_insert_refuses_config_mismatch():
@@ -840,13 +841,15 @@ def test_insert_refuses_config_mismatch():
 
 
 def test_get_or_absent():
+    """An inserted index reads back whole from its block row (through the
+    tests' ``index_of``), and an absent one reads as None."""
     cfg = ChiConfig(4, 4, 3)
     store = IndexStore(cfg)
-    assert store.get_or_absent(1) is None
+    assert index_of(store, 1) is None
     rng = np.random.default_rng(0)
     idx = build_chi(record(rng.random((8, 8), dtype=np.float32), mask_id=1), cfg)
     store.insert(idx)
-    got = store.get_or_absent(1)
+    got = index_of(store, 1)
     assert (got.mask_id, got.width, got.height, got.config) == (1, 8, 8, cfg)
     assert got.counts.dtype == np.uint16 and np.array_equal(got.counts, idx.counts)
     assert 1 in store and 2 not in store

@@ -5,13 +5,13 @@ import struct
 import numpy as np
 import pytest
 
-from chisearch.cli import EXIT_IO_ERROR, main
+from chisearch.cli import DEFAULT_CONFIG, EXIT_IO_ERROR, _build_parser, main
 from chisearch.chi import CHI_MAGIC, ChiConfig, load_index, persist_index
 from chisearch.corpus import generate_corpus
 from chisearch.executor import Engine
 from chisearch.store import MaskStore, Roi, ValueRange, cp_exact, load_roi_table
 
-from conftest import build_index, build_store, index_file_bytes, record
+from conftest import build_index, build_store, index_file_bytes, index_of, record
 
 GEN = ["--count", "24", "--width", "32", "--height", "32", "--seed", "11"]
 IDX = ["--bins", "8", "--cell-width", "8", "--cell-height", "8"]
@@ -79,12 +79,32 @@ def test_edge_corpus_concentrates_mass_at_borders(tmp_path):
     store.close()
 
 
+def test_index_flag_defaults_are_the_default_config(capsys):
+    """`index` and `bench` default to DEFAULT_CONFIG; `query` and `repl`
+    leave the flags unset, so a warm-start file's config stands, and name
+    DEFAULT_CONFIG's values in their help."""
+    parser = _build_parser()
+    for argv in (["index", "s", "--out", "o"], ["bench", "s", "--out-dir", "o"]):
+        args = parser.parse_args(argv)
+        assert ChiConfig(args.cell_width, args.cell_height, args.bins) == DEFAULT_CONFIG
+    for argv in (["query", "s"], ["repl", "s"]):
+        args = parser.parse_args(argv)
+        assert (args.bins, args.cell_width, args.cell_height) == (None, None, None)
+    for command in ("index", "query", "repl", "bench"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for name in ("bins", "cell_width", "cell_height"):
+            flag = f"--{name.replace('_', '-')} {name.upper()}"
+            assert f"{flag} default {getattr(DEFAULT_CONFIG, name)}" in text, (command, flag)
+
+
 def test_index_command_reports_ratio_and_sizes(corpus, capsys, tmp_path):
     d, idx = corpus
     store = load_index(idx)
     # 32x32 masks with 8x8 cells and 8 bins: 2*8*4*4 bytes per mask.
     for mid in store.mask_ids():
-        assert store.get_or_absent(mid).payload_bytes == 2 * 8 * 4 * 4
+        assert index_of(store, mid).payload_bytes == 2 * 8 * 4 * 4
 
 
 def test_index_command_reads_into_one_buffer_per_mask_size(tmp_path, capsys, monkeypatch):
@@ -284,7 +304,7 @@ def test_query_refuses_a_v1_index_and_leaves_it_as_it_was(corpus, capsys, tmp_pa
     d, idx = corpus
     index = load_index(idx)
     v1 = tmp_path / "v1.chi"
-    builds = [index.get_or_absent(m) for m in index.mask_ids()]
+    builds = [index_of(index, m) for m in index.mask_ids()]
     v1.write_bytes(index_file_bytes(index.config, builds, version=1))
     before = v1.read_bytes()
     for flags in (["--index", str(v1)], ["--incremental", "--index", str(v1)]):

@@ -43,10 +43,12 @@ from conftest import (
     build_index,
     build_store,
     count_pixels_loop,
+    index_of,
     random_range,
     random_roi_in,
     record,
     roi_array,
+    stacked_pseudo_mask,
     two_candidate_bounds,
 )
 
@@ -180,7 +182,7 @@ def test_missing_index_raises(small_corpus):
     store, index = small_corpus
     partial = IndexStore(index.config)
     for mid in store.mask_ids()[:10]:
-        partial.insert(index.get_or_absent(mid))
+        partial.insert(index_of(index, mid))
     eng = Engine(store, partial, mode="indexed")
     with pytest.raises(MissingIndex):
         eng.execute(filter_plan(store.mask_ids(), 130))
@@ -253,7 +255,7 @@ def test_boolean_and_metadata_dispatch(engines, monkeypatch):
     want = [(m,) for m in ids if m in model2 or counts[m] > 150]
     undecided = set()
     for m in ids:
-        lo, hi = bounds_of(eng.index_store.get_or_absent(m), ROI, VR)
+        lo, hi = bounds_of(index_of(eng.index_store, m), ROI, VR)
         if lo <= 150 < hi:
             undecided.add(m)
     loaded = _record_loads(store, monkeypatch)
@@ -442,7 +444,7 @@ def test_topk_early_stop_loads_shortest_bound_prefix(engines, monkeypatch):
         sign = 1 if desc else -1
         bound_key = {}
         for m in ids:
-            lo, hi = bounds_of(eng.index_store.get_or_absent(m), roi, vr)
+            lo, hi = bounds_of(index_of(eng.index_store, m), roi, vr)
             bound_key[m] = (sign * (hi if desc else lo), -m)
         prefix: list[int] = []
         for m in sorted(ids, key=bound_key.get, reverse=True):
@@ -553,7 +555,7 @@ def test_intersect_threshold_compares_pixels_exactly(tmp_path, t):
     row = [np.nextafter(at, np.float32(0)), at, np.nextafter(at, np.float32(1))]
     above = [float(p) > t for p in row]  # float32(0.3) lies above 0.3; float32(0.5) does not
     assert above == [False, t == 0.3, True]
-    hit = MaskAggregate("intersect", t).apply(np.array([row, row], np.float32))
+    hit = stacked_pseudo_mask(MaskAggregate("intersect", t), np.array([row, row], np.float32))
     assert (hit > 0).tolist() == above
     pixels = np.array([row * 2] * 2, np.float32)  # a 6x2 mask, each row twice over
     store = build_store(tmp_path / "s", [record(pixels, mask_id=m, model_id=m) for m in (1, 2)])
@@ -596,7 +598,7 @@ def test_mask_aggregate_fold_is_bit_identical_to_stacking(engines):
             got = e._materialize_group(_QueryCtx(e), spec, 1, members[::-1])
             assert got.pixels.dtype == np.float32 and got.mask_id == members[0]
             assert got.pixels.tobytes() == pixels.tobytes(), (kind, e.mode)
-        assert MaskAggregate(kind, 0.5).apply(stack).tobytes() == pixels.tobytes()
+        assert stacked_pseudo_mask(MaskAggregate(kind, 0.5), stack).tobytes() == pixels.tobytes()
 
 
 # -- incremental mode ------------------------------------------------------------------
@@ -834,7 +836,7 @@ def _roi_engines(store, index):
     every index, so both bracket through the vectorised roi lookup."""
     warm = IndexStore(index.config)
     for m in index.mask_ids():
-        warm.insert(index.get_or_absent(m))
+        warm.insert(index_of(index, m))
     return Engine(store, index, mode="indexed"), Engine(store, warm, mode="incremental")
 
 
@@ -886,11 +888,16 @@ def test_roi_past_the_mask_edge_raises_in_vectorised_path(small_corpus, binding)
 
 
 @pytest.mark.parametrize("mode", ["oracle", "indexed", "incremental"])
-def test_count_errors_raise_only_where_the_count_is_used(engines, mode):
+def test_count_errors_raise_only_where_the_count_is_used(engines, monkeypatch, mode):
     """Every term is counted at read, but a term that cannot be counted on a
     mask raises only where a query uses that count, as a full scan would.
     The indexed and incremental engines get verify-all plans, so that they
-    decide every mask on the batched verify path."""
+    decide every mask on the batched verify path.
+
+    Each load reads the union of the rows of the rois that resolve on the
+    mask, each clipped to the mask's height: rows 3..21 for ``everywhere``,
+    2..20 for ``missing`` (except on mask 7, which it binds no roi) and
+    20..24 for ``outside``, whose roi reaches a row past the mask."""
     store, indexed, _ = engines
     index = {"oracle": None, "indexed": indexed.index_store,
              "incremental": IndexStore(indexed.index_store.config)}[mode]
@@ -900,16 +907,34 @@ def test_count_errors_raise_only_where_the_count_is_used(engines, mode):
     everywhere = CpComparison(Predicate(term(), ">", -1))
     missing = CpTerm(RoiBinding.per_mask({m: Roi(2, 2, 20, 20) for m in ids if m != 7}), VR)
     outside = CpTerm(RoiBinding.constant(Roi(0, 20, 10, 25)), VR)  # masks are 24x24
-    for bad, error in ((missing, MissingRoiBinding), (outside, RoiOutOfBounds)):
+    spans = _record_spans(store, monkeypatch)
+
+    def bytes_of(read):
+        return sum((24 if s is None else s[1] - s[0]) * 24 * 4 for s in read)
+
+    for bad, error, read, raised_at in (
+        (missing, MissingRoiBinding, [(3, 21) if m == 7 else (2, 21) for m in ids], 7),
+        (outside, RoiOutOfBounds, [(3, 24)] * len(ids), 1),
+    ):
         unused = CpComparison(Predicate(bad, ">", 100))
         lazy = QueryPlan(ids, FilterSpec(BoolOp("or", (everywhere, unused))), verify_all=verify_all)
-        assert eng.execute(lazy).rows == [(m,) for m in ids]
+        spans.clear()
+        r = eng.execute(lazy)
+        assert r.rows == [(m,) for m in ids]
+        # A cold session's first query reads each mask whole, to index it.
+        want = [None] * len(ids) if mode == "incremental" and bad is missing else read
+        assert spans == want and r.stats.bytes_read == bytes_of(want)
         used = QueryPlan(ids, FilterSpec(BoolOp("or", (unused, everywhere))), verify_all=verify_all)
+        spans.clear()
         with pytest.raises(error):
             eng.execute(used)
+        assert spans == read[:raised_at]  # masks 1.. up to the first that raises
         first_only = QueryPlan(ids, FilterSpec(BoolOp("and", (
             CpComparison(Predicate(term(), "<", -1)), unused))), verify_all=verify_all)
-        assert eng.execute(first_only).rows == []
+        spans.clear()
+        r = eng.execute(first_only)
+        assert r.rows == []
+        assert spans == read and r.stats.bytes_read == bytes_of(read)
 
 
 @pytest.fixture()
