@@ -29,7 +29,6 @@ from .chi import (
 from .bounds import (
     AreaTerm,
     BinOp,
-    Bounds,
     Const,
     CpTerm,
     bound_scalar_agg,
@@ -59,7 +58,7 @@ from .corpus import generate_corpus
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggSpec", "AreaTerm", "BinOp", "BoolOp", "Bounds", "ChiBlock", "ChiConfig",
+    "AggSpec", "AreaTerm", "BinOp", "BoolOp", "ChiBlock", "ChiConfig",
     "ChiIndex", "Const", "CpComparison", "CpTerm", "Engine", "ExecStats",
     "FilterSpec", "IndexStore", "MaskAggSpec", "MaskAggregate", "MaskMeta",
     "MaskRecord", "MaskStore", "MetaComparison", "ParseError", "PlanError",

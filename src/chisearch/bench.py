@@ -6,11 +6,12 @@ set re-visits masks touched by earlier queries. Target sampling follows
 the seen/unseen pool scheme: draw the unseen share from the unseen pool
 until it runs dry, then fall back to seen-only sampling.
 
-The driver runs a workload under one or more engine modes and measures
-wall time and load counts per query. True cold-cache timing is not
-portably scriptable, so the store is reopened for every query as an
-approximation; absolute times are therefore indicative, while load counts
-are exact. Reports carry this caveat in their header.
+The driver runs a workload under one or more engine modes, each query in
+every mode in turn, and measures wall time and load counts per query.
+True cold-cache timing is not portably scriptable, so the store is
+reopened for every query as an approximation; absolute times are
+therefore indicative, while load counts are exact. Reports carry this
+caveat in their header.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .chi import ChiConfig, IndexStore, build_chi
+from .chi import ChiConfig, IndexStore, build_chi, persist_index
 from .executor import (
     AggSpec,
     CpComparison,
@@ -207,24 +208,35 @@ def run_workload(
     config: ChiConfig | None = None,
     session_index_path: str | Path | None = None,
 ) -> BenchReport:
-    """Run one workload under each mode; every query reopens the store."""
+    """Run one workload under each mode; every query reopens the store.
+
+    Each mode keeps its own engine, index store and running total, and the
+    modes take each query in turn, so a slow stretch of the host lands on
+    every mode alike rather than on one mode's total."""
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
     store_dir = Path(store_dir)
     report = BenchReport()
     report.summary["note"] = PAGE_CACHE_NOTE
     report.summary["modes"] = {}
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        # Collect now and freeze what survives, so the timed loop's
-        # collections scan only its own objects: a full collection of the
-        # caller's heap costs tens of ms, and where one lands would decide
-        # a mode's total.
-        gc.collect()
-        gc.freeze()
-        try:
-            rows = _run_mode(store_dir, queries, mode, config, session_index_path)
-        finally:
-            gc.unfreeze()
+    # Collect now and freeze what survives, so the timed loop's collections
+    # scan only its own objects: a full collection of the caller's heap
+    # costs tens of ms, and where one lands would decide a mode's total.
+    gc.collect()
+    gc.freeze()
+    try:
+        runs = [_ModeRun(store_dir, mode, config) for mode in modes]
+        for q in queries:
+            for run in runs:
+                run.query(q)
+        for run in runs:
+            if run.mode == "incremental" and session_index_path is not None:
+                persist_index(run.index_store, session_index_path)
+    finally:
+        gc.unfreeze()
+    for run in runs:
+        rows = run.rows
         report.rows.extend(rows)
         walls = [r.wall_s for r in rows if r.qid >= 0]
         loads = [r.masks_loaded for r in rows if r.qid >= 0]
@@ -239,7 +251,7 @@ def run_workload(
         if len(set(loads)) > 1 and len(set(walls)) > 1:
             rho = scipy_stats.spearmanr(loads, walls).statistic
             mode_summary["loads_time_rank_correlation"] = float(rho)
-        report.summary["modes"][mode] = mode_summary
+        report.summary["modes"][run.mode] = mode_summary
     pair = ("incremental", "indexed")
     if all(m in report.summary["modes"] for m in pair):
         inc = report.summary["modes"]["incremental"]["cumulative_s"]
@@ -251,50 +263,49 @@ def run_workload(
     return report
 
 
-def _run_mode(store_dir, queries, mode, config, session_index_path):
-    rows: list[BenchRow] = []
-    cumulative = 0.0
-    index_store = None
-    engine = None
-    if mode in ("indexed", "incremental"):
+class _ModeRun:
+    """One mode's engine, index store, rows and running total. Indexed mode
+    builds every mask's index up front, reported as a pseudo-row with qid -1."""
+
+    def __init__(self, store_dir: Path, mode: str, config: ChiConfig | None):
+        self.store_dir, self.mode = store_dir, mode
+        self.rows: list[BenchRow] = []
+        self.cumulative = 0.0
+        self.index_store = self.engine = None
+        if mode == "oracle":
+            return
         if config is None:
             raise ValueError(f"mode {mode!r} needs an index config")
-        index_store = IndexStore(config)
+        self.index_store = IndexStore(config)
         if mode == "indexed":
-            # Up-front index build; reported as a pseudo-row with qid -1.
             t0 = time.perf_counter()
             with MaskStore.open(store_dir) as store:
                 for mid in store.mask_ids():
-                    index_store.insert(build_chi(store.get_mask(mid), config))
+                    self.index_store.insert(build_chi(store.get_mask(mid), config))
             build_s = time.perf_counter() - t0
-            cumulative += build_s
-            rows.append(
-                BenchRow(-1, "index-build", "-", mode, 0, 0, 0, 0, 0.0, build_s, cumulative)
+            self.cumulative += build_s
+            self.rows.append(
+                BenchRow(-1, "index-build", "-", mode, 0, 0, 0, 0, 0.0, build_s, self.cumulative)
             )
-    for q in queries:
-        store = MaskStore.open(store_dir)
+
+    def query(self, q: WorkloadQuery) -> None:
+        store = MaskStore.open(self.store_dir)
         try:
-            if engine is None:
-                engine = Engine(store, index_store, mode=mode)
+            if self.engine is None:
+                self.engine = Engine(store, self.index_store, mode=self.mode)
             else:
-                engine.store = store
+                self.engine.store = store
             t0 = time.perf_counter()
-            result = engine.execute(q.plan)
+            result = self.engine.execute(q.plan)
             wall = time.perf_counter() - t0
         finally:
             store.close()
-        cumulative += wall
+        self.cumulative += wall
         s = result.stats
-        rows.append(
+        self.rows.append(
             BenchRow(
-                q.qid, q.qtype, q.digest, mode,
+                q.qid, q.qtype, q.digest, self.mode,
                 s.masks_targeted, s.masks_pruned, s.masks_accepted_directly,
-                s.masks_loaded, round(s.fml, 6), wall, cumulative,
+                s.masks_loaded, round(s.fml, 6), wall, self.cumulative,
             )
         )
-    if mode == "incremental" and session_index_path is not None:
-        from .chi import persist_index
-
-        persist_index(index_store, session_index_path)
-    return rows
-

@@ -15,7 +15,7 @@ carry slack, each its own.
 
 ``cp_bounds`` is the one bound kernel: it brackets many masks of one size
 at once, reading the per-cell rows of their ``ChiBlock``. An exact value
-is a bracket of width 0 through ``expr_bounds`` and ``bound_scalar_aggs``.
+is a bracket of width 0 through ``expr_bounds`` and ``bound_scalar_agg``.
 
 All functions here are pure: they only read their inputs and return
 fresh arrays. ``cp_bounds`` works in the calling thread's scratch buffers
@@ -42,18 +42,6 @@ class NonMonotoneOperator(ValueError):
 
 class EmptyGroup(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Bounds:
-    """Closed interval [lower, upper] guaranteed to contain the exact value."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"inverted bounds {self!r}")
 
 
 def cp_bounds(block: ChiBlock, rows: np.ndarray, rois: np.ndarray, rng: ValueRange):
@@ -248,28 +236,12 @@ def _sum_in_order(values):
     return reduce(operator.add, values, 0)
 
 
-def bound_scalar_agg(agg: str, items: Sequence[Bounds]) -> Bounds:
-    """Bracket a scalar aggregate of exact values given per-item brackets."""
-    if not items:
-        raise EmptyGroup(f"{agg} over an empty group")
-    agg = agg.upper()
-    lowers = [b.lower for b in items]
-    uppers = [b.upper for b in items]
-    if agg == "SUM":
-        return Bounds(_sum_in_order(lowers), _sum_in_order(uppers))
-    if agg == "AVG":
-        return Bounds(_sum_in_order(lowers) / len(items), _sum_in_order(uppers) / len(items))
-    if agg == "MIN":
-        return Bounds(min(lowers), min(uppers))
-    if agg == "MAX":
-        return Bounds(max(lowers), max(uppers))
-    raise NonMonotoneOperator(f"unknown scalar aggregate {agg!r}")
-
-
-def bound_scalar_aggs(agg: str, lowers: np.ndarray, uppers: np.ndarray, sizes: Sequence[int]):
-    """``bound_scalar_agg`` of many groups at once, bit for bit: group g's
-    items are the next ``sizes[g]`` of the float arrays ``lowers`` and
-    ``uppers``. Returns float arrays (lower, upper), one entry per group.
+def bound_scalar_agg(agg: str, lowers: np.ndarray, uppers: np.ndarray, sizes: Sequence[int]):
+    """Bracket a scalar aggregate (SUM, AVG, MIN or MAX) of exact values,
+    per group, from per-item brackets: group g's items are the next
+    ``sizes[g]`` of the float arrays ``lowers`` and ``uppers``. Returns
+    float arrays (lower, upper), one entry per group; a group of exact
+    items (zero width) gets its exact aggregate.
 
     A sum adds each group's items in order, as ``_sum_in_order`` does: row j
     of a zero-padded (largest size, groups) matrix holds every group's j-th

@@ -38,8 +38,7 @@ from . import bounds as bnd
 from .bounds import (
     CpTerm,
     Expr,
-    bound_scalar_agg,  # noqa: F401  (perfbench's tracer times it by this name)
-    bound_scalar_aggs,
+    bound_scalar_agg,
     cp_terms,
     expr_bounds,
 )
@@ -326,19 +325,27 @@ class Column:
 @dataclass(frozen=True)
 class ExprItem:
     name: str
-    expr: Expr
+    expr: Expr  # evaluated exactly on each result mask
 
 
-SelectItem = Union[Column, ExprItem]
+@dataclass(frozen=True)
+class Value:
+    """The ranked value of a top-k row, or the aggregate of a group."""
+
+    name: str
+
+
+SelectItem = Union[Column, ExprItem, Value]
 
 
 @dataclass
 class QueryPlan:
     target_ids: list[int]
     shape: Union[FilterSpec, TopKSpec, AggSpec]
+    # The result's columns, in order; None: the mask id, or the mask id or
+    # group key and the value.
     select: tuple[SelectItem, ...] | None = None
     verify_all: bool = False  # planner fallback when bounds cannot apply
-    label: str = ""
 
 
 @dataclass
@@ -416,9 +423,14 @@ class Engine:
         ctx = _QueryCtx(self, plan)
         targets = sorted(plan.target_ids)
         ctx.stats.masks_targeted = len(targets)
-        if isinstance(plan.shape, FilterSpec):
+        if plan.verify_all:
+            ctx.stats.warnings.append("not index-boundable; verifying all masks")
+        shape = plan.shape
+        if (shape.k if isinstance(shape, TopKSpec) else shape.limit) == 0:
+            return ctx.result(*self._render(ctx, plan, [], []), ctx.t_start)
+        if isinstance(shape, FilterSpec):
             return self._execute_filter(ctx, plan, targets)
-        if isinstance(plan.shape, TopKSpec):
+        if isinstance(shape, TopKSpec):
             return self._execute_topk(ctx, plan, targets)
         return self._execute_aggregation(ctx, plan, targets)
 
@@ -446,12 +458,6 @@ class Engine:
     # -- filter --------------------------------------------------------------
 
     def _execute_filter(self, ctx: "_QueryCtx", plan: QueryPlan, targets) -> QueryResult:
-        if plan.verify_all:
-            ctx.stats.warnings.append("predicate not index-boundable; verifying all masks")
-        if plan.shape.limit == 0:
-            columns, rows = self._render_filter_rows(ctx, plan, [])
-            return ctx.result(columns, rows, ctx.t_start)
-
         accepted: list[int] = []
         to_verify: list[int] = []
         if plan.shape.pred is None:
@@ -471,8 +477,7 @@ class Engine:
         result_ids = sorted(accepted + verified)
         if plan.shape.limit is not None:
             result_ids = result_ids[: plan.shape.limit]
-        columns, rows = self._render_filter_rows(ctx, plan, result_ids)
-        return ctx.result(columns, rows, t_filter, accepted + verified)
+        return ctx.result(*self._render(ctx, plan, result_ids), t_filter, accepted + verified)
 
     def _filter_verdicts(
         self, ctx: "_QueryCtx", node: PredNode, targets: list[int]
@@ -552,15 +557,28 @@ class Engine:
             lo, hi = np.full(n, lo), np.full(n, hi)
         return lo, hi
 
-    def _render_filter_rows(self, ctx, plan, result_ids):
-        items = plan.select or (Column("mask_id"),)
-        metas = [self.store.get_meta(m).meta for m in result_ids]
-        columns = [
-            self._brackets(ctx, it.expr, np.asarray(result_ids, dtype=np.int64))[0].tolist()
-            if isinstance(it, ExprItem)
-            else [getattr(meta, it.name) for meta in metas]
-            for it in items
-        ]
+    def _render(self, ctx: "_QueryCtx", plan: QueryPlan, keys, values=None):
+        """The result's column names and rows: one row per key of ``keys``,
+        its mask ids or group keys, with one entry per item of the SELECT
+        list. A ``Column`` gives the key itself or that mask's manifest
+        column, a ``Value`` the ranked or aggregate value in ``values``, and
+        an ``ExprItem`` its exact value on that mask."""
+        shape, items = plan.shape, _select_items(plan)
+        grouped = isinstance(shape, AggSpec)
+        key = shape.group_key if grouped else "mask_id"
+        ids = np.asarray(keys, dtype=np.int64)
+        columns = []
+        for it in items:
+            if isinstance(it, Value) and values is not None:
+                columns.append(values)
+            elif isinstance(it, Column) and it.name == key:
+                columns.append(ids.tolist())
+            elif isinstance(it, Column) and not grouped:
+                columns.append(self.store.columns[it.name][self.store.positions(ids)].tolist())
+            elif isinstance(it, ExprItem) and not grouped:
+                columns.append(self._brackets(ctx, it.expr, ids)[0].tolist())
+            else:
+                raise ExecError(f"{it!r} has no value in a {type(shape).__name__} result")
         return [it.name for it in items], list(zip(*columns))
 
     # -- top-k ---------------------------------------------------------------
@@ -568,10 +586,6 @@ class Engine:
     def _execute_topk(self, ctx: "_QueryCtx", plan: QueryPlan, targets) -> QueryResult:
         spec: TopKSpec = plan.shape
         k = min(len(targets) if spec.k is None else spec.k, len(targets))
-        if k == 0:
-            columns, rows = self._render_value_rows(plan, [])
-            return ctx.result(columns, rows, ctx.t_start)
-
         passed: set[int] = set()  # targets whose WHERE holds by its bracket alone
         candidates, has = targets, np.zeros(len(targets), dtype=bool)
         if not plan.verify_all:
@@ -596,8 +610,8 @@ class Engine:
             return float(self._brackets(ctx, spec.expr, at)[0][0])
 
         ranked = self._select_ranked(candidates, k, spec.descending, edges, exact)
-        columns, rows = self._render_value_rows(plan, ranked)
-        return ctx.result(columns, rows, t_filter, [m for _, m in ranked])
+        ids = [m for _, m in ranked]
+        return ctx.result(*self._render(ctx, plan, ids, [v for v, _ in ranked]), t_filter, ids)
 
     # -- ranked selection ------------------------------------------------------
 
@@ -642,38 +656,13 @@ class Engine:
                 heapq.heappushpop(heap, (sign * v, -i))
         return [(sign * sv, -ni) for sv, ni in sorted(heap, reverse=True)]
 
-    def _render_value_rows(self, plan, ranked):
-        """Rows for ranked (value, mask id) pairs."""
-        value_name = "value"
-        extra_cols: list[SelectItem] = []
-        if plan.select:
-            for it in plan.select:
-                if isinstance(it, ExprItem):
-                    value_name = it.name
-                else:
-                    extra_cols.append(it)
-        else:
-            extra_cols = [Column("mask_id")]
-        columns = [c.name for c in extra_cols] + [value_name]
-
-        def cell(c: Column, mask_id: int):
-            if c.name == "mask_id":
-                return mask_id
-            return getattr(self.store.get_meta(mask_id).meta, c.name)
-
-        return columns, [tuple(cell(c, m) for c in extra_cols) + (v,) for v, m in ranked]
-
     # -- aggregation -----------------------------------------------------------
 
     def _execute_aggregation(self, ctx: "_QueryCtx", plan: QueryPlan, targets) -> QueryResult:
         spec: AggSpec = plan.shape
-        if spec.limit == 0:
-            columns, rows = self._render_group_rows(plan, spec, [], True)
-            return ctx.result(columns, rows, ctx.t_start)
-
         groups = self._groups(targets, spec.group_key)
         keys = sorted(groups)
-        lowers, uppers = self._group_bounds(ctx, spec, groups, keys)
+        lowers, uppers = self._group_bounds(ctx, plan, groups, keys)
         t_filter = time.perf_counter()
 
         survivors, unknown = keys, []  # unknown: the having verdict needs exact values
@@ -682,8 +671,7 @@ class Engine:
             survivors = [k for k, v in zip(keys, verdicts.tolist()) if v == _TRUE]
             unknown = [k for k, v in zip(keys, verdicts.tolist()) if v == _UNKNOWN]
 
-        ranked_query = spec.limit is not None or spec.descending is not None
-        if not ranked_query:
+        if spec.limit is None and spec.descending is None:
             # Plain grouped output: resolve unknown having groups exactly.
             answered = list(survivors)
             if unknown:
@@ -691,15 +679,9 @@ class Engine:
                 verdicts = _having_verdicts(spec.having, v, v)
                 answered += [k for k, d in zip(unknown, verdicts.tolist()) if d == _TRUE]
             answered.sort()
-            if self._select_wants_value(plan):
-                ranked = [
-                    (self._group_exact(ctx, spec, key, groups[key]), key) for key in answered
-                ]
-                columns, rows = self._render_group_rows(plan, spec, ranked, True)
-            else:
-                columns, rows = self._render_group_rows(
-                    plan, spec, [(0.0, key) for key in answered], False
-                )
+            values = None
+            if any(isinstance(it, Value) for it in _select_items(plan)):
+                values = [self._group_exact(ctx, spec, key, groups[key]) for key in answered]
         else:
             descending = True if spec.descending is None else spec.descending
             k = spec.limit if spec.limit is not None else len(groups)
@@ -717,26 +699,10 @@ class Engine:
                 return v
 
             ranked = self._select_ranked(ranked_keys, k, descending, edges, exact)
-            columns, rows = self._render_group_rows(plan, spec, ranked, True)
-            answered = [key for _, key in ranked]
+            answered, values = [key for _, key in ranked], [v for v, _ in ranked]
         # Members of answered groups that were never loaded count as accepted.
-        return ctx.result(columns, rows, t_filter, [m for key in answered for m in groups[key]])
-
-    def _select_wants_value(self, plan: QueryPlan) -> bool:
-        if plan.select is None:
-            return True
-        return any(isinstance(it, ExprItem) for it in plan.select)
-
-    def _render_group_rows(self, plan, spec, ranked, with_value: bool):
-        value_name = "value"
-        key_name = spec.group_key
-        if plan.select:
-            for it in plan.select:
-                if isinstance(it, ExprItem):
-                    value_name = it.name
-        if not with_value:
-            return [key_name], [(key,) for _, key in ranked]
-        return [key_name, value_name], [(key, v) for v, key in ranked]
+        members = [m for key in answered for m in groups[key]]
+        return ctx.result(*self._render(ctx, plan, answered, values), t_filter, members)
 
     def _groups(self, targets: list[int], group_key: str) -> dict[int, list[int]]:
         """Ascending ``targets`` split by their ``group_key`` column, each
@@ -748,14 +714,16 @@ class Engine:
         ends = first.tolist()[1:] + [len(members)]
         return {k: members[a:b] for k, a, b in zip(uniq.tolist(), first.tolist(), ends)}
 
-    def _group_bounds(self, ctx, spec: AggSpec, groups, keys) -> tuple[np.ndarray, np.ndarray]:
+    def _group_bounds(self, ctx, plan: QueryPlan, groups, keys) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) bracket of each group's aggregate, in the order of
-        ``keys``, without loading where possible; NaN where a group has none."""
+        ``keys``, without loading where possible; NaN where a group has none.
+        A ``verify_all`` plan brackets nothing: every member is exact."""
+        spec: AggSpec = plan.shape
         lowers, uppers = np.full(len(keys), np.nan), np.full(len(keys), np.nan)
         if isinstance(spec.value, ScalarAggSpec):
             expr = spec.value.expr
             ids = np.array([m for key in keys for m in groups[key]], dtype=np.int64)
-            has = self._has_index(ids)
+            has = np.zeros(len(ids), dtype=bool) if plan.verify_all else self._has_index(ids)
             member_lo, member_hi = np.empty(len(ids)), np.empty(len(ids))
             if has.any():
                 member_lo[has], member_hi[has] = self._expr_bounds_many(expr, ids[has])
@@ -765,7 +733,9 @@ class Engine:
                 # counts is needed, and indexed there in incremental mode.
                 member_lo[~has], member_hi[~has] = self._brackets(ctx, expr, ids[~has])
             sizes = [len(groups[key]) for key in keys]
-            return bound_scalar_aggs(spec.value.fn, member_lo, member_hi, sizes)
+            return bound_scalar_agg(spec.value.fn, member_lo, member_hi, sizes)
+        if plan.verify_all:
+            return lowers, uppers
         for g, key in enumerate(keys):
             block = self._agg_chi_cache.get(self._agg_fingerprint(spec.value, groups[key]))
             if block is not None:
@@ -801,7 +771,7 @@ class Engine:
         expr = spec.value.expr
         if isinstance(spec.value, ScalarAggSpec):
             exact, _ = self._brackets(ctx, expr, np.asarray(members, dtype=np.int64))
-            v = float(bound_scalar_aggs(spec.value.fn, exact, exact, [len(members)])[0][0])
+            v = float(bound_scalar_agg(spec.value.fn, exact, exact, [len(members)])[0][0])
         else:
             pseudo = self._materialize_group(ctx, spec.value, key, members)
             if self.mode != "oracle":
@@ -818,6 +788,17 @@ class Engine:
             v = float(self._brackets(ctx, expr, np.array([rep]), counts=counts)[0][0])
         ctx.group_values[key] = v
         return v
+
+
+def _select_items(plan: QueryPlan) -> tuple[SelectItem, ...]:
+    """``plan``'s SELECT list; without one, a filter's mask id, or a top-k
+    row's mask id or a group's key, then its value."""
+    if plan.select:
+        return plan.select
+    if isinstance(plan.shape, FilterSpec):
+        return (Column("mask_id"),)
+    key = plan.shape.group_key if isinstance(plan.shape, AggSpec) else "mask_id"
+    return (Column(key), Value("value"))
 
 
 def _pred_exprs(node: PredNode | None) -> list[Expr]:

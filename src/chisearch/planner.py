@@ -4,8 +4,9 @@ Responsibilities: resolve the view and columns, fold metadata-only WHERE
 conjuncts into the target-id prefilter, convert count calls into bound
 terms (validating value ranges and converting the dialect's 1-based
 inclusive corner pairs to internal 0-based half-open rectangles), classify
-the query shape, and check at plan time that predicates are boundable --
-unboundable ones fall back to verifying every mask, with a warning.
+the query shape, compile the SELECT list into the result's columns, and
+check at plan time that predicates, rankings and aggregates are boundable
+-- a plan with one that is not verifies every mask.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .executor import (
     QueryPlan,
     ScalarAggSpec,
     TopKSpec,
+    Value,
 )
 from .store import MaskStore, Roi, RoiBinding, ValueRange
 
@@ -114,7 +116,6 @@ class _Planner:
         self.ast = ast
         self.store = store
         self.roi_table = roi_table
-        self.warnings: list[str] = []
         self.verify_all = False
 
     # -- bindings ----------------------------------------------------------
@@ -239,24 +240,21 @@ class _Planner:
                 pred = Predicate(self.to_expr(cond.right), flipped, t)
             if not is_boundable(pred.expr):
                 self.verify_all = True
-                self.warnings.append(
-                    "predicate is not monotone in its count terms; verifying all masks"
-                )
             return CpComparison(pred)
         raise PlanError(f"cannot plan condition {cond!r}")
 
     # -- HAVING --------------------------------------------------------------
 
-    def to_having(self, cond, agg_expr: sql.AstExpr, alias: str | None):
+    def to_having(self, cond, agg_expr: sql.AstExpr, aliases: set):
         if isinstance(cond, sql.BoolExpr):
             return HavingBool(
-                cond.op, tuple(self.to_having(c, agg_expr, alias) for c in cond.items)
+                cond.op, tuple(self.to_having(c, agg_expr, aliases) for c in cond.items)
             )
         if isinstance(cond, sql.Compare):
             if cond.op == "=":
                 raise PlanError("HAVING comparisons support only > and <")
-            left_is_agg = self.refers_to_agg(cond.left, agg_expr, alias)
-            right_is_agg = self.refers_to_agg(cond.right, agg_expr, alias)
+            left_is_agg = self.refers_to_agg(cond.left, agg_expr, aliases)
+            right_is_agg = self.refers_to_agg(cond.right, agg_expr, aliases)
             if left_is_agg and not right_is_agg:
                 t = _const_value(cond.right)
                 if t is None:
@@ -269,10 +267,8 @@ class _Planner:
                 return HavingCmp("<" if cond.op == ">" else ">", t)
         raise PlanError("HAVING must compare the aggregate against a constant")
 
-    def refers_to_agg(self, node, agg_expr, alias) -> bool:
-        if isinstance(node, sql.ColumnRef) and alias and node.name == alias:
-            return True
-        return node == agg_expr
+    def refers_to_agg(self, node, agg_expr, aliases) -> bool:
+        return node == agg_expr or isinstance(node, sql.ColumnRef) and node.name in aliases
 
     # -- the main entry ------------------------------------------------------
 
@@ -297,79 +293,67 @@ class _Planner:
             if isinstance(it, sql.SelectExpr) and _contains_agg(it.expr)
         ]
         if ast.group_by is not None or agg_items:
-            plan = self.plan_aggregation(target_ids, pred_node, agg_items)
+            shape, value_ast = self.plan_aggregation(pred_node, agg_items)
         elif ast.order is not None:
-            plan = self.plan_topk(target_ids, pred_node)
+            shape, value_ast = self.plan_topk(pred_node)
         else:
-            plan = QueryPlan(
-                target_ids,
-                FilterSpec(pred_node, ast.limit),
-                select=self.select_items(allow_value_exprs=True),
-                verify_all=self.verify_all,
-            )
-        if self.warnings:
-            plan.label = ";".join(self.warnings)
-        return plan
+            shape, value_ast = FilterSpec(pred_node, ast.limit), None
+        return QueryPlan(target_ids, shape, self.select_items(value_ast), self.verify_all)
 
-    def select_items(self, allow_value_exprs: bool):
-        items: list = []
+    def select_items(self, value_ast: sql.AstExpr | None) -> tuple:
+        """The result's columns: its SELECT list, in order. A column is a
+        metadata column, in a grouped query the group key, and takes no
+        alias. In a filter (``value_ast`` None) an expression is evaluated
+        on each row; in a top-k or grouped query it must be ``value_ast``,
+        the ranked or aggregated expression, and names that value."""
+        group_by, items = self.ast.group_by, []
         for it in self.ast.select:
             if isinstance(it, sql.SelectStar):
+                if group_by is not None:
+                    raise PlanError("SELECT * is not valid with GROUP BY")
                 items.extend(Column(c) for c in META_COLUMNS)
             elif isinstance(it.expr, sql.ColumnRef):
-                self.check_column(it.expr.name)
-                items.append(Column(it.alias or it.expr.name))
-                if it.alias and it.alias != it.expr.name:
+                name = it.expr.name
+                self.check_column(name)
+                if group_by is not None and name != group_by:
+                    raise UnknownColumn(f"grouped select may only list the group key, got {name!r}")
+                if it.alias not in (None, name):
                     raise PlanError("column aliases are not supported")
+                items.append(Column(name))
+            elif value_ast is None:
+                items.append(ExprItem(it.alias or f"expr{len(items)}", self.to_expr(it.expr)))
+            elif it.expr == value_ast:
+                items.append(Value(it.alias or "value"))
             else:
-                if not allow_value_exprs:
-                    raise PlanError("expression not allowed in this select list")
-                name = it.alias or f"expr{len(items)}"
-                items.append(ExprItem(name, self.to_expr(it.expr)))
+                raise PlanError(
+                    "a top-k or grouped select may list columns and the ranked or "
+                    "aggregated expression only"
+                )
         names = [i.name for i in items]
         if len(set(names)) != len(names):
             raise PlanError("duplicate select column names")
         return tuple(items)
 
-    def order_expr(self) -> tuple[sql.AstExpr, str | None]:
-        """Resolve ORDER BY to an AST expression plus the matching alias."""
+    def order_expr(self) -> sql.AstExpr:
+        """ORDER BY as an AST expression, an alias resolved to its item's."""
         ref = self.ast.order.ref
         if isinstance(ref, str):
             for it in self.ast.select:
                 if isinstance(it, sql.SelectExpr) and it.alias == ref:
-                    return it.expr, ref
+                    return it.expr
             raise UnknownColumn(f"ORDER BY references unknown alias {ref!r}")
-        return ref, None
+        return ref
 
-    def plan_topk(self, target_ids, pred_node) -> QueryPlan:
-        ast = self.ast
-        expr_ast, alias = self.order_expr()
+    def plan_topk(self, pred_node) -> tuple[TopKSpec, sql.AstExpr]:
+        expr_ast = self.order_expr()
         if not _contains_cp(expr_ast):
             raise PlanError("ORDER BY must rank by a count expression")
         expr = self.to_expr(expr_ast)
-        k = ast.limit
-        select: list = []
-        for it in ast.select:
-            if isinstance(it, sql.SelectStar):
-                select.extend(Column(c) for c in META_COLUMNS)
-            elif isinstance(it.expr, sql.ColumnRef):
-                self.check_column(it.expr.name)
-                select.append(Column(it.expr.name))
-            elif it.expr == expr_ast:
-                select.append(ExprItem(it.alias or "value", expr))
-            else:
-                raise PlanError("top-k select may list columns and the ranking expression")
         if not is_boundable(expr):
             self.verify_all = True
-            self.warnings.append("ranking expression is not index-boundable")
-        return QueryPlan(
-            target_ids,
-            TopKSpec(expr, k, ast.order.descending, pred_node),
-            select=tuple(select),
-            verify_all=self.verify_all,
-        )
+        return TopKSpec(expr, self.ast.limit, self.ast.order.descending, pred_node), expr_ast
 
-    def plan_aggregation(self, target_ids, pred_node, agg_items) -> QueryPlan:
+    def plan_aggregation(self, pred_node, agg_items) -> tuple[AggSpec, sql.AstExpr]:
         ast = self.ast
         if pred_node is not None:
             raise PlanError("WHERE count filters with GROUP BY are not supported")
@@ -377,15 +361,13 @@ class _Planner:
             raise PlanError("aggregates require GROUP BY")
         if ast.group_by not in GROUP_KEYS:
             raise PlanError(f"GROUP BY must use one of {GROUP_KEYS}")
-        if len(agg_items) != 1:
+        if not agg_items or any(it.expr != agg_items[0].expr for it in agg_items):
             raise PlanError("exactly one aggregate expression is required")
-        agg_item = agg_items[0]
+        node = agg_items[0].expr
 
         mask_aggs: list[sql.MaskAggCall] = []
-        node = agg_item.expr
         if isinstance(node, sql.ScalarAggCall):
-            inner = self.to_expr(node.arg)
-            value = ScalarAggSpec(node.fn, inner)
+            value = ScalarAggSpec(node.fn, self.to_expr(node.arg))
         else:
             expr = self.to_expr(node, mask_agg_sink=mask_aggs)
             if not mask_aggs:
@@ -398,41 +380,21 @@ class _Planner:
                 raise PlanError(f"unknown mask aggregate {call.name!r}")
             args = () if call.threshold is None else (call.threshold,)
             value = MaskAggSpec(factory(*args), expr)
+        if not is_boundable(value.expr):
+            self.verify_all = True
 
         having = None
         if ast.having is not None:
-            having = self.to_having(ast.having, agg_item.expr, agg_item.alias)
+            having = self.to_having(ast.having, node, {it.alias for it in agg_items})
 
         descending = None
-        limit = ast.limit
         if ast.order is not None:
-            expr_ast, _ = self.order_expr()
-            if expr_ast != agg_item.expr:
+            if self.order_expr() != node:
                 raise PlanError("grouped ORDER BY must rank by the aggregate")
             descending = ast.order.descending
-        elif limit is not None:
+        elif ast.limit is not None:
             raise PlanError("LIMIT on grouped queries requires ORDER BY")
-
-        select: list = []
-        for it in ast.select:
-            if isinstance(it, sql.SelectStar):
-                raise PlanError("SELECT * is not valid with GROUP BY")
-            if isinstance(it.expr, sql.ColumnRef):
-                if it.expr.name != ast.group_by:
-                    raise UnknownColumn(
-                        f"grouped select may only list the group key, got {it.expr.name!r}"
-                    )
-                select.append(Column(it.expr.name))
-            else:
-                select.append(ExprItem(it.alias or "value", Const(0.0)))
-        # The aggregate's ExprItem is a placeholder; the engine computes the
-        # group value itself and only needs its output name.
-        return QueryPlan(
-            target_ids,
-            AggSpec(ast.group_by, value, having, descending, limit),
-            select=tuple(select),
-            verify_all=self.verify_all,
-        )
+        return AggSpec(ast.group_by, value, having, descending, ast.limit), node
 
 
 def plan(

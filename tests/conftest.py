@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import struct
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -96,7 +97,7 @@ def reference_bounds(pixels: np.ndarray, config: ChiConfig, rois: np.ndarray, rn
 
 
 # Exact arithmetic on Python numbers, the reference that ``expr_bounds``
-# on zero-width leaves and ``bound_scalar_aggs`` on equal ends must equal.
+# on zero-width leaves and ``bound_scalar_agg`` on equal ends must equal.
 
 
 def expr_exact(
@@ -134,6 +135,38 @@ def exact_scalar_agg(agg: str, values: Sequence[float]) -> float:
         return min(values)
     if agg == "MAX":
         return max(values)
+    raise NonMonotoneOperator(f"unknown scalar aggregate {agg!r}")
+
+
+@dataclass(frozen=True)
+class Bounds:
+    """Closed interval [lower, upper] guaranteed to contain the exact value."""
+
+    lower: float
+    upper: float
+
+    def __post_init__(self):
+        if self.lower > self.upper:
+            raise ValueError(f"inverted bounds {self!r}")
+
+
+def bound_scalar_agg(agg: str, items: Sequence[Bounds]) -> Bounds:
+    """Bracket a scalar aggregate of exact values given per-item brackets,
+    one group at a time: the reference ``bounds.bound_scalar_agg`` must
+    equal bit for bit on every group."""
+    if not items:
+        raise EmptyGroup(f"{agg} over an empty group")
+    agg = agg.upper()
+    lowers = [b.lower for b in items]
+    uppers = [b.upper for b in items]
+    if agg == "SUM":
+        return Bounds(_sum_in_order(lowers), _sum_in_order(uppers))
+    if agg == "AVG":
+        return Bounds(_sum_in_order(lowers) / len(items), _sum_in_order(uppers) / len(items))
+    if agg == "MIN":
+        return Bounds(min(lowers), min(uppers))
+    if agg == "MAX":
+        return Bounds(max(lowers), max(uppers))
     raise NonMonotoneOperator(f"unknown scalar aggregate {agg!r}")
 
 

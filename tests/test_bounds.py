@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chisearch import bounds
 from chisearch.bounds import (
     AreaTerm,
     BinOp,
-    Bounds,
     Const,
     CpTerm,
     EmptyGroup,
     NonMonotoneOperator,
-    bound_scalar_agg,
-    bound_scalar_aggs,
     cp_bounds,
     cp_terms,
     expr_bounds,
@@ -26,6 +24,8 @@ from chisearch.corpus import blob_mask
 from chisearch.store import Roi, RoiBinding, ValueRange, cp_exact
 
 from conftest import (
+    Bounds,
+    bound_scalar_agg,
     bounds_of,
     count_pixels_loop,
     exact_scalar_agg,
@@ -565,10 +565,10 @@ def test_scalar_agg_brackets_exact_randomized():
 
 
 def test_group_brackets_equal_one_group_at_a_time():
-    """``bound_scalar_aggs`` is ``bound_scalar_agg`` per group, bit for bit,
-    from one member up to 600, over all groups at once or one at a time; on
-    exact members it brackets the exact value, and gives a group of zero
-    width ``exact_scalar_agg``'s value bit for bit."""
+    """``bounds.bound_scalar_agg`` is the scalar reference ``bound_scalar_agg``
+    per group, bit for bit, from one member up to 600, over all groups at
+    once or one at a time; on exact members it brackets the exact value,
+    and gives a group of zero width ``exact_scalar_agg``'s value bit for bit."""
     rng = np.random.default_rng(61)
     sizes = [1, 2, 7, 8, 9, 17, 600] + rng.integers(1, 40, size=40).tolist()
     rng.shuffle(sizes)
@@ -580,7 +580,7 @@ def test_group_brackets_equal_one_group_at_a_time():
         (exact, exact),
     ):
         for agg in ("SUM", "AVG", "MIN", "MAX"):
-            lo, hi = bound_scalar_aggs(agg, lowers, uppers, sizes)
+            lo, hi = bounds.bound_scalar_agg(agg, lowers, uppers, sizes)
             assert lo.shape == hi.shape == (len(sizes),)
             for g, (start, size) in enumerate(zip(starts, sizes)):
                 part = slice(start, start + size)
@@ -590,27 +590,27 @@ def test_group_brackets_equal_one_group_at_a_time():
                     want.lower.hex(), want.upper.hex()), (agg, size)
                 assert lo[g] <= exact_scalar_agg(agg, exact[part].tolist()) <= hi[g]
                 # The group alone, as an exact group value is computed.
-                one = bound_scalar_aggs(agg, lowers[part], uppers[part], [size])
+                one = bounds.bound_scalar_agg(agg, lowers[part], uppers[part], [size])
                 assert (float(one[0][0]).hex(), float(one[1][0]).hex()) == (
                     want.lower.hex(), want.upper.hex()), (agg, size)
             if lowers is exact:
                 for start, size in zip(starts, sizes):
                     part = exact[start:start + size]
-                    v, _ = bound_scalar_aggs(agg, part, part, [size])
+                    v, _ = bounds.bound_scalar_agg(agg, part, part, [size])
                     assert float(v[0]).hex() == float(exact_scalar_agg(agg, part.tolist())).hex()
     # Pairwise summation rounds differently: the in-order sums above are not
     # what np.add.reduceat would give.
-    lo, _ = bound_scalar_aggs("SUM", exact, exact, sizes)
+    lo, _ = bounds.bound_scalar_agg("SUM", exact, exact, sizes)
     assert (lo != np.add.reduceat(exact, starts)).any()
 
 
 def test_group_brackets_of_no_groups_and_empty_groups():
-    lo, hi = bound_scalar_aggs("AVG", np.zeros(0), np.zeros(0), [])
+    lo, hi = bounds.bound_scalar_agg("AVG", np.zeros(0), np.zeros(0), [])
     assert lo.shape == hi.shape == (0,)
     with pytest.raises(EmptyGroup):
-        bound_scalar_aggs("SUM", np.ones(2), np.ones(2), [2, 0])
+        bounds.bound_scalar_agg("SUM", np.ones(2), np.ones(2), [2, 0])
     with pytest.raises(NonMonotoneOperator):
-        bound_scalar_aggs("MEDIAN", np.ones(2), np.ones(2), [2])
+        bounds.bound_scalar_agg("MEDIAN", np.ones(2), np.ones(2), [2])
 
 
 def test_empty_group_raises():

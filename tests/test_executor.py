@@ -24,6 +24,7 @@ from chisearch.executor import (
     _QueryCtx,
 )
 from chisearch import planner, sql
+from chisearch.planner import PlanError
 from chisearch.corpus import generate_corpus
 from chisearch.store import (
     MAX_PIXEL,
@@ -987,6 +988,133 @@ def test_row_values_are_python_numbers_in_every_mode(blob_engines):
         assert results[0] and results[1] == results[0] and results[2] == results[0], q
         for rows in results:
             assert {tuple(type(v) for v in row[1:]) for row in rows} == {kinds}, q
+
+
+def test_result_columns_are_the_select_list_in_order(blob_engines):
+    """Every shape's columns are its SELECT list, in order: a column is a
+    metadata column (in a grouped query the group key) and takes no alias,
+    and a top-k or grouped select may list the ranked or aggregated
+    expression, under any number of names, and nothing else. Each query
+    gives the oracle's rows in every mode."""
+    store, rois, engines = blob_engines
+    view = "FROM MasksDatabaseView"
+    x = "CP(mask, object, (0.5, 1.0))"
+    group = "GROUP BY image_id"
+    expected = {
+        f"SELECT {x} AS v, mask_id {view} ORDER BY v LIMIT 3": ["v", "mask_id"],
+        f"SELECT mask_id {view} ORDER BY {x} LIMIT 3": ["mask_id"],
+        f"SELECT mask_id, {x} AS v, {x} AS w {view} ORDER BY v LIMIT 3": ["mask_id", "v", "w"],
+        f"SELECT mask_id, {x} {view} ORDER BY {x} DESC LIMIT 3": ["mask_id", "value"],
+        f"SELECT AVG({x}) AS v {view} {group}": ["v"],
+        f"SELECT image_id, AVG({x}) AS v {view} {group}": ["image_id", "v"],
+        f"SELECT AVG({x}) AS v, image_id {view} {group} ORDER BY v DESC LIMIT 3": ["v", "image_id"],
+        f"SELECT image_id, AVG({x}) AS v, AVG({x}) AS w {view} {group} HAVING w > 3": [
+            "image_id", "v", "w"],
+        f"SELECT *, {x} {view} WHERE {x} > 3": [
+            "mask_id", "image_id", "model_id", "mask_type", "expr4"],
+    }
+    results = {}
+    for text, columns in expected.items():
+        p = planner.plan(sql.parse(text), store, rois)
+        want = engines[0].execute(p)
+        assert want.columns == columns and want.rows, text
+        for eng in engines[1:]:
+            got = eng.execute(p)
+            assert (got.columns, got.rows) == (want.columns, want.rows), (text, eng.mode)
+        results[text] = want.rows
+    topk = [(m, v) for v, m in results[f"SELECT {x} AS v, mask_id {view} ORDER BY v LIMIT 3"]]
+    assert [(m,) for m, _ in topk] == results[f"SELECT mask_id {view} ORDER BY {x} LIMIT 3"]
+    assert results[f"SELECT mask_id, {x} AS v, {x} AS w {view} ORDER BY v LIMIT 3"] == [
+        (m, v, v) for m, v in topk]
+    groups = results[f"SELECT image_id, AVG({x}) AS v {view} {group}"]
+    assert results[f"SELECT AVG({x}) AS v {view} {group}"] == [(v,) for _, v in groups]
+    assert results[f"SELECT image_id, AVG({x}) AS v, AVG({x}) AS w {view} {group} HAVING w > 3"] == [
+        (k, v, v) for k, v in groups if v > 3]
+    best = sorted(groups, key=lambda g: (-g[1], g[0]))[:3]
+    assert results[f"SELECT AVG({x}) AS v, image_id {view} {group} ORDER BY v DESC LIMIT 3"] == [
+        (v, k) for k, v in best]
+    # A plain grouped plan that selects no value (the API allows it) computes
+    # exact group values only where its HAVING needs them.
+    having = planner.plan(sql.parse(f"SELECT image_id, AVG({x}) AS v {view} {group} HAVING v > 3"),
+                          store, rois)
+    keys_only = QueryPlan(having.target_ids, having.shape, select=(Column("image_id"),))
+    for eng in engines:
+        with_value, got = eng.execute(having), eng.execute(keys_only)
+        assert with_value.rows == [(k, v) for k, v in groups if v > 3]
+        assert got.columns == ["image_id"] and got.rows == [(k,) for k, _ in with_value.rows]
+    indexed = engines[1]
+    assert indexed.execute(keys_only).stats.masks_loaded < indexed.execute(having).stats.masks_loaded
+
+    for text in (
+        f"SELECT mask_id AS m, {x} AS v {view} ORDER BY v LIMIT 3",  # an aliased column
+        f"SELECT mask_id AS m {view} WHERE {x} > 3",
+        f"SELECT image_id AS i, AVG({x}) AS v {view} {group}",
+        f"SELECT mask_id, {x} / area(object) AS v {view} ORDER BY {x} LIMIT 3",  # not the ranked one
+        f"SELECT image_id, AVG({x}) AS v, CP(mask, full, (0.5, 1.0)) AS w {view} {group}",
+        f"SELECT image_id, AVG({x}) AS v, SUM({x}) AS w {view} {group}",
+        f"SELECT mask_id, image_id, AVG({x}) AS v {view} {group}",  # not the group key
+        f"SELECT *, AVG({x}) AS v {view} {group}",
+        f"SELECT mask_id, {x}, {x} {view} ORDER BY {x} LIMIT 3",  # two columns named value
+        f"SELECT mask_id, {x} AS mask_id {view} ORDER BY mask_id LIMIT 3",
+        f"SELECT mask_id, mask_id {view}",
+    ):
+        with pytest.raises(PlanError):
+            planner.plan(sql.parse(text), store, rois)
+
+
+def test_every_verify_all_plan_warns(blob_engines):
+    """A plan the index cannot bracket verifies every mask and says so, in
+    every shape: a top-k plan used to carry no warning."""
+    store, rois, engines = blob_engines
+    view = "FROM MasksDatabaseView"
+    ratio = "CP(mask, object, (0.5, 1.0)) / CP(mask, full, (0.0, 1.0))"
+    for text in (
+        f"SELECT mask_id {view} WHERE {ratio} > 0.1",
+        f"SELECT mask_id, {ratio} AS v {view} ORDER BY v DESC LIMIT 3",
+        f"SELECT image_id, AVG({ratio}) AS v {view} GROUP BY image_id ORDER BY v DESC LIMIT 3",
+    ):
+        p = planner.plan(sql.parse(text), store, rois)
+        assert p.verify_all, text
+        rows = engines[0].execute(p).rows
+        for eng in engines:
+            r = eng.execute(p)
+            assert r.rows == rows and r.stats.warnings, (text, eng.mode)
+    p = planner.plan(sql.parse(f"SELECT mask_id, {ratio} AS v {view} ORDER BY v LIMIT 0"),
+                     store, rois)
+    r = engines[1].execute(p)
+    assert r.rows == [] and r.stats.warnings and r.stats.masks_loaded == 0
+
+
+def test_grouped_aggregates_that_divide_by_a_count_verify_every_member(tmp_path):
+    """An aggregate that divides by a count cannot be bracketed from the
+    index: the plan verifies every member, and no cached pseudo-mask index
+    brackets it either. Indexed and incremental engines, each run twice so
+    that the session indexes and the pseudo-mask cache are warm the second
+    time, answer as the oracle does."""
+    d = generate_corpus(tmp_path / "blob", 24, 32, 32, "blob", seed=3)
+    store = MaskStore.open(d)
+    index = build_index(store, ChiConfig(8, 8, 8))
+    oracle = Engine(store, mode="oracle")
+    engines = (Engine(store, index, mode="indexed"),
+               Engine(store, IndexStore(index.config), mode="incremental"))
+    view = "FROM MasksDatabaseView GROUP BY image_id"
+    over = "CP({m}, ((3,3),(30,29)), (0.05, 1.0))"
+    ratio = f"CP(mask, full, (0.5, 1.0)) / {over.format(m='mask')}"
+    for text in (
+        f"SELECT image_id, AVG({ratio}) AS v {view}",
+        f"SELECT image_id, AVG({ratio}) AS v {view} ORDER BY v DESC LIMIT 3",
+        f"SELECT image_id, SUM({ratio}) AS v {view} HAVING v > 0.3",
+        f"SELECT image_id, CP(MASK_MAX(mask), full, (0.5, 1.0)) / {over.format(m='MASK_MAX(mask)')}"
+        f" AS v {view} ORDER BY v DESC LIMIT 3",
+    ):
+        p = planner.plan(sql.parse(text), store)
+        want = oracle.execute(p).rows
+        assert want, text
+        for rnd in range(2):
+            for eng in engines:
+                assert eng.execute(p).rows == want, (text, eng.mode, rnd)
+        assert p.verify_all, text
+    store.close()
 
 
 # -- determinism -----------------------------------------------------------------------
