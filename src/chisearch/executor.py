@@ -9,7 +9,11 @@ many masks were read from disk.
 
 An exact value is a bracket of width 0, so both stages share one
 evaluator (``Engine._brackets``), and a filter decides its whole verify
-set in one call of the verdict path that decided the brackets.
+set in one call of the verdict path that decided the brackets. The other
+way round, a bracket of width 0 from the mask's own index row is its
+exact count: the query keeps it, so a mask whose bracket has width 0 is
+never read. The exact stage also reuses the areas the bound stage
+resolved.
 
 Engines run in one of three modes:
 
@@ -358,6 +362,8 @@ class ExecStats:
     masks_pruned: int = 0
     masks_accepted_directly: int = 0
     masks_loaded: int = 0
+    # (mask, count term) pairs a zero-width index bracket answered, of masks never loaded
+    counts_from_index: int = 0
     bytes_read: int = 0  # pixel bytes the loads read; a row span reads less than a mask
     phases: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
@@ -374,6 +380,7 @@ class ExecStats:
             "masks_pruned": self.masks_pruned,
             "masks_accepted_directly": self.masks_accepted_directly,
             "masks_loaded": self.masks_loaded,
+            "counts_from_index": self.counts_from_index,
             "bytes_read": self.bytes_read,
             "fml": self.fml,
             "phases": dict(self.phases),
@@ -504,14 +511,16 @@ class Engine:
                 holds = node.holds(self.store.columns, self.store.positions(at))
                 return np.where(holds, _TRUE, _FALSE).astype(np.int8)
             expr = node.pred.expr
-            lo, hi = self._brackets(ctx, expr, at) if exact else self._expr_bounds_many(expr, at)
+            bracket = self._brackets if exact else self._expr_bounds_many
+            lo, hi = bracket(ctx, expr, at)
             return _verdicts(lo, hi, node.pred.comparator, node.pred.threshold)
 
         return _decide(node, np.asarray(ids, dtype=np.int64), leaf)
 
-    def _expr_bounds_many(self, expr: Expr, ids):
+    def _expr_bounds_many(self, ctx: "_QueryCtx", expr: Expr, ids):
         """(lower, upper) float arrays of ``expr`` for masks with indexes;
-        one kernel call per count term and mask size."""
+        one kernel call per count term and mask size. ``ctx`` keeps each
+        count whose bracket has width 0, and each area resolved."""
         ids = np.asarray(ids, dtype=np.int64)
         cols, pos = self.store.columns, self.store.positions(ids)
         widths, heights = cols["width"][pos], cols["height"][pos]
@@ -522,21 +531,26 @@ class Engine:
             at = np.flatnonzero(group_of == g)
             block = self.index_store.block(int(widths[at[0]]), int(heights[at[0]]))
             blocks.append((block, block.rows_of(ids[at]), at))
-        return self._brackets(None, expr, ids, blocks)
+        return self._brackets(ctx, expr, ids, blocks)
 
     def _brackets(self, ctx: "_QueryCtx", expr: Expr, ids: np.ndarray, blocks=None, counts=None):
         """(lower, upper) arrays of ``expr`` over the masks ``ids`` (int64).
         With ``blocks``, (block, rows, at) triples, each count is bracketed
-        from the index rows of ``ids[at]``. Without, it is the zero-width
-        bracket of its exact count: ``counts[id(term)]`` where given, else
-        the one kept in ``ctx``, loading masks as needed."""
-        n, sizes = len(ids), []
+        from the index rows of ``ids[at]``; a ``ctx`` given then keeps the
+        counts of zero-width brackets (see ``_QueryCtx.keep``), so these
+        rows must be the masks' own. Without, a count is the zero-width
+        bracket of its exact value: ``counts[id(term)]`` where given, else
+        the one known to ``ctx``, loading masks as needed. A ``ctx`` keeps
+        each area resolved, and answers each it kept."""
+        n, sizes, resolved = len(ids), [], {}
 
         def rois(binding):
-            if not sizes:
-                pos = self.store.positions(ids)
-                sizes.extend(self.store.columns[c][pos] for c in ("width", "height"))
-            return binding.resolve_many(ids, *sizes)
+            if id(binding) not in resolved:
+                if not sizes:
+                    pos = self.store.positions(ids)
+                    sizes.extend(self.store.columns[c][pos] for c in ("width", "height"))
+                resolved[id(binding)] = binding.resolve_many(ids, *sizes)
+            return resolved[id(binding)]
 
         def leaf(term: CpTerm):
             if blocks is None:
@@ -546,11 +560,18 @@ class Engine:
             lo, hi = np.empty(n), np.empty(n)
             for block, rows, at in blocks:
                 lo[at], hi[at] = bnd.cp_bounds(block, rows, at_rois[at], term.rng)
+            if ctx is not None:
+                ctx.keep(term, ids, lo, hi)
             return lo, hi
 
         def area(binding):
-            r = rois(binding)
-            return ((r[:, 2] - r[:, 0]) * (r[:, 3] - r[:, 1])).astype(np.float64)
+            a = None if ctx is None else ctx.areas_of(binding, ids)
+            if a is None:
+                r = rois(binding)
+                a = ((r[:, 2] - r[:, 0]) * (r[:, 3] - r[:, 1])).astype(np.float64)
+                if ctx is not None:
+                    ctx.keep_areas(binding, ids, a)
+            return a
 
         lo, hi = expr_bounds(expr, leaf, area)
         if not isinstance(lo, np.ndarray):  # a constant expression
@@ -598,7 +619,7 @@ class Engine:
         edges = np.full(len(candidates), np.nan)
         if has.any():
             present = np.asarray(candidates, dtype=np.int64)[has]
-            lowers, uppers = self._expr_bounds_many(spec.expr, present)
+            lowers, uppers = self._expr_bounds_many(ctx, spec.expr, present)
             edges[has] = uppers if spec.descending else lowers
         t_filter = time.perf_counter()
 
@@ -726,7 +747,7 @@ class Engine:
             has = np.zeros(len(ids), dtype=bool) if plan.verify_all else self._has_index(ids)
             member_lo, member_hi = np.empty(len(ids)), np.empty(len(ids))
             if has.any():
-                member_lo[has], member_hi[has] = self._expr_bounds_many(expr, ids[has])
+                member_lo[has], member_hi[has] = self._expr_bounds_many(ctx, expr, ids[has])
             if not has.all():
                 # Index-less members (every member in oracle mode) enter the
                 # group bracket as exact points, each read where one of its
@@ -739,10 +760,12 @@ class Engine:
         for g, key in enumerate(keys):
             block = self._agg_chi_cache.get(self._agg_fingerprint(spec.value, groups[key]))
             if block is not None:
-                # A one-row call; the pseudo-mask's rois resolve as its lowest member's.
+                # A one-row call; the pseudo-mask's rois resolve as its lowest
+                # member's. Its bracket is the pseudo-mask's, not that member's,
+                # so no ctx keeps it.
                 rep = np.array([min(groups[key])], dtype=np.int64)
                 row = (block, np.zeros(1, dtype=np.intp), slice(None))
-                lo, hi = self._brackets(ctx, spec.value.expr, rep, [row])
+                lo, hi = self._brackets(None, spec.value.expr, rep, [row])
                 lowers[g], uppers[g] = lo[0], hi[0]
         return lowers, uppers
 
@@ -843,6 +866,10 @@ class _QueryCtx:
     load. A term that cannot be counted on a mask (its roi is missing or
     out of bounds) keeps its error in place of the count; the error is
     raised where that count is used.
+
+    The bound stage's zero-width brackets are counts too: ``keep`` holds
+    each, per term, and ``column`` answers from it in place of a load. The
+    areas it resolved are kept the same way, for the exact stage.
     """
 
     def __init__(self, engine: Engine, plan: QueryPlan | None = None):
@@ -862,6 +889,34 @@ class _QueryCtx:
             j = self._slot[id(t)] = slots.setdefault((id(t.roi), t.rng), len(slots))
             if j == len(self.terms):
                 self.terms.append(t)
+        # Per slot, mask id -> the count its zero-width bracket gave, and the
+        # (mask id, slot) pairs column answered from these.
+        self.closed: list[dict[int, int]] = [{} for _ in self.terms or ()]
+        self.answered: set[tuple[int, int]] = set()
+        self.areas: dict[int, dict[int, float]] = {}  # id(binding) -> mask id -> area
+
+    def keep(self, term: CpTerm, ids: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Keep ``term``'s count on each mask of ``ids`` whose bracket
+        [lo, hi], from that mask's own index row, has width 0. A sound
+        bracket of width 0 is the count ``cp_exact`` would give."""
+        j = self._slot.get(id(term))
+        if j is not None:
+            at = np.flatnonzero(lo == hi)
+            self.closed[j].update(zip(ids[at].tolist(), lo[at].astype(np.int64).tolist()))
+
+    def keep_areas(self, binding, ids: np.ndarray, areas: np.ndarray) -> None:
+        self.areas.setdefault(id(binding), {}).update(zip(ids.tolist(), areas.tolist()))
+
+    def areas_of(self, binding, ids: np.ndarray) -> np.ndarray | None:
+        """The kept areas of ``binding``'s rois on ``ids``, or None unless
+        every one of them is kept."""
+        kept = self.areas.get(id(binding))
+        if kept is None:
+            return None
+        try:
+            return np.array([kept[m] for m in ids.tolist()], dtype=np.float64)
+        except KeyError:
+            return None
 
     def read(self, entry: ManifestEntry, rows: tuple[int, int] | None = None) -> MaskRecord:
         """Load rows ``rows`` (None: all) of ``entry``'s mask into the calling
@@ -908,13 +963,20 @@ class _QueryCtx:
         return counts
 
     def column(self, ids: np.ndarray, term: CpTerm) -> np.ndarray:
-        """``term``'s count on each mask of ``ids``, as int64, loading masks
-        not yet loaded; raises the error kept in place of a count."""
+        """``term``'s count on each mask of ``ids``, as int64, from a load,
+        else from a zero-width bracket, else loading the mask; raises the
+        error kept in place of a count."""
         j = self._slot[id(term)]
-        values = []
+        closed, values = self.closed[j], []
         for mask_id in ids.tolist():
             counts = self.counts.get(mask_id)
-            v = (self.load(mask_id) if counts is None else counts)[j]
+            if counts is not None:
+                v = counts[j]
+            elif mask_id in closed:
+                v = closed[mask_id]
+                self.answered.add((mask_id, j))
+            else:
+                v = self.load(mask_id)[j]
             if type(v) is not int:
                 raise v
             values.append(v)
@@ -926,6 +988,7 @@ class _QueryCtx:
         t_start, t_end = self.t_start, time.perf_counter()
         stats = self.stats
         stats.masks_loaded = len(self.counts)
+        stats.counts_from_index = sum(1 for m, _ in self.answered if m not in self.counts)
         stats.masks_accepted_directly = sum(1 for m in accepted if m not in self.counts)
         stats.masks_pruned = (
             stats.masks_targeted - stats.masks_loaded - stats.masks_accepted_directly

@@ -117,10 +117,19 @@ class _Planner:
         self.store = store
         self.roi_table = roi_table
         self.verify_all = False
+        self._bindings: dict[sql.RoiSpec, RoiBinding] = {}
 
     # -- bindings ----------------------------------------------------------
 
     def roi_binding(self, spec: sql.RoiSpec) -> RoiBinding:
+        """One binding per distinct roi of the query, so that equal count
+        terms share one count per mask (``executor._QueryCtx`` keys terms
+        by binding identity)."""
+        if spec not in self._bindings:
+            self._bindings[spec] = self._new_binding(spec)
+        return self._bindings[spec]
+
+    def _new_binding(self, spec: sql.RoiSpec) -> RoiBinding:
         if isinstance(spec, sql.RoiKeyword):
             if spec.kind == "full":
                 return RoiBinding.full()
@@ -353,6 +362,24 @@ class _Planner:
             self.verify_all = True
         return TopKSpec(expr, self.ast.limit, self.ast.order.descending, pred_node), expr_ast
 
+    def unselected_aggs(self) -> list[sql.AstExpr]:
+        """The aggregates that a grouped query selecting none compares in
+        HAVING or ranks by in ORDER BY."""
+        found = []
+
+        def walk(cond):
+            if isinstance(cond, sql.BoolExpr):
+                for c in cond.items:
+                    walk(c)
+            elif isinstance(cond, sql.Compare):
+                found.extend(side for side in (cond.left, cond.right) if _contains_agg(side))
+
+        if self.ast.having is not None:
+            walk(self.ast.having)
+        if self.ast.order is not None and _contains_agg(self.order_expr()):
+            found.append(self.order_expr())
+        return found
+
     def plan_aggregation(self, pred_node, agg_items) -> tuple[AggSpec, sql.AstExpr]:
         ast = self.ast
         if pred_node is not None:
@@ -361,9 +388,10 @@ class _Planner:
             raise PlanError("aggregates require GROUP BY")
         if ast.group_by not in GROUP_KEYS:
             raise PlanError(f"GROUP BY must use one of {GROUP_KEYS}")
-        if not agg_items or any(it.expr != agg_items[0].expr for it in agg_items):
+        aggs = [it.expr for it in agg_items] or self.unselected_aggs()
+        if not aggs or any(a != aggs[0] for a in aggs):
             raise PlanError("exactly one aggregate expression is required")
-        node = agg_items[0].expr
+        node = aggs[0]
 
         mask_aggs: list[sql.MaskAggCall] = []
         if isinstance(node, sql.ScalarAggCall):

@@ -322,7 +322,16 @@ def cp_exact(mask: MaskRecord, roi: Roi, rng: ValueRange) -> int:
         raise StoreError(f"{roi!r} reaches outside rows {y1}..{y2} read of mask {mask.mask_id}")
     window = mask.pixels[roi.y1 - y1 : roi.y2 - y1, roi.x1 : roi.x2]
     lo, hi = rng.f32_ends
-    return int(np.count_nonzero((window >= lo) & (window < hi)))
+    # Every stored pixel is in [0, 1), -0.0 included, so an end at 0 or 1
+    # needs no comparison.
+    if hi == 1.0:
+        return roi.area if lo == 0.0 else int(np.count_nonzero(window >= lo))
+    if lo == 0.0:
+        return int(np.count_nonzero(window < hi))
+    # Non-negative float32s order as their bits do, and -0.0 has bits
+    # 0x80000000, above every end: lo <= p < hi is one unsigned comparison.
+    lo_bits, hi_bits = rng.f32_ends.view(np.uint32)
+    return int(np.count_nonzero(window.view(np.uint32) - lo_bits < hi_bits - lo_bits))
 
 
 def validate_pixels(pixels: np.ndarray, *, clamp: bool = False) -> np.ndarray:

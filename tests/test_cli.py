@@ -181,6 +181,22 @@ def test_query_stats_count_the_bytes_its_row_spans_read(corpus, capsys, tmp_path
         assert 0 < s["bytes_read"] < s["masks_loaded"] * 32 * 32 * 4
 
 
+def test_query_stats_count_the_counts_the_index_answered(corpus, capsys, tmp_path):
+    """A top-k over whole 8x8 cells and a range on bin edges: every bracket
+    has width 0, so the index answers each count and no mask is read."""
+    d, idx = corpus
+    q = ("SELECT mask_id, CP(mask, ((9,9),(24,24)), (0.5,1.0)) AS v "
+         "FROM MasksDatabaseView ORDER BY v DESC LIMIT 5")
+    stats_path, outs = tmp_path / "stats.json", []
+    for mode, loaded, answered in ((["--index", str(idx)], 0, 5), (["--oracle"], 24, 0)):
+        code, out, _ = run(capsys, "query", str(d), *mode, "-q", q, "--stats-json", str(stats_path))
+        assert code == 0
+        s = json.loads(stats_path.read_text())
+        assert (s["masks_loaded"], s["counts_from_index"]) == (loaded, answered), mode
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_query_refuses_index_flags_that_conflict_with_its_index(corpus, capsys, tmp_path):
     d, idx = corpus  # built with 8x8 cells and 8 bins
     session = tmp_path / "session.chi"
@@ -415,6 +431,7 @@ def test_repl_stats_command(corpus, monkeypatch, capsys):
     assert "no query has run yet" in out
     assert '"masks_targeted": 12' in out
     assert '"bytes_read": 0' in out  # a metadata filter reads no pixels
+    assert '"counts_from_index": 0' in out
 
 
 def test_repl_rejects_flags_that_conflict_with_warm_index(corpus, monkeypatch, capsys):

@@ -15,6 +15,7 @@ from chisearch.store import (
     MANIFEST_NAME,
     MAX_PIXEL,
     MaskMeta,
+    MaskRecord,
     MaskStore,
     MissingRoiBinding,
     NotFound,
@@ -253,6 +254,51 @@ def test_count_decides_range_ends_exactly():
     for vr, want in ((ValueRange(5 / 6, 1.0), 1), (ValueRange(0.5, 5 / 6), 1),
                      (ValueRange(float(below), 5 / 6), 1)):
         assert cp_exact(rec, roi, vr) == count_pixels_loop(rec.pixels, roi, vr.lo, vr.hi) == want
+
+
+def _adversarial_pixels():
+    """Every k/16 edge with its float32 neighbours, 0.0, -0.0, subnormals
+    and MAX_PIXEL, each at least once, shuffled into an 8x16 mask."""
+    f32 = np.float32
+    edges = [f32(k / 16) for k in range(17)]
+    values = [v for e in edges for v in (np.nextafter(e, f32(0)), e, np.nextafter(e, f32(1)))]
+    tiny = np.nextafter(f32(0), f32(1))
+    values += [f32(0.0), f32(-0.0), tiny, tiny * f32(2), np.nextafter(np.finfo(f32).tiny, f32(0))]
+    values = np.array([v for v in values if 0.0 <= v <= MAX_PIXEL], dtype=f32)  # -0.0 kept
+    rng = np.random.default_rng(5)
+    cells = np.concatenate([values, rng.choice(values, 128 - len(values))])
+    return rng.permutation(cells).reshape(8, 16), values
+
+
+def test_count_is_exact_on_every_adversarial_value_and_range_end():
+    """cp_exact against the per-pixel loop: pixels on and beside every
+    k/16 edge, zeros of both signs, subnormals and MAX_PIXEL; range ends
+    on those values and between float32 neighbours, with lo == 0, hi == 1,
+    both and neither; whole, strided and one-column windows, and windows of
+    row-span records."""
+    pixels, values = _adversarial_pixels()
+    ends = sorted({0.0, 1.0} | {float(v) for v in values if float(v) > 0.0}
+                  | {float(v) + 2.0**-40 for v in values if 0.0 < float(v) < 0.99})
+    inner = [e for e in ends if 0.0 < e < 1.0]
+    rng = np.random.default_rng(6)
+    ranges = [ValueRange(0.0, 1.0)]
+    ranges += [ValueRange(0.0, e) for e in inner] + [ValueRange(e, 1.0) for e in inner]
+    ranges += [ValueRange(a, b) for a, b in zip(inner, inner[1:])]
+    ranges += [ValueRange(a, b) for a, b in zip(inner, inner[3:])]
+    for _ in range(150):
+        a, b = sorted(rng.choice(len(inner), 2, replace=False))
+        ranges.append(ValueRange(inner[a], inner[b]))
+    meta = MaskMeta(1, 1, 1, 1)
+    whole = MaskRecord(meta, 16, 8, pixels)
+    cases = [(whole, Roi(0, 0, 16, 8)), (whole, Roi(3, 1, 13, 7)), (whole, Roi(5, 0, 6, 8))]
+    cases += [(MaskRecord(meta, 16, 8, pixels[y1:y2], y1), Roi(1, y1, 15, y2))
+              for y1, y2 in ((2, 7), (0, 1), (7, 8))]
+    zeros = {str(v) for v in values if v == 0.0}
+    assert zeros == {"0.0", "-0.0"}
+    for vr in ranges:
+        for rec, roi in cases:
+            want = count_pixels_loop(pixels, roi, vr.lo, vr.hi)
+            assert cp_exact(rec, roi, vr) == want, (vr, roi, rec.rows)
 
 
 def test_count_rejects_out_of_bounds_roi():
